@@ -9,8 +9,8 @@ small-corpus tasks.
 """
 
 from .nn import (Architecture, Batch, Parameters, backward, deserialize_checkpoint,
-                 deserialize_params, forward, init_params, param_count, predict_proba,
-                 serialize_params, softmax)
+                 deserialize_params, forward, forward_trace, init_params, param_count,
+                 predict_proba, serialize_params, softmax)
 from .losses import (CombinedLossSpec, SmoothingKind, combined_loss, hard_ce, kl_div,
                      logit_mse, smoothing_target, soft_ce)
 from .optim import NonFiniteGradientError, OptimizerConfig, OptimizerState, init_state

@@ -28,8 +28,11 @@ from . import optim
 from .data import batch_stream
 from .losses import CombinedLossSpec, combined_loss
 from .metrics import MetricRecord, evaluate
-from .nn import (Architecture, Batch, Parameters, backward, deserialize_checkpoint,
-                 forward, init_params, param_count, predict_proba, serialize_params)
+# backward is unused here but stays importable as distrib.backward, the name
+# bench/tracer.py wraps
+from .nn import (Architecture, Batch, Parameters, backward, deserialize_checkpoint,  # noqa: F401
+                 forward, forward_trace, init_params, param_count, predict_proba,
+                 serialize_params)
 
 # one sync step moves a gradient out and parameters back per worker
 LEDGER_CAUSES = ("gradient_exchange", "parameter_broadcast",
@@ -301,7 +304,11 @@ class GroupRunner:
 
     def step_batches(self, batches: list[Batch], loss_spec: CombinedLossSpec | None = None,
                      teacher_fn=None) -> float:
-        """One synchronous group step over W per-worker batches."""
+        """One synchronous group step over W per-worker batches.
+
+        The network runs forward once: its logits feed the loss and its
+        activations the gradient.
+        """
         if len(batches) != self.group.n_workers:
             raise ValueError(f"expected {self.group.n_workers} batches, got {len(batches)}")
         for b in batches:
@@ -313,12 +320,12 @@ class GroupRunner:
             batch = Batch(np.concatenate([b.inputs for b in batches], axis=0),
                           np.concatenate([b.labels for b in batches], axis=0))
         spec = loss_spec if loss_spec is not None else self.group.loss
-        logits = forward(self.params, batch)
+        trace = forward_trace(self.params, batch)
         teacher = teacher_fn(batch) if teacher_fn is not None else None
-        loss, dlogits = combined_loss(spec, batch.labels, logits, teacher)
+        loss, dlogits = combined_loss(spec, batch.labels, trace.logits, teacher)
         if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
             raise DivergenceError(self.step_index, f"loss {loss} at step {self.step_index}")
-        grad = backward(self.params, batch, dlogits)
+        grad = trace.grad(dlogits)
         new_values, self.opt_state = optim.step(self.group.optimizer, self.opt_state,
                                                 self.params.values, grad.values)
         self.params = Parameters(self.arch, new_values)
@@ -522,6 +529,10 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     excluded from the bit-exact reproducibility guarantees. Requires
     ``stale_checkpoint`` teachers (there is no shared step boundary to
     snapshot at).
+
+    The first group to fail sets a shared stop flag, and its peers stop
+    before their next step. A DivergenceError is re-raised with the records
+    every group collected, in model-id order.
     """
     _check_codistill_args(cfg, groups, shards)
     if cfg.teacher_mode != "stale_checkpoint":
@@ -536,6 +547,7 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     for i, r in enumerate(runners):
         store.publish(Checkpoint(i, 0, r.params, cfg.float32_payload), entity=r.entity)
     barrier = threading.Barrier(n)
+    stop = threading.Event()
     results: list[list[MetricRecord]] = [[] for _ in range(n)]
     errors: list[BaseException | None] = [None] * n
 
@@ -550,6 +562,8 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
             barrier.wait()
             results[i].append(r.record(run_id, validation, t0, None))
             for s in range(n_steps):
+                if stop.is_set():
+                    break
                 if s % cfg.reload_interval == 0:
                     if s > 0:
                         store.publish(Checkpoint(i, s, r.params, cfg.float32_payload),
@@ -573,16 +587,19 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
                     window = []
         except BaseException as err:  # joined and re-raised by the caller
             errors[i] = err
+            stop.set()
 
     threads = [threading.Thread(target=run_group, args=(i,), name=f"group{i}") for i in range(n)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    records = [rec for group_records in results for rec in group_records]
     for err in errors:
         if err is not None:
+            if isinstance(err, DivergenceError):
+                err.records = records
             raise err
-    records = [rec for group_records in results for rec in group_records]
     return CodistillResult([r.params for r in runners], records, -1)
 
 

@@ -42,25 +42,66 @@ def _check_teacher_probs(t: np.ndarray, logits: np.ndarray) -> np.ndarray:
     return t
 
 
-def hard_ce(labels: np.ndarray, logits: np.ndarray):
-    """Mean cross entropy against integer labels.
-
-    loss = mean_b -log softmax(z_b)[y_b], grad = (softmax(z) - onehot(y)) / B.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
+def _check_labels(labels: np.ndarray, logits: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     B, K = logits.shape
     if labels.shape != (B,):
         raise ValueError(f"labels shape {labels.shape} does not match batch size {B}")
     if labels.min() < 0 or labels.max() >= K:
         raise ValueError("label out of range")
-    p, log_p = _softmax_parts(logits)
+    return labels
+
+
+# The _from_parts helpers take _softmax_parts(logits), so one softmax serves
+# the hard and the auxiliary term of a combined loss.
+
+def _hard_ce_from_parts(labels: np.ndarray, parts):
+    p, log_p = parts
+    B = p.shape[0]
     rows = np.arange(B)
     loss = float(-log_p[rows, labels].mean())
     grad = p.copy()
     grad[rows, labels] -= 1.0
     grad /= B
     return loss, grad
+
+
+def _soft_ce_from_parts(t: np.ndarray, parts):
+    p, log_p = parts
+    loss = float(-(t * log_p).sum(axis=1).mean())
+    grad = (p - t) / p.shape[0]
+    return loss, grad
+
+
+def _kl_div_from_parts(t: np.ndarray, parts):
+    p, log_p = parts
+    t_log_t = np.where(t > 0.0, t * np.log(np.maximum(t, _LOG_FLOOR)), 0.0)
+    loss = max(float((t_log_t - t * log_p).sum(axis=1).mean()), 0.0)
+    grad = (p - t) / p.shape[0]
+    return loss, grad
+
+
+def hard_ce(labels: np.ndarray, logits: np.ndarray):
+    """Mean cross entropy against integer labels.
+
+    loss = mean_b -log softmax(z_b)[y_b], grad = (softmax(z) - onehot(y)) / B.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = _check_labels(labels, logits)
+    return _hard_ce_from_parts(labels, _softmax_parts(logits))
+
+
+def hard_ce_loss(labels: np.ndarray, logits: np.ndarray) -> float:
+    """The loss of ``hard_ce`` alone, bit for bit, without its gradient.
+
+    With z = logits - rowmax, -log softmax(z)[y] is z[y] - log(sum(exp(z))),
+    the same float operations ``hard_ce`` does on the picked entries.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = _check_labels(labels, logits)
+    z = logits - logits.max(axis=1, keepdims=True)
+    picked = z[np.arange(len(labels)), labels] - np.log(np.exp(z).sum(axis=1))
+    return float(-picked.mean())
 
 
 def soft_ce(teacher_probs: np.ndarray, logits: np.ndarray):
@@ -71,10 +112,7 @@ def soft_ce(teacher_probs: np.ndarray, logits: np.ndarray):
     """
     logits = np.asarray(logits, dtype=np.float64)
     t = _check_teacher_probs(teacher_probs, logits)
-    p, log_p = _softmax_parts(logits)
-    loss = float(-(t * log_p).sum(axis=1).mean())
-    grad = (p - t) / logits.shape[0]
-    return loss, grad
+    return _soft_ce_from_parts(t, _softmax_parts(logits))
 
 
 def logit_mse(teacher_logits: np.ndarray, logits: np.ndarray):
@@ -98,11 +136,7 @@ def kl_div(teacher_probs: np.ndarray, logits: np.ndarray):
     """
     logits = np.asarray(logits, dtype=np.float64)
     t = _check_teacher_probs(teacher_probs, logits)
-    p, log_p = _softmax_parts(logits)
-    t_log_t = np.where(t > 0.0, t * np.log(np.maximum(t, _LOG_FLOOR)), 0.0)
-    loss = max(float((t_log_t - t * log_p).sum(axis=1).mean()), 0.0)
-    grad = (p - t) / logits.shape[0]
-    return loss, grad
+    return _kl_div_from_parts(t, _softmax_parts(logits))
 
 
 @dataclass(frozen=True)
@@ -156,11 +190,13 @@ class CombinedLossSpec:
             raise ValueError("smoothing and distillation are mutually exclusive in one run")
 
 
-_DISTILL_FNS = {
-    "soft_cross_entropy": soft_ce,
-    "kl_divergence": kl_div,
-    "logit_mse": logit_mse,
-}
+def _distill_term(kind: str, teacher_signal: np.ndarray, logits: np.ndarray, parts):
+    if kind == "logit_mse":
+        return logit_mse(teacher_signal, logits)
+    t = _check_teacher_probs(teacher_signal, logits)
+    if kind == "kl_divergence":
+        return _kl_div_from_parts(t, parts)
+    return _soft_ce_from_parts(t, parts)
 
 
 def combined_loss(spec: CombinedLossSpec, labels: np.ndarray, logits: np.ndarray,
@@ -170,21 +206,26 @@ def combined_loss(spec: CombinedLossSpec, labels: np.ndarray, logits: np.ndarray
     ``teacher_signal`` must be supplied exactly when ``spec.distill`` is
     active: mean teacher probabilities for soft_cross_entropy / kl_divergence,
     mean teacher logits for logit_mse. With weight 0 (or no auxiliary term at
-    all) the result is bit-identical to hard_ce.
+    all) the result is bit-identical to hard_ce. The softmax of the logits is
+    computed once and shared by the hard and the auxiliary term; the result
+    is bit-identical to adding the separately computed terms.
     """
-    loss, grad = hard_ce(labels, logits)
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = _check_labels(labels, logits)
+    parts = _softmax_parts(logits)
+    loss, grad = _hard_ce_from_parts(labels, parts)
     if spec.distill != "none":
         if teacher_signal is None:
             raise ValueError("missing teacher signal for distillation loss")
         if spec.distill_weight == 0.0:
             return loss, grad
-        dloss, dgrad = _DISTILL_FNS[spec.distill](teacher_signal, logits)
+        dloss, dgrad = _distill_term(spec.distill, teacher_signal, logits, parts)
         return loss + spec.distill_weight * dloss, grad + spec.distill_weight * dgrad
     if teacher_signal is not None:
         raise ValueError("teacher signal supplied but distillation is disabled")
     if spec.smoothing is not None and spec.smoothing_weight != 0.0:
         target = smoothing_target(spec.smoothing, logits.shape[1])
-        t = np.broadcast_to(target, logits.shape)
-        sloss, sgrad = soft_ce(t, logits)
+        t = _check_teacher_probs(np.broadcast_to(target, logits.shape), logits)
+        sloss, sgrad = _soft_ce_from_parts(t, parts)
         return loss + spec.smoothing_weight * sloss, grad + spec.smoothing_weight * sgrad
     return loss, grad

@@ -10,6 +10,7 @@ context). All arithmetic is float64 and every public function is pure.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -114,8 +115,21 @@ def _layout(arch: Architecture) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(entries)
 
 
+@lru_cache(maxsize=None)
+def _slices(arch: Architecture) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """``_layout`` with each entry's (start, stop) range in the flat vector."""
+    out = []
+    offset = 0
+    for name, shape in _layout(arch):
+        size = math.prod(shape)
+        out.append((name, shape, offset, offset + size))
+        offset += size
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def param_count(arch: Architecture) -> int:
-    return sum(int(np.prod(shape)) for _, shape in _layout(arch))
+    return _slices(arch)[-1][3]
 
 
 @dataclass(frozen=True)
@@ -192,13 +206,7 @@ def init_params(arch: Architecture, seed: int) -> Parameters:
 
 
 def _views(arch: Architecture, values: np.ndarray) -> dict[str, np.ndarray]:
-    out = {}
-    offset = 0
-    for name, shape in _layout(arch):
-        size = int(np.prod(shape))
-        out[name] = values[offset:offset + size].reshape(shape)
-        offset += size
-    return out
+    return {name: values[start:stop].reshape(shape) for name, shape, start, stop in _slices(arch)}
 
 
 def _validate_inputs(arch: Architecture, batch: Batch) -> None:
@@ -215,8 +223,54 @@ def _validate_inputs(arch: Architecture, batch: Batch) -> None:
             raise ValueError(f"expected input_dim {arch.input_dim}, got {x.shape[1]}")
 
 
-def _forward_parts(params: Parameters, batch: Batch):
-    """Run the net, keeping pre-activations and activations for backprop."""
+@dataclass(eq=False, slots=True)
+class ForwardTrace:
+    """One forward pass: its logits plus the activations backward reuses.
+
+    ``grad`` backpropagates through the stored activations, so a training
+    step that needs both the logits and the gradient runs the network once.
+    """
+
+    params: Parameters
+    batch: Batch
+    views: dict[str, np.ndarray]
+    acts: list[np.ndarray]  # input of each linear layer
+    logits: np.ndarray  # (B, output_dim)
+
+    def grad(self, dloss_dlogits: np.ndarray) -> Parameters:
+        """Gradient for the loss whose logit gradient is supplied.
+
+        The loss functions in this package already fold the 1/B batch
+        reduction into their logit gradient, so the result is the gradient of
+        the batch-mean loss. Layout matches ``Parameters``.
+        """
+        arch = self.params.arch
+        batch, v, acts = self.batch, self.views, self.acts
+        d = np.asarray(dloss_dlogits, dtype=np.float64)
+        if d.shape != self.logits.shape:
+            raise ValueError(f"logit gradient shape {d.shape} does not match logits {self.logits.shape}")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("non-finite logit gradient")
+        grads: dict[str, np.ndarray] = {}
+        n_layers = len(arch.hidden_dims) + 1
+        delta = d
+        for i in reversed(range(n_layers)):
+            grads[f"w{i}"] = acts[i].T @ delta
+            grads[f"b{i}"] = delta.sum(axis=0)
+            if i > 0:
+                # relu(z) > 0 exactly where z > 0
+                delta = (delta @ v[f"w{i}"].T) * (acts[i] > 0.0)
+            elif arch.task == TASK_LM:
+                dinput = (delta @ v["w0"].T).reshape(batch.size, arch.context_window, arch.embedding_dim)
+                g = np.zeros_like(v["embed"])
+                np.add.at(g, batch.inputs, dinput)
+                grads["embed"] = g
+        flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
+        return Parameters(arch, flat)
+
+
+def forward_trace(params: Parameters, batch: Batch) -> ForwardTrace:
+    """Run the net, keeping each layer's input activations for backprop."""
     arch = params.arch
     _validate_inputs(arch, batch)
     v = _views(arch, params.values)
@@ -225,19 +279,21 @@ def _forward_parts(params: Parameters, batch: Batch):
     else:
         a = np.asarray(batch.inputs, dtype=np.float64)
     acts = [a]
-    pres = []
     n_layers = len(arch.hidden_dims) + 1
+    # Bias and relu are applied in place: the same values, without the
+    # multi-megabyte temporaries that a 5 000-row validation pass would
+    # otherwise allocate, free and page-fault in again on every call.
     for i in range(n_layers):
-        z = acts[-1] @ v[f"w{i}"] + v[f"b{i}"]
-        pres.append(z)
+        z = acts[-1] @ v[f"w{i}"]
+        z += v[f"b{i}"]
         if i < n_layers - 1:
-            acts.append(np.maximum(z, 0.0))
-    return v, acts, pres
+            acts.append(np.maximum(z, 0.0, out=z))
+    return ForwardTrace(params, batch, v, acts, z)
 
 
 def forward(params: Parameters, batch: Batch) -> np.ndarray:
     """Logits of shape (B, output_dim); pure and deterministic."""
-    return _forward_parts(params, batch)[2][-1]
+    return forward_trace(params, batch).logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -255,32 +311,10 @@ def predict_proba(params: Parameters, batch: Batch) -> np.ndarray:
 def backward(params: Parameters, batch: Batch, dloss_dlogits: np.ndarray) -> Parameters:
     """Gradient for the loss whose logit gradient is supplied.
 
-    The loss functions in this package already fold the 1/B batch reduction
-    into their logit gradient, so the result is the gradient of the batch-mean
-    loss. Layout matches ``Parameters``.
+    Runs the forward pass again for its activations; a caller that already
+    holds a ``ForwardTrace`` should call its ``grad`` instead.
     """
-    arch = params.arch
-    v, acts, pres = _forward_parts(params, batch)
-    d = np.asarray(dloss_dlogits, dtype=np.float64)
-    if d.shape != pres[-1].shape:
-        raise ValueError(f"logit gradient shape {d.shape} does not match logits {pres[-1].shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("non-finite logit gradient")
-    grads: dict[str, np.ndarray] = {}
-    n_layers = len(arch.hidden_dims) + 1
-    delta = d
-    for i in reversed(range(n_layers)):
-        grads[f"w{i}"] = acts[i].T @ delta
-        grads[f"b{i}"] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ v[f"w{i}"].T) * (pres[i - 1] > 0.0)
-        elif arch.task == TASK_LM:
-            dinput = (delta @ v["w0"].T).reshape(batch.size, arch.context_window, arch.embedding_dim)
-            g = np.zeros_like(v["embed"])
-            np.add.at(g, batch.inputs, dinput)
-            grads["embed"] = g
-    flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
-    return Parameters(arch, flat)
+    return forward_trace(params, batch).grad(dloss_dlogits)
 
 
 def serialize_params(params: Parameters, *, step: int = 0, model_id: int = 0,

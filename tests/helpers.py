@@ -7,7 +7,7 @@ perturbed evaluation per coordinate.
 
 import numpy as np
 
-from codistill.nn import Parameters, forward
+from codistill.nn import TASK_LM, Parameters, _layout, _views, forward
 
 
 def rel_err(a, b, floor=1e-6):
@@ -72,3 +72,38 @@ def naive_mlp_forward(params, x):
             a = np.maximum(z, 0.0) if layer < len(weights) - 1 else z
         out[r] = a
     return out
+
+
+def recompute_backward(params, batch, dlogits):
+    """(logits, gradient) the way the network was first written: a fresh
+    forward pass that keeps every pre-activation, out-of-place bias and relu,
+    and relu masks taken from the pre-activations. The library's
+    single-pass trace must match it bit for bit."""
+    arch = params.arch
+    v = _views(arch, params.values)
+    if arch.task == TASK_LM:
+        a = v["embed"][batch.inputs].reshape(batch.size, arch.input_dim)
+    else:
+        a = np.asarray(batch.inputs, dtype=np.float64)
+    acts, pres = [a], []
+    n_layers = len(arch.hidden_dims) + 1
+    for i in range(n_layers):
+        z = acts[-1] @ v[f"w{i}"] + v[f"b{i}"]
+        pres.append(z)
+        if i < n_layers - 1:
+            acts.append(np.maximum(z, 0.0))
+    grads = {}
+    delta = np.asarray(dlogits, dtype=np.float64)
+    for i in reversed(range(n_layers)):
+        grads[f"w{i}"] = acts[i].T @ delta
+        grads[f"b{i}"] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ v[f"w{i}"].T) * (pres[i - 1] > 0.0)
+        elif arch.task == TASK_LM:
+            dinput = (delta @ v["w0"].T).reshape(batch.size, arch.context_window,
+                                                 arch.embedding_dim)
+            g = np.zeros_like(v["embed"])
+            np.add.at(g, batch.inputs, dinput)
+            grads["embed"] = g
+    flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
+    return pres[-1], flat

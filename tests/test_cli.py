@@ -249,6 +249,20 @@ class TestConcurrentMode:
         assert comm["actual_checkpoint_total"] > 0
         assert (tmp_path / "ckpt.s0" / "ckpt_0.bin").exists()
 
+    def test_divergence_keeps_every_models_records(self, tmp_path):
+        from codistill.distrib import DivergenceError
+        cfg = tiny_cfg("codistill", **{"codistill.burn_in": 10,
+                                       "codistill.reload_interval": 10,
+                                       "seeds": [0], "opt.kind": "sgd", "opt.lr": 1000.0})
+        with pytest.raises(DivergenceError):
+            run(cfg, tmp_path, mode="concurrent")
+        records = read_metrics_csv(tmp_path / "metrics.csv")
+        assert {r.run_id for r in records if r.step == 0} == {"codistill.s0.m0",
+                                                               "codistill.s0.m1"}
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["diverged"] is True
+        assert set(summary["runs"]) == {"codistill.s0.m0", "codistill.s0.m1"}
+
 
 class TestMainEntry:
     def write_cfg(self, tmp_path, text):

@@ -269,6 +269,25 @@ class TestCodistill:
         final = [r for r in result.records if r.step == 100]
         assert len(final) == 2
 
+    def test_concurrent_divergence_stops_peers_and_keeps_records(self, tmp_path):
+        """Group 0 diverges at once; group 1 would train stably to n_steps.
+        The peer stops early and both groups' records reach the error."""
+        ledger = CommLedger()
+        store = FileCheckpointStore(tmp_path, ARCH, ledger)
+        groups = [sgd_group(100, lr=1e9), self.groups[1]]
+        n_steps = 5000
+        with pytest.raises(DivergenceError) as err:
+            codistill_train_concurrent(ARCH, CodistillConfig(2, 20, 20), groups, self.shards,
+                                       n_steps, store, self.val, eval_every=50,
+                                       ledger=ledger)
+        assert [(r.run_id, r.step) for r in err.value.records if r.step == 0] == \
+            [("model0", 0), ("model1", 0)]
+        # a model id's records come before the next model id's
+        run_ids = [r.run_id for r in err.value.records]
+        assert run_ids == sorted(run_ids)
+        peer_steps = ledger.total("gradient_exchange", "model1") // (param_count(ARCH) * 8)
+        assert peer_steps < n_steps
+
 
 class TestMeanTeacher:
     def test_probability_form_is_member_mean(self):

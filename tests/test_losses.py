@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from codistill.losses import (CombinedLossSpec, SmoothingKind, combined_loss, hard_ce,
-                              kl_div, logit_mse, smoothing_target, soft_ce)
+                              hard_ce_loss, kl_div, logit_mse, smoothing_target, soft_ce)
 from codistill.nn import softmax
 from helpers import fd_logit_grad, rel_err
 
@@ -34,6 +37,34 @@ class TestHardCE:
         _, grad = hard_ce(labels, logits)
         fd = fd_logit_grad(lambda z: hard_ce(labels, z)[0], logits)
         assert rel_err(grad, fd).max() < 1e-6
+
+
+class TestHardCELoss:
+    """The gradient-free loss validation uses equals hard_ce's loss bit for bit."""
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
+                      elements=st.floats(-1e300, 1e300)),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_hard_ce_loss(self, logits, data):
+        labels = data.draw(hnp.arrays(np.int64, logits.shape[0],
+                                      elements=st.integers(0, logits.shape[1] - 1)))
+        want = hard_ce(labels, logits)[0]
+        got = hard_ce_loss(labels, logits)
+        assert got == want
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e3, 1e100, 1e300])
+    def test_extreme_magnitudes(self, scale):
+        rng = np.random.default_rng(7)
+        logits = rng.standard_normal((500, 10)) * scale
+        labels = rng.integers(0, 10, size=500)
+        assert hard_ce_loss(labels, logits) == hard_ce(labels, logits)[0]
+
+    def test_same_label_checks(self):
+        with pytest.raises(ValueError, match="range"):
+            hard_ce_loss(np.array([4]), np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="batch size"):
+            hard_ce_loss(np.array([0, 1]), np.zeros((1, 4)))
 
 
 class TestSoftCE:
@@ -241,6 +272,47 @@ class TestCombinedLoss:
         assert abs(cl - (hl + 0.5 * sl)) < 1e-15
         fd = fd_logit_grad(lambda z: combined_loss(spec, labels, z)[0], logits)
         assert rel_err(cg, fd).max() < 1e-6
+
+    @pytest.mark.parametrize("distill", ["soft_cross_entropy", "kl_divergence", "logit_mse"])
+    @given(seed=st.integers(0, 2**32 - 1), weight=st.floats(0.0, 10.0),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_softmax_equals_separate_terms(self, distill, seed, weight, scale):
+        rng = np.random.default_rng(seed)
+        logits, labels, teacher = random_case(rng, B=6, K=7)
+        logits = logits * scale
+        if distill == "logit_mse":
+            teacher = rng.standard_normal(logits.shape)
+        term = {"soft_cross_entropy": soft_ce, "kl_divergence": kl_div,
+                "logit_mse": logit_mse}[distill]
+        cl, cg = combined_loss(CombinedLossSpec(distill=distill, distill_weight=weight),
+                               labels, logits, teacher)
+        hl, hg = hard_ce(labels, logits)
+        if weight == 0.0:
+            assert cl == hl and np.array_equal(cg, hg)
+            return
+        dl, dg = term(teacher, logits)
+        assert cl == hl + weight * dl
+        assert np.array_equal(cg, hg + weight * dg)
+
+    @pytest.mark.parametrize("kind", ["uniform", "unigram"])
+    def test_shared_softmax_smoothing_equals_separate_terms(self, kind):
+        rng = np.random.default_rng(15)
+        logits, labels, _ = random_case(rng, B=6, K=5)
+        smoothing = SmoothingKind(kind, softmax(rng.standard_normal((1, 5)))[0]
+                                  if kind == "unigram" else None)
+        spec = CombinedLossSpec(smoothing=smoothing, smoothing_weight=0.3)
+        cl, cg = combined_loss(spec, labels, logits)
+        hl, hg = hard_ce(labels, logits)
+        target = np.broadcast_to(smoothing_target(smoothing, 5), logits.shape)
+        sl, sg = soft_ce(target, logits)
+        assert cl == hl + 0.3 * sl
+        assert np.array_equal(cg, hg + 0.3 * sg)
+
+    def test_label_checked_before_teacher(self):
+        spec = CombinedLossSpec(distill="soft_cross_entropy")
+        with pytest.raises(ValueError, match="label out of range"):
+            combined_loss(spec, np.array([5]), np.zeros((1, 2)), np.array([[3.0, -2.0]]))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

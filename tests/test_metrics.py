@@ -3,10 +3,11 @@ import pytest
 
 from codistill.data import gen_classification, split_train_val
 from codistill.distrib import GroupConfig, train_baseline
-from codistill.losses import CombinedLossSpec
+from codistill.losses import CombinedLossSpec, hard_ce
 from codistill.metrics import (MetricRecord, churn_experiment, ensemble_predict, evaluate,
                                prediction_churn, probs_nll, steps_to_target)
-from codistill.nn import Architecture, Batch, Parameters, init_params, param_count, predict_proba
+from codistill.nn import (Architecture, Batch, Parameters, forward, init_params, param_count,
+                          predict_proba)
 from codistill.optim import OptimizerConfig
 
 ARCH = Architecture(5, (8,), 3)
@@ -26,6 +27,13 @@ def record(step, loss):
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e100])
+    def test_loss_equals_hard_ce_bit_for_bit(self, scale):
+        p = Parameters(ARCH, rand_params(3).values * scale)
+        val = rand_val(4, n=300)
+        loss, _ = evaluate(p, val)
+        assert loss == hard_ce(val.labels, forward(p, val))[0]
+
     def test_uniform_predictor(self):
         p = Parameters(ARCH, np.zeros(param_count(ARCH)))
         val = rand_val(0)

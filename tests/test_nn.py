@@ -6,10 +6,11 @@ from hypothesis.extra import numpy as hnp
 
 from codistill.losses import hard_ce
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
-                          Parameters, TruncatedPayloadError, backward, deserialize_checkpoint,
-                          deserialize_params, forward, init_params, param_count,
-                          predict_proba, serialize_params, softmax)
-from helpers import fd_param_grad, naive_mlp_forward, rel_err
+                          Parameters, TruncatedPayloadError, _layout, _slices, _views,
+                          backward, deserialize_checkpoint, deserialize_params, forward,
+                          forward_trace, init_params, param_count, predict_proba,
+                          serialize_params, softmax)
+from helpers import fd_param_grad, naive_mlp_forward, recompute_backward, rel_err
 
 
 class TestArchitecture:
@@ -33,6 +34,23 @@ class TestArchitecture:
         ok = Architecture(12, (8,), 9, task="lm_fixed_context",
                           context_window=3, vocab_size=9, embedding_dim=4)
         assert param_count(ok) == 9 * 4 + (12 * 8 + 8) + (8 * 9 + 9)
+
+    @pytest.mark.parametrize("arch_name", ["small_arch", "lm_arch"])
+    def test_cached_slices_match_layout(self, arch_name, request):
+        arch = request.getfixturevalue(arch_name)
+        slices = _slices(arch)
+        assert [(name, shape) for name, shape, _, _ in slices] == list(_layout(arch))
+        offset = 0
+        for _, shape, start, stop in slices:
+            assert start == offset
+            offset += int(np.prod(shape))
+            assert stop == offset
+        assert param_count(arch) == offset
+        values = np.arange(float(offset))
+        views = _views(arch, values)
+        for name, shape, start, stop in slices:
+            assert views[name].shape == shape
+            assert np.array_equal(views[name].ravel(), values[start:stop])
 
 
 class TestInitParams:
@@ -170,6 +188,61 @@ class TestBackward:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             backward(small_params, small_batch, bad)
+
+
+def _trace_case(arch, seed, batch_size):
+    rng = np.random.default_rng(seed)
+    params = Parameters(arch, rng.standard_normal(param_count(arch)))
+    if arch.task == "lm_fixed_context":
+        inputs = rng.integers(0, arch.vocab_size, size=(batch_size, arch.context_window))
+    else:
+        inputs = rng.standard_normal((batch_size, arch.input_dim)) * 3
+    return params, Batch(inputs, rng.integers(0, arch.output_dim, size=batch_size))
+
+
+class TestForwardTrace:
+    """One forward pass serves both the loss and the gradient; both must be
+    bit-identical to a fresh forward and a backward that recomputes it."""
+
+    @pytest.mark.parametrize("arch_name", ["small_arch", "lm_arch"])
+    @given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_grad_equals_recompute_then_backward(self, arch_name, seed, batch_size, request):
+        arch = request.getfixturevalue(arch_name)
+        params, batch = _trace_case(arch, seed, batch_size)
+        trace = forward_trace(params, batch)
+        _, dlogits = hard_ce(batch.labels, trace.logits)
+        want_logits, want_grad = recompute_backward(params, batch, dlogits)
+        assert np.array_equal(trace.logits, want_logits)
+        assert np.array_equal(forward(params, batch), want_logits)
+        got = trace.grad(dlogits)
+        assert np.array_equal(got.values, want_grad)
+        assert np.array_equal(backward(params, batch, dlogits).values, want_grad)
+        # the stored activations are not consumed by a gradient
+        assert np.array_equal(trace.grad(dlogits).values, got.values)
+
+    @pytest.mark.parametrize("arch_name", ["small_arch", "lm_arch"])
+    def test_large_batch_matches_recompute(self, arch_name, request):
+        arch = request.getfixturevalue(arch_name)
+        params, batch = _trace_case(arch, 3, 2000)
+        trace = forward_trace(params, batch)
+        dlogits = np.random.default_rng(4).standard_normal(trace.logits.shape)
+        want_logits, want_grad = recompute_backward(params, batch, dlogits)
+        assert np.array_equal(trace.logits, want_logits)
+        assert np.array_equal(trace.grad(dlogits).values, want_grad)
+
+    def test_grad_checks_upstream(self, small_params, small_batch):
+        trace = forward_trace(small_params, small_batch)
+        with pytest.raises(ValueError, match="shape"):
+            trace.grad(np.zeros((small_batch.size, 3)))
+        bad = np.zeros((small_batch.size, 4))
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            trace.grad(bad)
+
+    def test_validates_inputs(self, small_params):
+        with pytest.raises(ValueError, match="input_dim"):
+            forward_trace(small_params, Batch(np.zeros((2, 5)), np.zeros(2, dtype=int)))
 
 
 class TestSerialization:
