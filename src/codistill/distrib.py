@@ -1,15 +1,22 @@
 """Distributed-training engine.
 
-Synchronous data-parallel worker groups, versioned checkpoint stores, the
-codistillation training loop with burn-in and checkpoint-reload cadence, the
-offline two-phase distillation pipeline, and logical communication
-accounting.
+Synchronous data-parallel worker groups, versioned checkpoint stores, one
+training loop over N groups, and logical communication accounting.
 
-Lockstep mode drives every group on one thread in a fixed round-robin order,
-which makes whole runs bit-reproducible; concurrent mode runs each model's
-group on its own thread against a shared (typically file-backed) checkpoint
-store to exercise the protocol under real asynchrony, with no bit-exactness
-guarantees.
+Every training mode is that loop with a different teacher source, which
+gives each group nothing or a (loss spec, teacher fn) pair at each step:
+none (``train_baseline``); a frozen teacher such as an ensemble, which is
+classic distillation (``train_with_static_teacher``, ``offline_distill``);
+peers' stale checkpoints from the store, the paper's online codistillation;
+or peers' current parameters in process, which is deep mutual learning
+(``teacher_mode="fresh_in_process"``).
+
+Lockstep mode (``codistill_train``) makes one loop call over all groups on
+one thread in a fixed round-robin order, which makes whole runs
+bit-reproducible. Concurrent mode (``codistill_train_concurrent``) makes one
+loop call per group, each on its own thread, against a shared (typically
+file-backed) checkpoint store to exercise the protocol under real asynchrony,
+with no bit-exactness guarantees.
 """
 
 from __future__ import annotations
@@ -92,21 +99,21 @@ class Checkpoint:
         return self.params.values.size * (4 if self.float32 else 8)
 
 
-class InMemoryCheckpointStore:
-    """Single slot per model id; publish atomically replaces the encoded blob.
+class _CheckpointStore:
+    """Single slot per model id, holding the latest encoded checkpoint.
 
-    Blobs round-trip through the same wire format as the file store, so the
-    two backings behave identically apart from I/O.
+    Publish and load are written once here: encode or decode, insist on
+    increasing steps, charge the ledger. A subclass says only where the bytes
+    live (``_write``/``_read``); both use the same wire format, so they behave
+    identically apart from I/O. The step check and the write share one lock,
+    so a slot never goes back to an older step.
     """
 
     def __init__(self, arch: Architecture, ledger: CommLedger | None = None):
         self._arch = arch
         self._ledger = ledger
         self._lock = threading.Lock()
-        self._blobs: dict[int, bytes] = {}
         self._last_step: dict[int, int] = {}
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     def publish(self, ckpt: Checkpoint, entity: str | None = None) -> None:
         data = serialize_params(ckpt.params, step=ckpt.step, model_id=ckpt.model_id,
@@ -115,18 +122,14 @@ class InMemoryCheckpointStore:
             last = self._last_step.get(ckpt.model_id)
             if last is not None and ckpt.step <= last:
                 raise ValueError(f"checkpoint step must increase ({ckpt.step} <= {last})")
-            self._blobs[ckpt.model_id] = data
+            self._write(ckpt.model_id, data)
             self._last_step[ckpt.model_id] = ckpt.step
-            self.bytes_written += len(data)
         if self._ledger is not None:
             self._ledger.add(entity or f"model{ckpt.model_id}", "checkpoint_publish",
                              ckpt.payload_bytes())
 
     def load_latest(self, model_id: int, entity: str | None = None) -> Checkpoint | None:
-        with self._lock:
-            data = self._blobs.get(model_id)
-            if data is not None:
-                self.bytes_read += len(data)
+        data = self._read(model_id)
         if data is None:
             return None
         params, step, mid, f32 = deserialize_checkpoint(data, self._arch)
@@ -137,7 +140,21 @@ class InMemoryCheckpointStore:
         return ckpt
 
 
-class FileCheckpointStore:
+class InMemoryCheckpointStore(_CheckpointStore):
+    """Checkpoint blobs held in a dict."""
+
+    def __init__(self, arch: Architecture, ledger: CommLedger | None = None):
+        super().__init__(arch, ledger)
+        self._blobs: dict[int, bytes] = {}
+
+    def _write(self, model_id: int, data: bytes) -> None:
+        self._blobs[model_id] = data
+
+    def _read(self, model_id: int) -> bytes | None:
+        return self._blobs.get(model_id)
+
+
+class FileCheckpointStore(_CheckpointStore):
     """One ``ckpt_<model_id>.bin`` per model in a directory.
 
     Publishes write a temp file in the same directory and ``os.replace`` it
@@ -146,54 +163,29 @@ class FileCheckpointStore:
     """
 
     def __init__(self, directory, arch: Architecture, ledger: CommLedger | None = None):
+        super().__init__(arch, ledger)
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._arch = arch
-        self._ledger = ledger
-        self._lock = threading.Lock()
-        self._last_step: dict[int, int] = {}
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     def _path(self, model_id: int) -> Path:
         return self._dir / f"ckpt_{model_id}.bin"
 
-    def publish(self, ckpt: Checkpoint, entity: str | None = None) -> None:
-        data = serialize_params(ckpt.params, step=ckpt.step, model_id=ckpt.model_id,
-                                float32=ckpt.float32)
-        with self._lock:
-            last = self._last_step.get(ckpt.model_id)
-            if last is not None and ckpt.step <= last:
-                raise ValueError(f"checkpoint step must increase ({ckpt.step} <= {last})")
-            self._last_step[ckpt.model_id] = ckpt.step
-        fd, tmp = tempfile.mkstemp(dir=self._dir, prefix=f".ckpt_{ckpt.model_id}.", suffix=".tmp")
+    def _write(self, model_id: int, data: bytes) -> None:
+        fd, tmp = tempfile.mkstemp(dir=self._dir, prefix=f".ckpt_{model_id}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
                 f.write(data)
-            os.replace(tmp, self._path(ckpt.model_id))
+            os.replace(tmp, self._path(model_id))
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        with self._lock:
-            self.bytes_written += len(data)
-        if self._ledger is not None:
-            self._ledger.add(entity or f"model{ckpt.model_id}", "checkpoint_publish",
-                             ckpt.payload_bytes())
 
-    def load_latest(self, model_id: int, entity: str | None = None) -> Checkpoint | None:
+    def _read(self, model_id: int) -> bytes | None:
         try:
-            data = self._path(model_id).read_bytes()
+            return self._path(model_id).read_bytes()
         except FileNotFoundError:
             return None
-        with self._lock:
-            self.bytes_read += len(data)
-        params, step, mid, f32 = deserialize_checkpoint(data, self._arch)
-        ckpt = Checkpoint(mid, step, params, f32)
-        if self._ledger is not None:
-            self._ledger.add(entity or f"model{model_id}", "checkpoint_load",
-                             ckpt.payload_bytes())
-        return ckpt
 
 
 @dataclass(frozen=True)
@@ -351,8 +343,113 @@ class GroupRunner:
                             bytes_grad_exchange=sync, bytes_checkpoint=ckpt)
 
 
-def _mean_nonempty(xs):
-    return float(np.mean(xs)) if xs else None
+def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, records: list,
+                teachers=None, *, step_callback=None, after_eval=None, stop=None) -> None:
+    """The one training loop; each training mode is a different ``teachers``.
+
+    At every global step ``teachers(s)`` gives one entry per runner: None
+    (hard loss only) or a ``(loss spec, teacher fn)`` pair. The runners then
+    step in order. Every runner is evaluated at step 0, every ``eval_every``
+    steps and the final step, and the records are appended to the caller's
+    ``records``; a record's train loss is the mean objective since the
+    previous one. After each evaluation, ``after_eval(step, new_records, t0)``
+    returns one more record to append. A set ``stop`` event ends the loop
+    before the next step. Any exception leaves with ``records`` attached as
+    ``err.records``, so the records made so far outlive the failure.
+    """
+    t0 = time.perf_counter()
+    windows: list[list[float]] = [[] for _ in runners]
+
+    def emit(step: int) -> None:
+        new = [r.record(r.entity, validation, t0, float(np.mean(w)) if w else None)
+               for r, w in zip(runners, windows)]
+        records.extend(new)
+        for w in windows:
+            w.clear()
+        if after_eval is not None:
+            records.append(after_eval(step, new, t0))
+
+    try:
+        emit(0)
+        for s in range(n_steps):
+            if stop is not None and stop.is_set():
+                break
+            pairs = teachers(s) if teachers is not None else [None] * len(runners)
+            for i, (r, pair) in enumerate(zip(runners, pairs)):
+                loss = r.step_stream(*pair) if pair is not None else r.step_stream()
+                if step_callback is not None:
+                    step_callback(i, s, loss, r.params)
+                windows[i].append(loss)
+            if (s + 1) % eval_every == 0 or s + 1 == n_steps:
+                emit(s + 1)
+    except Exception as err:
+        err.records = records
+        raise
+
+
+def _static_teachers(loss: CombinedLossSpec, teacher_fn, distill: str, distill_weight: float):
+    """Teacher source of a frozen teacher: the same pair at every step, or
+    None when the distillation term is off."""
+    if distill == "none" or distill_weight == 0.0:
+        return None
+    pair = [(replace(loss, distill=distill, distill_weight=distill_weight), teacher_fn)]
+    return lambda s: pair
+
+
+class _PeerTeachers:
+    """Teacher source of codistillation: after burn-in each group distills
+    toward the mean prediction of its N-1 peers.
+
+    ``stale_checkpoint`` (the paper's method): on every reload boundary the
+    groups being stepped publish their checkpoints, then load their peers'
+    latest ones from the store; a ``barrier`` makes threaded groups wait for
+    every first checkpoint before loading. ``fresh_in_process`` (deep mutual
+    learning): the peers' parameters at the step boundary, without the store.
+    ``lags[i]`` is the largest gap between a step of group i and its oldest
+    teacher; each group writes only its own slots, so threads need no lock.
+    """
+
+    def __init__(self, cfg: CodistillConfig, runners, store, barrier=None):
+        self.cfg = cfg
+        self.runners = runners
+        self.store = store
+        self.barrier = barrier
+        self.active = cfg.distill != "none" and cfg.distill_weight > 0.0
+        self.specs = [replace(r.group.loss, distill=cfg.distill,
+                              distill_weight=cfg.distill_weight) if self.active else None
+                      for r in runners]
+        # loaded[i] maps peer id -> (Parameters, checkpoint step)
+        self.loaded: list[dict[int, tuple[Parameters, int]]] = [{} for _ in runners]
+        self.lags = [0] * len(runners)
+
+    def __call__(self, ids, s: int):
+        if self.cfg.teacher_mode == "fresh_in_process":
+            current = [r.params for r in self.runners]
+            for i in ids:
+                self.loaded[i] = {j: (p, s) for j, p in enumerate(current) if j != i}
+        elif s % self.cfg.reload_interval == 0:
+            for i in ids:
+                r = self.runners[i]
+                self.store.publish(Checkpoint(i, s, r.params, self.cfg.float32_payload),
+                                   entity=r.entity)
+            if s == 0 and self.barrier is not None:
+                self.barrier.wait()
+            for i in ids:
+                self.loaded[i] = {j: self._load(i, j) for j in range(len(self.runners)) if j != i}
+        return [self._pair(i, s) for i in ids]
+
+    def _load(self, i: int, j: int) -> tuple[Parameters, int]:
+        ck = self.store.load_latest(j, entity=self.runners[i].entity)
+        if ck is None:
+            raise RuntimeError(f"missing peer checkpoint for model {j}")
+        return ck.params, ck.step
+
+    def _pair(self, i: int, s: int):
+        if not self.active or s < self.cfg.n_burn_in:
+            return None
+        teachers = self.loaded[i].values()
+        self.lags[i] = max(self.lags[i], s - min(step for _, step in teachers))
+        return self.specs[i], mean_teacher_fn([p for p, _ in teachers], self.cfg.distill)
 
 
 def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
@@ -368,21 +465,10 @@ def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
     abort threshold.
     """
     runner = GroupRunner(arch, group, shard, streams=streams, ledger=ledger, entity=run_id)
-    t0 = time.perf_counter()
-    records = [runner.record(run_id, validation, t0, None)]
-    window: list[float] = []
-    try:
-        for s in range(n_steps):
-            loss = runner.step_stream()
-            if step_callback is not None:
-                step_callback(s, loss, runner.params)
-            window.append(loss)
-            if (s + 1) % eval_every == 0 or s + 1 == n_steps:
-                records.append(runner.record(run_id, validation, t0, _mean_nonempty(window)))
-                window = []
-    except DivergenceError as err:
-        err.records = records
-        raise
+    records: list[MetricRecord] = []
+    callback = (None if step_callback is None
+                else lambda i, s, loss, params: step_callback(s, loss, params))
+    _train_loop([runner], n_steps, validation, eval_every, records, step_callback=callback)
     return runner.params, records
 
 
@@ -396,24 +482,10 @@ def train_with_static_teacher(arch: Architecture, group: GroupConfig, shard, n_s
     ``teacher_fn(batch)`` returns the teacher signal in the form the chosen
     distillation loss expects. With weight 0 this is exactly train_baseline.
     """
-    if distill == "none" or distill_weight == 0.0:
-        return train_baseline(arch, group, shard, n_steps, validation, eval_every,
-                              ledger=ledger, streams=streams, run_id=run_id)
-    spec = replace(group.loss, distill=distill, distill_weight=distill_weight)
     runner = GroupRunner(arch, group, shard, streams=streams, ledger=ledger, entity=run_id)
-    t0 = time.perf_counter()
-    records = [runner.record(run_id, validation, t0, None)]
-    window: list[float] = []
-    try:
-        for s in range(n_steps):
-            loss = runner.step_stream(spec, teacher_fn)
-            window.append(loss)
-            if (s + 1) % eval_every == 0 or s + 1 == n_steps:
-                records.append(runner.record(run_id, validation, t0, _mean_nonempty(window)))
-                window = []
-    except DivergenceError as err:
-        err.records = records
-        raise
+    records: list[MetricRecord] = []
+    _train_loop([runner], n_steps, validation, eval_every, records,
+                _static_teachers(group.loss, teacher_fn, distill, distill_weight))
     return runner.params, records
 
 
@@ -436,7 +508,9 @@ def mean_teacher_fn(teacher_params, distill: str):
     return fn
 
 
-def _check_codistill_args(cfg: CodistillConfig, groups, shards):
+def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards,
+                  ledger: CommLedger | None, run_id_prefix: str) -> list[GroupRunner]:
+    """One runner per model after validating the codistillation arguments."""
     if len(groups) != cfg.n_models or len(shards) != cfg.n_models:
         raise ValueError("need one group config and one shard per model")
     if len({g.seed for g in groups}) != cfg.n_models:
@@ -444,6 +518,9 @@ def _check_codistill_args(cfg: CodistillConfig, groups, shards):
     for g in groups:
         if g.loss.distill != "none" or g.loss.smoothing is not None:
             raise ValueError("group loss must be plain hard CE; the codistill config owns the distillation term")
+    ledger = ledger if ledger is not None else CommLedger()
+    return [GroupRunner(arch, groups[i], shards[i], ledger=ledger,
+                        entity=f"{run_id_prefix}{i}", model_id=i) for i in range(cfg.n_models)]
 
 
 def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
@@ -460,61 +537,13 @@ def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
     checkpoints. With ``fresh_in_process`` teachers the peer parameters are
     snapshotted at every step boundary and the store is not used.
     """
-    _check_codistill_args(cfg, groups, shards)
-    ledger = ledger if ledger is not None else CommLedger()
-    n = cfg.n_models
-    runners = [GroupRunner(arch, groups[i], shards[i], ledger=ledger,
-                           entity=f"{run_id_prefix}{i}", model_id=i) for i in range(n)]
-    distill_active = cfg.distill != "none" and cfg.distill_weight > 0.0
-    active_specs = [replace(groups[i].loss, distill=cfg.distill,
-                            distill_weight=cfg.distill_weight) if distill_active else groups[i].loss
-                    for i in range(n)]
-    # teachers[i] maps peer id -> (Parameters, checkpoint step)
-    teachers: list[dict[int, tuple[Parameters, int]]] = [{} for _ in range(n)]
-    max_lag = 0
-    t0 = time.perf_counter()
-    records = [runners[i].record(f"{run_id_prefix}{i}", validation, t0, None) for i in range(n)]
-    windows: list[list[float]] = [[] for _ in range(n)]
-    try:
-        for s in range(n_steps):
-            if cfg.teacher_mode == "stale_checkpoint":
-                if s % cfg.reload_interval == 0:
-                    for i, r in enumerate(runners):
-                        store.publish(Checkpoint(i, s, r.params, cfg.float32_payload),
-                                      entity=r.entity)
-                    for i, r in enumerate(runners):
-                        loaded = {}
-                        for j in range(n):
-                            if j == i:
-                                continue
-                            ck = store.load_latest(j, entity=r.entity)
-                            if ck is None:
-                                raise RuntimeError(f"missing peer checkpoint for model {j}")
-                            loaded[j] = (ck.params, ck.step)
-                        teachers[i] = loaded
-            else:
-                current = [r.params for r in runners]
-                teachers = [{j: (current[j], s) for j in range(n) if j != i} for i in range(n)]
-            for i, r in enumerate(runners):
-                if distill_active and s >= cfg.n_burn_in:
-                    lag = s - min(step for _, step in teachers[i].values())
-                    max_lag = max(max_lag, lag)
-                    teacher_fn = mean_teacher_fn([p for p, _ in teachers[i].values()], cfg.distill)
-                    loss = r.step_stream(active_specs[i], teacher_fn)
-                else:
-                    loss = r.step_stream()
-                if step_callback is not None:
-                    step_callback(i, s, loss, r.params)
-                windows[i].append(loss)
-            if (s + 1) % eval_every == 0 or s + 1 == n_steps:
-                for i, r in enumerate(runners):
-                    records.append(r.record(f"{run_id_prefix}{i}", validation, t0,
-                                            _mean_nonempty(windows[i])))
-                    windows[i] = []
-    except DivergenceError as err:
-        err.records = records
-        raise
-    return CodistillResult([r.params for r in runners], records, max_lag)
+    runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
+    teachers = _PeerTeachers(cfg, runners, store)
+    everyone = range(cfg.n_models)
+    records: list[MetricRecord] = []
+    _train_loop(runners, n_steps, validation, eval_every, records,
+                lambda s: teachers(everyone, s), step_callback=step_callback)
+    return CodistillResult([r.params for r in runners], records, max(teachers.lags))
 
 
 def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups, shards,
@@ -531,63 +560,27 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     snapshot at).
 
     The first group to fail sets a shared stop flag, and its peers stop
-    before their next step. A DivergenceError is re-raised with the records
-    every group collected, in model-id order.
+    before their next step. The error is re-raised with the records every
+    group collected, in model-id order.
     """
-    _check_codistill_args(cfg, groups, shards)
+    runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
     if cfg.teacher_mode != "stale_checkpoint":
         raise ValueError("concurrent mode requires stale_checkpoint teachers")
-    ledger = ledger if ledger is not None else CommLedger()
     n = cfg.n_models
-    runners = [GroupRunner(arch, groups[i], shards[i], ledger=ledger,
-                           entity=f"{run_id_prefix}{i}", model_id=i) for i in range(n)]
-    distill_active = cfg.distill != "none" and cfg.distill_weight > 0.0
-    t0 = time.perf_counter()
-    # everyone publishes step 0 before anyone trains, so peers always exist
-    for i, r in enumerate(runners):
-        store.publish(Checkpoint(i, 0, r.params, cfg.float32_payload), entity=r.entity)
     barrier = threading.Barrier(n)
+    teachers = _PeerTeachers(cfg, runners, store, barrier)
     stop = threading.Event()
     results: list[list[MetricRecord]] = [[] for _ in range(n)]
     errors: list[BaseException | None] = [None] * n
 
     def run_group(i: int) -> None:
-        r = runners[i]
-        spec = (replace(groups[i].loss, distill=cfg.distill, distill_weight=cfg.distill_weight)
-                if distill_active else groups[i].loss)
-        run_id = f"{run_id_prefix}{i}"
-        teacher: dict[int, tuple[Parameters, int]] = {}
-        window: list[float] = []
         try:
-            barrier.wait()
-            results[i].append(r.record(run_id, validation, t0, None))
-            for s in range(n_steps):
-                if stop.is_set():
-                    break
-                if s % cfg.reload_interval == 0:
-                    if s > 0:
-                        store.publish(Checkpoint(i, s, r.params, cfg.float32_payload),
-                                      entity=r.entity)
-                    teacher = {}
-                    for j in range(n):
-                        if j == i:
-                            continue
-                        ck = store.load_latest(j, entity=r.entity)
-                        if ck is None:
-                            raise RuntimeError(f"missing peer checkpoint for model {j}")
-                        teacher[j] = (ck.params, ck.step)
-                if distill_active and s >= cfg.n_burn_in:
-                    fn = mean_teacher_fn([p for p, _ in teacher.values()], cfg.distill)
-                    loss = r.step_stream(spec, fn)
-                else:
-                    loss = r.step_stream()
-                window.append(loss)
-                if (s + 1) % eval_every == 0 or s + 1 == n_steps:
-                    results[i].append(r.record(run_id, validation, t0, _mean_nonempty(window)))
-                    window = []
+            _train_loop([runners[i]], n_steps, validation, eval_every, results[i],
+                        lambda s: teachers([i], s), stop=stop)
         except BaseException as err:  # joined and re-raised by the caller
             errors[i] = err
             stop.set()
+            barrier.abort()  # a peer waiting for this group's first checkpoint fails too
 
     threads = [threading.Thread(target=run_group, args=(i,), name=f"group{i}") for i in range(n)]
     for t in threads:
@@ -595,12 +588,13 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     for t in threads:
         t.join()
     records = [rec for group_records in results for rec in group_records]
-    for err in errors:
-        if err is not None:
-            if isinstance(err, DivergenceError):
-                err.records = records
-            raise err
-    return CodistillResult([r.params for r in runners], records, -1)
+    # a broken barrier only follows another group's failure, so report that one
+    failures = sorted((e for e in errors if e is not None),
+                      key=lambda e: isinstance(e, threading.BrokenBarrierError))
+    if failures:
+        failures[0].records = records
+        raise failures[0]
+    return CodistillResult([r.params for r in runners], records, max(teachers.lags))
 
 
 def offline_distill(arch: Architecture, teacher_groups, student_group: GroupConfig,
@@ -618,16 +612,15 @@ def offline_distill(arch: Architecture, teacher_groups, student_group: GroupConf
     records: list[MetricRecord] = []
     teacher_params = []
     for i, (g, sh) in enumerate(zip(teacher_groups, teacher_shards)):
-        p, recs = train_baseline(arch, g, sh, phase1_steps, validation, eval_every,
-                                 ledger=ledger, run_id=f"phase1.model{i}")
-        teacher_params.append(p)
-        records.extend(recs)
-    teacher_fn = mean_teacher_fn(teacher_params, distill)
-    student_params, recs = train_with_static_teacher(
-        arch, student_group, student_shard, phase2_steps, teacher_fn, distill,
-        distill_weight, validation, eval_every, ledger=ledger, run_id="phase2.student")
-    records.extend(recs)
-    return OfflineResult(student_params, teacher_params, records, phase1_steps, phase2_steps)
+        teacher = GroupRunner(arch, g, sh, ledger=ledger, entity=f"phase1.model{i}")
+        _train_loop([teacher], phase1_steps, validation, eval_every, records)
+        teacher_params.append(teacher.params)
+    student = GroupRunner(arch, student_group, student_shard, ledger=ledger,
+                          entity="phase2.student")
+    _train_loop([student], phase2_steps, validation, eval_every, records,
+                _static_teachers(student_group.loss, mean_teacher_fn(teacher_params, distill),
+                                 distill, distill_weight))
+    return OfflineResult(student.params, teacher_params, records, phase1_steps, phase2_steps)
 
 
 @dataclass(frozen=True)

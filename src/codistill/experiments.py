@@ -26,9 +26,9 @@ import numpy as np
 
 from .data import gen_classification, ingest_text, make_shards, split_train_val, unigram
 from .distrib import (CodistillConfig, CommLedger, DivergenceError, FileCheckpointStore,
-                      GroupConfig, GroupRunner, InMemoryCheckpointStore, codistill_train,
-                      codistill_train_concurrent, comm_report, offline_distill,
-                      train_baseline)
+                      GroupConfig, GroupRunner, InMemoryCheckpointStore, _train_loop,
+                      codistill_train, codistill_train_concurrent, comm_report,
+                      offline_distill, train_baseline)
 from .losses import CombinedLossSpec, SmoothingKind
 from .metrics import (CSV_COLUMNS, MetricRecord, churn_experiment, ensemble_predict,
                       evaluate, probs_nll, steps_to_target)
@@ -301,9 +301,9 @@ def _seed_mean(runs: dict, key: str, match: str = "") -> float:
 # experiment kinds
 
 
-def _kind_baseline(env: Env, mode: str, out_dir):
+def _kind_baseline(env: Env, mode: str, out_dir, records):
     res = env.res
-    records, comm = [], {}
+    comm = {}
     for seed in res["seeds"]:
         ledger = CommLedger()
         _, recs = train_baseline(env.arch, _group(res, seed), env.train, res["steps"],
@@ -312,12 +312,11 @@ def _kind_baseline(env: Env, mode: str, out_dir):
         records.extend(recs)
         comm[str(seed)] = comm_report(ledger, param_count(env.arch), res["steps"],
                                       _group(res, seed)).as_dict()
-    return records, {"comm": comm}
+    return {"comm": comm}
 
 
-def _kind_batch_sweep(env: Env, mode: str, out_dir):
+def _kind_batch_sweep(env: Env, mode: str, out_dir, records):
     res = env.res
-    records = []
     per_value = {}
     for w in res["sweep.values"]:
         for seed in res["seeds"]:
@@ -334,21 +333,21 @@ def _kind_batch_sweep(env: Env, mode: str, out_dir):
                        if s["steps_to_target"] is not None]
             entry["mean_steps_to_target"] = float(np.mean(reached)) if reached else None
         per_value[str(w)] = entry
-    return records, {"per_value": per_value, "axis": "group.n_workers"}
+    return {"per_value": per_value, "axis": "group.n_workers"}
 
 
-def _kind_codistill(env: Env, mode: str, out_dir):
+def _kind_codistill(env: Env, mode: str, out_dir, records):
     res = env.res
-    records, comm = [], {}
+    comm = {}
     for seed in res["seeds"]:
         result, report = _run_codistill_once(env, seed, f"codistill.s{seed}.m", mode, out_dir)
         records.extend(result.records)
         comm[str(seed)] = report.as_dict()
         comm[str(seed)]["max_teacher_lag"] = result.max_teacher_lag
-    return records, {"comm": comm}
+    return {"comm": comm}
 
 
-def _kind_same_data_ablation(env: Env, mode: str, out_dir):
+def _kind_same_data_ablation(env: Env, mode: str, out_dir, records):
     """Baseline vs partitioned codistillation vs same-data codistillation.
 
     The same-data arm trains both groups on one half-sized subset, so each
@@ -358,7 +357,6 @@ def _kind_same_data_ablation(env: Env, mode: str, out_dir):
     """
     res = env.res
     n = res["codistill.n_models"]
-    records = []
     for seed in res["seeds"]:
         _, recs = train_baseline(env.arch, _group(res, seed), env.train, res["steps"],
                                  env.val, res["eval_every"],
@@ -378,13 +376,12 @@ def _kind_same_data_ablation(env: Env, mode: str, out_dir):
     runs = _summarize_runs(records, res["target_loss"])
     means = {name: _seed_mean(runs, "final_val_loss", match=f".{name}")
              for name in ("baseline", "disjoint", "shared")}
-    return records, {"mean_final_val_loss": means,
-                     "ordering_holds": bool(means["disjoint"] <= means["shared"] <= means["baseline"])}
+    return {"mean_final_val_loss": means,
+            "ordering_holds": bool(means["disjoint"] <= means["shared"] <= means["baseline"])}
 
 
-def _kind_staleness_sweep(env: Env, mode: str, out_dir):
+def _kind_staleness_sweep(env: Env, mode: str, out_dir, records):
     res = env.res
-    records = []
     per_value = {}
     for interval in res["sweep.values"]:
         burn_in = max(res["codistill.burn_in"], interval)
@@ -397,62 +394,47 @@ def _kind_staleness_sweep(env: Env, mode: str, out_dir):
                                res["target_loss"])
         per_value[str(interval)] = {"mean_final_val_loss": _seed_mean(runs, "final_val_loss"),
                                     "mean_best_val_loss": _seed_mean(runs, "best_val_loss")}
-    return records, {"per_value": per_value, "axis": "codistill.reload_interval"}
+    return {"per_value": per_value, "axis": "codistill.reload_interval"}
 
 
-def _kind_smoothing_baseline(env: Env, mode: str, out_dir):
+def _kind_smoothing_baseline(env: Env, mode: str, out_dir, records):
     res = env.res
     spec = _smoothing_spec(res, env.train)
-    records = []
     for seed in res["seeds"]:
         _, recs = train_baseline(env.arch, _group(res, seed, loss=spec), env.train,
                                  res["steps"], env.val, res["eval_every"],
                                  run_id=f"smoothing_{res['loss.smoothing']}.s{seed}")
         records.extend(recs)
-    return records, {"smoothing": res["loss.smoothing"],
-                     "smoothing_weight": res["loss.smoothing_weight"]}
+    return {"smoothing": res["loss.smoothing"],
+            "smoothing_weight": res["loss.smoothing_weight"]}
 
 
-def _kind_ensemble_baseline(env: Env, mode: str, out_dir):
+def _kind_ensemble_baseline(env: Env, mode: str, out_dir, records):
     """Independent co-trained models evaluated jointly as an ensemble."""
     res = env.res
     n = res["codistill.n_models"]
-    records = []
     for seed in res["seeds"]:
         runners = [GroupRunner(env.arch, _group(res, seed, i), env.train,
                                entity=f"ensemble.s{seed}.m{i}", model_id=i)
                    for i in range(n)]
-        t0 = time.perf_counter()
-        windows = [[] for _ in range(n)]
 
-        def emit(step):
-            member_bytes = 0
-            for i, r in enumerate(runners):
-                rec = r.record(f"ensemble.s{seed}.m{i}", env.val, t0,
-                               float(np.mean(windows[i])) if windows[i] else None)
-                records.append(rec)
-                member_bytes += rec.bytes_grad_exchange
-                windows[i].clear()
+        def joint_record(step, members, t0):
             probs = ensemble_predict([r.params for r in runners], env.val)
-            ens_loss = float(probs_nll(probs, env.val.labels).mean())
-            ens_acc = float((probs.argmax(axis=1) == env.val.labels).mean())
-            records.append(MetricRecord(f"ensemble.s{seed}.ens", step,
-                                        time.perf_counter() - t0, None, ens_loss,
-                                        ens_acc, member_bytes, 0))
+            return MetricRecord(f"ensemble.s{seed}.ens", step, time.perf_counter() - t0, None,
+                                float(probs_nll(probs, env.val.labels).mean()),
+                                float((probs.argmax(axis=1) == env.val.labels).mean()),
+                                sum(m.bytes_grad_exchange for m in members), 0)
 
-        emit(0)
-        for s in range(res["steps"]):
-            for i, r in enumerate(runners):
-                windows[i].append(r.step_stream())
-            if (s + 1) % res["eval_every"] == 0 or s + 1 == res["steps"]:
-                emit(s + 1)
-    return records, {"n_models": n}
+        seed_records = []
+        _train_loop(runners, res["steps"], env.val, res["eval_every"], seed_records,
+                    after_eval=joint_record)
+        records.extend(seed_records)
+    return {"n_models": n}
 
 
-def _kind_offline_distill(env: Env, mode: str, out_dir):
+def _kind_offline_distill(env: Env, mode: str, out_dir, records):
     res = env.res
     n = res["codistill.n_models"]
-    records = []
     totals = {}
     for seed in res["seeds"]:
         plan = make_shards(env.train, res["codistill.data_mode"], n, seed)
@@ -470,15 +452,14 @@ def _kind_offline_distill(env: Env, mode: str, out_dir):
         totals[str(seed)] = {"phase1_steps": result.phase1_steps,
                              "phase2_steps": result.phase2_steps,
                              "total_steps": result.total_steps}
-    return records, {"step_accounting": totals}
+    return {"step_accounting": totals}
 
 
-def _kind_churn(env: Env, mode: str, out_dir):
+def _kind_churn(env: Env, mode: str, out_dir, records):
     """Prediction-difference comparison: independent retrains vs codistilled."""
     res = env.res
     repeats = res["churn.repeats"]
     base_seed = res["seeds"][0]
-    records = []
 
     def train_independent(seed):
         params, recs = train_baseline(env.arch, _group(res, seed), env.train,
@@ -496,9 +477,9 @@ def _kind_churn(env: Env, mode: str, out_dir):
     independent = churn_experiment(train_independent, repeats, env.val, base_seed=base_seed)
     codistilled = churn_experiment(train_codistilled, repeats, env.val, base_seed=base_seed)
     reduction = 1.0 - codistilled.churn_mean / independent.churn_mean
-    return records, {"independent": independent.as_dict(),
-                     "codistilled": codistilled.as_dict(),
-                     "churn_reduction": reduction}
+    return {"independent": independent.as_dict(),
+            "codistilled": codistilled.as_dict(),
+            "churn_reduction": reduction}
 
 
 _KIND_FNS = {
@@ -561,8 +542,10 @@ def run(cfg: dict, out_dir, mode: str = "lockstep") -> dict:
     """Execute one experiment and write metrics.csv / summary.json /
     config.resolved into ``out_dir``.
 
-    On divergence the partial metrics are retained on disk and the
-    DivergenceError is re-raised for the caller to turn into a nonzero exit.
+    If training fails (divergence or any other error), the records of every
+    finished run plus the failing run's partial records are written, with
+    the exception's class in summary.json, and the exception is re-raised
+    for the caller to turn into a nonzero exit.
     """
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode {mode!r}")
@@ -570,12 +553,17 @@ def run(cfg: dict, out_dir, mode: str = "lockstep") -> dict:
     env = build_env(res)
     summary = {"kind": res["kind"], "seeds": res["seeds"], "mode": mode,
                "provenance": env.provenance, "param_count": param_count(env.arch)}
+    records: list[MetricRecord] = []
     try:
-        records, extra = _KIND_FNS[res["kind"]](env, mode, out_dir)
-    except DivergenceError as err:
-        summary.update({"diverged": True, "diverged_at_step": err.step,
-                        "runs": _summarize_runs(err.records, res["target_loss"])})
-        _write_outputs(out_dir, res, err.records, summary)
+        extra = _KIND_FNS[res["kind"]](env, mode, out_dir, records)
+    except Exception as err:
+        records.extend(getattr(err, "records", []))
+        summary.update({"diverged": isinstance(err, DivergenceError),
+                        "error": type(err).__name__,
+                        "runs": _summarize_runs(records, res["target_loss"])})
+        if isinstance(err, DivergenceError):
+            summary["diverged_at_step"] = err.step
+        _write_outputs(out_dir, res, records, summary)
         raise
     summary["diverged"] = False
     summary["runs"] = _summarize_runs(records, res["target_loss"])

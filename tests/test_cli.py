@@ -136,6 +136,59 @@ class TestRun:
         assert summary["diverged_at_step"] >= 0
 
 
+    @pytest.mark.parametrize("kind, overrides, expected", [
+        # the baseline arm finishes before the disjoint arm diverges at step 10
+        ("same_data_ablation",
+         {"steps": 60, "opt.kind": "sgd", "opt.lr": 0.5, "loss.distill": "logit_mse",
+          "loss.distill_weight": 1e6, "codistill.burn_in": 10,
+          "codistill.reload_interval": 10},
+         {"ablation.s0.baseline": 60, "ablation.s0.disjoint.m0": 0,
+          "ablation.s0.disjoint.m1": 0}),
+        ("ensemble_baseline", {"opt.lr": 1e9},
+         {"ensemble.s0.m0": 0, "ensemble.s0.m1": 0, "ensemble.s0.ens": 0}),
+    ], ids=["ablation", "ensemble"])
+    def test_divergence_keeps_finished_runs(self, tmp_path, kind, overrides, expected):
+        from codistill.distrib import DivergenceError
+        with pytest.raises(DivergenceError):
+            run(tiny_cfg(kind, seeds=[0], **overrides), tmp_path)
+        last = {}
+        for r in read_metrics_csv(tmp_path / "metrics.csv"):
+            last[r.run_id] = r.step
+        assert last == expected
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["error"] == "DivergenceError"
+        assert set(summary["runs"]) == set(expected)
+
+    def test_store_error_keeps_partial_outputs(self, tmp_path, monkeypatch):
+        """A corrupt checkpoint in seed 1 still leaves seed 0's finished runs,
+        seed 1's step-0 records and the error's name on disk."""
+        from codistill import distrib
+        from codistill.nn import CorruptHeaderError
+        real_load = distrib.InMemoryCheckpointStore.load_latest
+        calls = []
+
+        def flaky_load(store, model_id, entity=None):
+            calls.append(model_id)
+            if len(calls) == 11:  # seed 0 makes 8 loads; this is seed 1's step-10 exchange
+                raise CorruptHeaderError("bad magic bytes b'XXXX'")
+            return real_load(store, model_id, entity)
+
+        monkeypatch.setattr(distrib.InMemoryCheckpointStore, "load_latest", flaky_load)
+        cfg = tiny_cfg("codistill", **{"codistill.burn_in": 10,
+                                       "codistill.reload_interval": 10})
+        with pytest.raises(CorruptHeaderError):
+            run(cfg, tmp_path)
+        last = {}
+        for r in read_metrics_csv(tmp_path / "metrics.csv"):
+            last[r.run_id] = r.step
+        assert last == {"codistill.s0.m0": 40, "codistill.s0.m1": 40,
+                        "codistill.s1.m0": 0, "codistill.s1.m1": 0}
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["error"] == "CorruptHeaderError"
+        assert summary["diverged"] is False
+        assert (tmp_path / "config.resolved").exists()
+
+
 class TestSweep:
     def test_worker_sweep_runs_and_writes(self, tmp_path):
         cfg = tiny_cfg(steps=30, seeds=[0])

@@ -1,3 +1,5 @@
+import itertools
+import sys
 import threading
 import time
 
@@ -13,8 +15,8 @@ from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, Divergen
                                worker_streams)
 from codistill.nn import forward, predict_proba, serialize_params
 from codistill.losses import CombinedLossSpec
-from codistill.nn import (Architecture, Batch, FingerprintMismatchError,
-                          init_params, param_count)
+from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
+                          SerializationError, TruncatedPayloadError, init_params, param_count)
 from codistill.optim import OptimizerConfig
 
 
@@ -30,6 +32,11 @@ def make_task(n=600, seed=1, difficulty=0.3):
 def sgd_group(seed, n_workers=1, batch=16, lr=0.2, loss=None):
     return GroupConfig(n_workers, batch, OptimizerConfig("sgd", lr),
                        loss or CombinedLossSpec(), seed)
+
+
+def make_store(backing, tmp_path, ledger=None):
+    return (InMemoryCheckpointStore(ARCH, ledger) if backing == "memory"
+            else FileCheckpointStore(tmp_path, ARCH, ledger))
 
 
 class TestSyncGroupStep:
@@ -107,8 +114,7 @@ class TestTrainBaseline:
 class TestCheckpointStores:
     @pytest.mark.parametrize("backing", ["memory", "file"])
     def test_publish_then_load(self, backing, tmp_path):
-        store = (InMemoryCheckpointStore(ARCH) if backing == "memory"
-                 else FileCheckpointStore(tmp_path, ARCH))
+        store = make_store(backing, tmp_path)
         assert store.load_latest(0) is None
         p10 = init_params(ARCH, 10)
         p20 = init_params(ARCH, 20)
@@ -120,8 +126,7 @@ class TestCheckpointStores:
 
     @pytest.mark.parametrize("backing", ["memory", "file"])
     def test_step_must_increase(self, backing, tmp_path):
-        store = (InMemoryCheckpointStore(ARCH) if backing == "memory"
-                 else FileCheckpointStore(tmp_path, ARCH))
+        store = make_store(backing, tmp_path)
         store.publish(Checkpoint(0, 10, init_params(ARCH, 0)))
         with pytest.raises(ValueError, match="increase"):
             store.publish(Checkpoint(0, 10, init_params(ARCH, 1)))
@@ -182,6 +187,38 @@ class TestCheckpointStores:
         for t in threads:
             t.join()
         assert not failures
+
+
+    @pytest.mark.parametrize("backing", ["memory", "file"])
+    def test_racing_publishers_never_regress(self, backing, tmp_path):
+        """Publishers of one model id race with globally increasing steps:
+        the slot ends on the largest accepted step, never an older one."""
+        store = make_store(backing, tmp_path)
+        params = init_params(ARCH, 0)
+        steps = itertools.count(1)
+        accepted = []
+
+        def publisher():
+            for _ in range(100):
+                step = next(steps)
+                try:
+                    store.publish(Checkpoint(0, step, params))
+                    accepted.append(step)
+                except ValueError:  # a later step got there first
+                    pass
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=publisher) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert store.load_latest(0).step == max(accepted)
 
 
 class TestCodistill:
@@ -269,6 +306,13 @@ class TestCodistill:
         final = [r for r in result.records if r.step == 100]
         assert len(final) == 2
 
+    def test_concurrent_mode_reports_teacher_lag(self, tmp_path):
+        store = FileCheckpointStore(tmp_path, ARCH)
+        result = codistill_train_concurrent(ARCH, CodistillConfig(2, 20, 20), self.groups,
+                                            self.shards, 100, store, self.val, eval_every=50)
+        assert isinstance(result.max_teacher_lag, int)
+        assert result.max_teacher_lag >= 0
+
     def test_concurrent_divergence_stops_peers_and_keeps_records(self, tmp_path):
         """Group 0 diverges at once; group 1 would train stably to n_steps.
         The peer stops early and both groups' records reach the error."""
@@ -287,6 +331,69 @@ class TestCodistill:
         assert run_ids == sorted(run_ids)
         peer_steps = ledger.total("gradient_exchange", "model1") // (param_count(ARCH) * 8)
         assert peer_steps < n_steps
+
+
+class TestConcurrentGroups:
+    def run_in_thread(self, fn, timeout=60.0):
+        """Run ``fn`` on a helper thread; return its result or the exception it raised."""
+        out = {}
+
+        def target():
+            try:
+                out["result"] = fn()
+            except BaseException as err:  # handed back to the test
+                out["error"] = err
+
+        t = threading.Thread(target=target)
+        t.start()
+        t.join(timeout)
+        assert not t.is_alive(), "concurrent run did not finish"
+        return out
+
+    def test_four_groups_short_switch_interval(self, tmp_path):
+        """More threads than cores, switching often: every exchange is
+        charged exactly once and every group keeps its full record set."""
+        train, val = make_task(n=800)
+        plan = make_shards(train, "disjoint", 4, 5)
+        shards = [plan.shard(train, i) for i in range(4)]
+        groups = [sgd_group(400 + i) for i in range(4)]
+        ledger = CommLedger()
+        store = FileCheckpointStore(tmp_path, ARCH, ledger)
+        cfg = CodistillConfig(4, 10, 5)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            out = self.run_in_thread(lambda: codistill_train_concurrent(
+                ARCH, cfg, groups, shards, 40, store, val, eval_every=20, ledger=ledger))
+        finally:
+            sys.setswitchinterval(old)
+        result = out["result"]
+        report = comm_report(ledger, param_count(ARCH), 40, groups[0], cfg)
+        assert report.actual_checkpoint_total == report.expected_checkpoint_total
+        assert report.actual_sync_total == report.expected_sync_total
+        assert [(r.run_id, r.step) for r in result.records] == \
+            [(f"model{i}", step) for i in range(4) for step in (0, 20, 40)]
+
+    def test_failed_first_publish_releases_waiting_peers(self, tmp_path):
+        """Group 0 cannot publish its first checkpoint; the peer waiting for
+        it stops too, and the caller sees group 0's error, not the peer's."""
+        train, val = make_task(n=400)
+        plan = make_shards(train, "disjoint", 2, 11)
+        store = FileCheckpointStore(tmp_path, ARCH)
+        publish = store.publish
+
+        def failing_publish(ckpt, entity=None):
+            if ckpt.model_id == 0:
+                raise OSError("disk full")
+            publish(ckpt, entity)
+
+        store.publish = failing_publish
+        out = self.run_in_thread(lambda: codistill_train_concurrent(
+            ARCH, CodistillConfig(2, 10, 10), [sgd_group(1), sgd_group(2)],
+            [plan.shard(train, i) for i in range(2)], 50, store, val))
+        err = out["error"]
+        assert isinstance(err, OSError) and "disk full" in str(err)
+        assert [(r.run_id, r.step) for r in err.records] == [("model0", 0), ("model1", 0)]
 
 
 class TestMeanTeacher:
@@ -344,14 +451,68 @@ class TestThreeModelCodistill:
 
 class TestStoreCounters:
     def test_bytes_written_and_read(self, tmp_path):
-        for store in (InMemoryCheckpointStore(ARCH), FileCheckpointStore(tmp_path, ARCH)):
-            p = init_params(ARCH, 0)
-            blob_len = len(serialize_params(p, step=1))
-            store.publish(Checkpoint(0, 1, p))
-            assert store.bytes_written == blob_len
+        """The ledger is the one byte counter of both stores: one publish and
+        two loads charge the logical payload once per call, a miss nothing."""
+        pb = param_count(ARCH) * 8
+        for backing in ("memory", "file"):
+            ledger = CommLedger()
+            store = make_store(backing, tmp_path / backing, ledger)
+            store.publish(Checkpoint(0, 1, init_params(ARCH, 0)), entity="g0")
+            store.load_latest(0, entity="g1")
+            store.load_latest(0, entity="g1")
+            assert store.load_latest(1, entity="g1") is None
+            assert ledger.snapshot() == {"g0/checkpoint_publish": pb,
+                                         "g1/checkpoint_load": 2 * pb}
+
+
+def plant(store, tmp_path, data):
+    """Put raw bytes where model 0's checkpoint lives, bypassing publish."""
+    if isinstance(store, FileCheckpointStore):
+        (tmp_path / "ckpt_0.bin").write_bytes(data)
+    else:
+        store._blobs[0] = data
+
+
+class TestStoreFaults:
+    """Damaged checkpoints fail loudly with a named error and charge no load."""
+
+    BLOB = serialize_params(init_params(ARCH, 0), step=1)
+
+    @pytest.mark.parametrize("backing", ["memory", "file"])
+    @pytest.mark.parametrize("damage, error, match", [
+        (lambda b: b[:-8], TruncatedPayloadError, "expected"),
+        (lambda b: b"XXXX" + b[4:], CorruptHeaderError, "magic"),
+        (lambda b: b[:-8] + np.array([np.nan]).tobytes(), SerializationError, "non-finite"),
+    ], ids=["truncated", "bad_magic", "non_finite"])
+    def test_damaged_checkpoint_raises(self, backing, damage, error, match, tmp_path):
+        ledger = CommLedger()
+        store = make_store(backing, tmp_path, ledger)
+        plant(store, tmp_path, damage(self.BLOB))
+        with pytest.raises(error, match=match):
             store.load_latest(0)
-            store.load_latest(0)
-            assert store.bytes_read == 2 * blob_len
+        assert ledger.total("checkpoint_load") == 0
+
+    def test_leftover_temp_files_are_ignored(self, tmp_path):
+        store = FileCheckpointStore(tmp_path, ARCH)
+        p = init_params(ARCH, 0)
+        store.publish(Checkpoint(0, 1, p))
+        (tmp_path / ".ckpt_0.abc123.tmp").write_bytes(self.BLOB[:50])
+        (tmp_path / ".ckpt_1.def456.tmp").write_bytes(self.BLOB)
+        ck = store.load_latest(0)
+        assert ck.step == 1 and np.array_equal(ck.params.values, p.values)
+        assert store.load_latest(1) is None
+
+    @pytest.mark.parametrize("backing", ["memory", "file"])
+    def test_missing_peer_names_the_model(self, backing, tmp_path):
+        train, val = make_task(n=400)
+        plan = make_shards(train, "disjoint", 2, 11)
+        store = make_store(backing, tmp_path)
+        publish = store.publish
+        store.publish = lambda ckpt, entity=None: (None if ckpt.model_id == 1
+                                                   else publish(ckpt, entity))
+        with pytest.raises(RuntimeError, match="model 1"):
+            codistill_train(ARCH, CodistillConfig(2, 10, 10), [sgd_group(1), sgd_group(2)],
+                            [plan.shard(train, i) for i in range(2)], 20, store, val)
 
 
 class TestCommReport:
