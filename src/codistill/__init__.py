@@ -15,7 +15,7 @@ from .losses import (CombinedLossSpec, SmoothingKind, combined_loss, hard_ce, kl
                      logit_mse, smoothing_target, soft_ce)
 from .optim import NonFiniteGradientError, OptimizerConfig, OptimizerState, init_state
 from .data import (Dataset, ShardPlan, batch_stream, gen_classification, ingest_text,
-                   interleave, make_shards, split_train_val, take, unigram)
+                   make_shards, split_train_val, take, unigram)
 from .distrib import (Checkpoint, CodistillConfig, CodistillResult, CommLedger,
                       CommReport, DivergenceError, FileCheckpointStore, GroupConfig,
                       GroupRunner, InMemoryCheckpointStore, OfflineResult, codistill_train,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .distrib import DivergenceError
-from .experiments import ConfigError, parse_config_file, run, sweep
+from .experiments import MODES, SCHEMA, ConfigError, parse_config_file, run, sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory (default runs/<kind>)")
-        p.add_argument("--mode", choices=("lockstep", "concurrent"), default="lockstep")
+        p.add_argument("--mode", choices=MODES, default="lockstep")
         p.add_argument("--seed-offset", type=int, default=0,
                        help="added to every seed in the config")
 
@@ -43,7 +43,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config_file(args.config)
         if args.seed_offset:
-            from .experiments import SCHEMA
             seeds = cfg.get("seeds", SCHEMA["seeds"][1])
             cfg["seeds"] = [s + args.seed_offset for s in seeds]
         out = Path(args.out) if args.out else Path("runs") / cfg.get("kind", "experiment")
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"diverged at step {err.step}; partial metrics retained", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as err:
+    except (OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

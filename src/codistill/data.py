@@ -163,20 +163,6 @@ def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[Batch]:
             yield Batch(dataset.inputs[idx], dataset.labels[idx])
 
 
-def interleave(streams) -> Iterator[Batch]:
-    """Merge W streams of size B into one stream of size W*B.
-
-    The step-t batch is the concatenation, in stream order, of the members'
-    step-t batches, so a single consumer sees exactly the examples the W
-    separate consumers would have seen at each step.
-    """
-    streams = list(streams)
-    while True:
-        parts = [next(s) for s in streams]
-        yield Batch(np.concatenate([p.inputs for p in parts], axis=0),
-                    np.concatenate([p.labels for p in parts], axis=0))
-
-
 def unigram(dataset: Dataset) -> np.ndarray:
     """Empirical label distribution over the dataset's label space."""
     counts = np.bincount(dataset.labels, minlength=dataset.n_classes)

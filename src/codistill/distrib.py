@@ -26,13 +26,13 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import optim
-from .data import batch_stream
+from .data import SHARD_MODES, batch_stream
 from .losses import CombinedLossSpec, combined_loss
 from .metrics import MetricRecord, evaluate
 # backward is unused here but stays importable as distrib.backward, the name
@@ -48,7 +48,6 @@ LEDGER_CAUSES = ("gradient_exchange", "parameter_broadcast",
 DIVERGENCE_THRESHOLD = 1e4
 
 TEACHER_MODES = ("stale_checkpoint", "fresh_in_process")
-DATA_MODES = ("disjoint", "shared")
 
 
 class DivergenceError(RuntimeError):
@@ -233,7 +232,7 @@ class CodistillConfig:
             raise ValueError("n_burn_in must be >= reload_interval so a teacher checkpoint exists")
         if self.teacher_mode not in TEACHER_MODES:
             raise ValueError(f"unknown teacher_mode {self.teacher_mode!r}")
-        if self.data_mode not in DATA_MODES:
+        if self.data_mode not in SHARD_MODES:
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
         if self.distill_weight < 0.0:
             raise ValueError("distill_weight must be nonnegative")
@@ -601,22 +600,25 @@ def offline_distill(arch: Architecture, teacher_groups, student_group: GroupConf
                     teacher_shards, student_shard, phase1_steps: int, phase2_steps: int,
                     validation: Batch, *, distill: str = "soft_cross_entropy",
                     distill_weight: float = 1.0, eval_every: int = 100,
-                    ledger: CommLedger | None = None) -> OfflineResult:
+                    ledger: CommLedger | None = None,
+                    run_id_prefix: str = "") -> OfflineResult:
     """Two-phase pipeline: train independent teachers, then distill a fresh
     student against the frozen ensemble's mean predictions.
 
-    Step accounting treats each phase's models as running in parallel, so the
-    reported total is phase1_steps + phase2_steps.
+    Run ids are ``<run_id_prefix>phase1.model<i>`` and
+    ``<run_id_prefix>phase2.student``. Step accounting treats each phase's
+    models as running in parallel, so the reported total is
+    phase1_steps + phase2_steps.
     """
     ledger = ledger if ledger is not None else CommLedger()
     records: list[MetricRecord] = []
     teacher_params = []
     for i, (g, sh) in enumerate(zip(teacher_groups, teacher_shards)):
-        teacher = GroupRunner(arch, g, sh, ledger=ledger, entity=f"phase1.model{i}")
+        teacher = GroupRunner(arch, g, sh, ledger=ledger, entity=f"{run_id_prefix}phase1.model{i}")
         _train_loop([teacher], phase1_steps, validation, eval_every, records)
         teacher_params.append(teacher.params)
     student = GroupRunner(arch, student_group, student_shard, ledger=ledger,
-                          entity="phase2.student")
+                          entity=f"{run_id_prefix}phase2.student")
     _train_loop([student], phase2_steps, validation, eval_every, records,
                 _static_teachers(student_group.loss, mean_teacher_fn(teacher_params, distill),
                                  distill, distill_weight))
@@ -644,18 +646,7 @@ class CommReport:
     sync_to_overlay_ratio: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "param_count": self.param_count,
-            "n_steps": self.n_steps,
-            "n_groups": self.n_groups,
-            "sync_bytes_per_step_per_group": self.sync_bytes_per_step_per_group,
-            "expected_sync_total": self.expected_sync_total,
-            "actual_sync_total": self.actual_sync_total,
-            "overlay_bytes_per_step_per_group": self.overlay_bytes_per_step_per_group,
-            "expected_checkpoint_total": self.expected_checkpoint_total,
-            "actual_checkpoint_total": self.actual_checkpoint_total,
-            "sync_to_overlay_ratio": self.sync_to_overlay_ratio,
-        }
+        return asdict(self)
 
 
 def comm_report(ledger: CommLedger, model_param_count: int, n_steps: int,

@@ -24,20 +24,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import gen_classification, ingest_text, make_shards, split_train_val, unigram
-from .distrib import (CodistillConfig, CommLedger, DivergenceError, FileCheckpointStore,
-                      GroupConfig, GroupRunner, InMemoryCheckpointStore, _train_loop,
-                      codistill_train, codistill_train_concurrent, comm_report,
+from .data import (SHARD_MODES, gen_classification, ingest_text, make_shards,
+                   split_train_val, unigram)
+from .distrib import (TEACHER_MODES, CodistillConfig, CommLedger, DivergenceError,
+                      FileCheckpointStore, GroupConfig, GroupRunner, InMemoryCheckpointStore,
+                      _train_loop, codistill_train, codistill_train_concurrent, comm_report,
                       offline_distill, train_baseline)
-from .losses import CombinedLossSpec, SmoothingKind
+from .losses import DISTILL_KINDS, SMOOTHING_KINDS, CombinedLossSpec, SmoothingKind
 from .metrics import (CSV_COLUMNS, MetricRecord, churn_experiment, ensemble_predict,
                       evaluate, probs_nll, steps_to_target)
 from .nn import Architecture, Batch, param_count
-from .optim import OptimizerConfig
+from .optim import OPTIMIZER_KINDS, OptimizerConfig
 
-EXPERIMENT_KINDS = ("baseline", "batch_sweep", "codistill", "same_data_ablation",
-                    "staleness_sweep", "smoothing_baseline", "ensemble_baseline",
-                    "offline_distill", "churn")
+EXPERIMENT_KINDS = ("baseline", "codistill", "same_data_ablation", "smoothing_baseline",
+                    "ensemble_baseline", "offline_distill", "churn")
+
+# kinds that run codistillation and so read the codistill.* keys
+_CODISTILL_KINDS = ("codistill", "same_data_ablation", "churn")
 
 MODES = ("lockstep", "concurrent")
 
@@ -85,17 +88,16 @@ SCHEMA = {
     "offline.phase1_steps": ("int", 2000),
     "offline.phase2_steps": ("int", 2000),
     "churn.repeats": ("int", 5),
-    "sweep.values": ("int_list", None),
 }
 
 _ENUMS = {
     "kind": EXPERIMENT_KINDS,
     "data.kind": ("classification", "lm"),
-    "opt.kind": ("sgd", "adam", "adagrad"),
-    "loss.distill": ("soft_cross_entropy", "logit_mse", "kl_divergence", "none"),
-    "loss.smoothing": ("uniform", "unigram"),
-    "codistill.teacher_mode": ("stale_checkpoint", "fresh_in_process"),
-    "codistill.data_mode": ("disjoint", "shared"),
+    "opt.kind": OPTIMIZER_KINDS,
+    "loss.distill": DISTILL_KINDS,
+    "loss.smoothing": SMOOTHING_KINDS,
+    "codistill.teacher_mode": TEACHER_MODES,
+    "codistill.data_mode": SHARD_MODES,
 }
 
 
@@ -156,13 +158,10 @@ def resolve(cfg: dict) -> dict:
         raise ConfigError("seeds: must be non-negative")
     if res["data.kind"] == "lm" and not res["data.corpus"]:
         raise ConfigError("data.corpus: required for lm datasets")
-    if res["sweep.values"] is None:
-        if res["kind"] == "batch_sweep":
-            res["sweep.values"] = [1, 2, 4, 8]
-        elif res["kind"] == "staleness_sweep":
-            res["sweep.values"] = [1, 50, 250]
-    if res["kind"] in ("batch_sweep", "staleness_sweep") and not res["sweep.values"]:
-        raise ConfigError("sweep.values: must be non-empty")
+    if (res["kind"] in _CODISTILL_KINDS
+            and res["codistill.burn_in"] < res["codistill.reload_interval"]):
+        raise ConfigError("codistill.burn_in: must be >= codistill.reload_interval so a "
+                          "teacher checkpoint exists when distillation starts")
     return res
 
 
@@ -229,10 +228,9 @@ def _smoothing_spec(res: dict, train) -> CombinedLossSpec:
     return CombinedLossSpec(smoothing=smoothing, smoothing_weight=res["loss.smoothing_weight"])
 
 
-def _group(res: dict, seed: int, model_index: int = 0, *, n_workers=None,
+def _group(res: dict, seed: int, model_index: int = 0, *,
            loss: CombinedLossSpec | None = None) -> GroupConfig:
-    return GroupConfig(n_workers if n_workers is not None else res["group.n_workers"],
-                       res["group.batch"], _optimizer(res),
+    return GroupConfig(res["group.n_workers"], res["group.batch"], _optimizer(res),
                        loss if loss is not None else CombinedLossSpec(),
                        group_seed(seed, model_index))
 
@@ -315,27 +313,6 @@ def _kind_baseline(env: Env, mode: str, out_dir, records):
     return {"comm": comm}
 
 
-def _kind_batch_sweep(env: Env, mode: str, out_dir, records):
-    res = env.res
-    per_value = {}
-    for w in res["sweep.values"]:
-        for seed in res["seeds"]:
-            _, recs = train_baseline(env.arch, _group(res, seed, n_workers=w), env.train,
-                                     res["steps"], env.val, res["eval_every"],
-                                     run_id=f"W{w}.s{seed}")
-            records.extend(recs)
-        runs = _summarize_runs([r for r in records if r.run_id.startswith(f"W{w}.")],
-                               res["target_loss"])
-        entry = {"mean_final_val_loss": _seed_mean(runs, "final_val_loss"),
-                 "mean_best_val_loss": _seed_mean(runs, "best_val_loss")}
-        if res["target_loss"] is not None:
-            reached = [s["steps_to_target"] for s in runs.values()
-                       if s["steps_to_target"] is not None]
-            entry["mean_steps_to_target"] = float(np.mean(reached)) if reached else None
-        per_value[str(w)] = entry
-    return {"per_value": per_value, "axis": "group.n_workers"}
-
-
 def _kind_codistill(env: Env, mode: str, out_dir, records):
     res = env.res
     comm = {}
@@ -378,23 +355,6 @@ def _kind_same_data_ablation(env: Env, mode: str, out_dir, records):
              for name in ("baseline", "disjoint", "shared")}
     return {"mean_final_val_loss": means,
             "ordering_holds": bool(means["disjoint"] <= means["shared"] <= means["baseline"])}
-
-
-def _kind_staleness_sweep(env: Env, mode: str, out_dir, records):
-    res = env.res
-    per_value = {}
-    for interval in res["sweep.values"]:
-        burn_in = max(res["codistill.burn_in"], interval)
-        for seed in res["seeds"]:
-            result, _ = _run_codistill_once(env, seed, f"R{interval}.s{seed}.m", mode,
-                                            out_dir, reload_interval=interval,
-                                            n_burn_in=burn_in)
-            records.extend(result.records)
-        runs = _summarize_runs([r for r in records if r.run_id.startswith(f"R{interval}.")],
-                               res["target_loss"])
-        per_value[str(interval)] = {"mean_final_val_loss": _seed_mean(runs, "final_val_loss"),
-                                    "mean_best_val_loss": _seed_mean(runs, "best_val_loss")}
-    return {"per_value": per_value, "axis": "codistill.reload_interval"}
 
 
 def _kind_smoothing_baseline(env: Env, mode: str, out_dir, records):
@@ -445,9 +405,8 @@ def _kind_offline_distill(env: Env, mode: str, out_dir, records):
                                  res["offline.phase1_steps"], res["offline.phase2_steps"],
                                  env.val, distill=res["loss.distill"],
                                  distill_weight=res["loss.distill_weight"],
-                                 eval_every=res["eval_every"])
-        for rec in result.records:
-            rec.run_id = f"offline.s{seed}.{rec.run_id}"
+                                 eval_every=res["eval_every"],
+                                 run_id_prefix=f"offline.s{seed}.")
         records.extend(result.records)
         totals[str(seed)] = {"phase1_steps": result.phase1_steps,
                              "phase2_steps": result.phase2_steps,
@@ -484,10 +443,8 @@ def _kind_churn(env: Env, mode: str, out_dir, records):
 
 _KIND_FNS = {
     "baseline": _kind_baseline,
-    "batch_sweep": _kind_batch_sweep,
     "codistill": _kind_codistill,
     "same_data_ablation": _kind_same_data_ablation,
-    "staleness_sweep": _kind_staleness_sweep,
     "smoothing_baseline": _kind_smoothing_baseline,
     "ensemble_baseline": _kind_ensemble_baseline,
     "offline_distill": _kind_offline_distill,
@@ -578,8 +535,9 @@ _SWEEPABLE_TYPES = ("int", "float", "bool", "str")
 def sweep(cfg: dict, axis: str, values, out_dir, mode: str = "lockstep") -> list[dict]:
     """Run one experiment per axis value (shared seeds) and write sweep.csv.
 
-    Each value runs in its own subdirectory ``<axis>=<value>``; sweep.csv
-    holds one summary row per value.
+    Every value's config is resolved before the first value runs, so a bad
+    value is a config error before any training. Each value runs in its own
+    subdirectory ``<axis>=<value>``; sweep.csv holds one summary row per value.
     """
     if axis not in SCHEMA or axis == "kind":
         raise ConfigError(f"sweep axis: unknown or unsupported key {axis!r}")
@@ -587,15 +545,14 @@ def sweep(cfg: dict, axis: str, values, out_dir, mode: str = "lockstep") -> list
         raise ConfigError(f"sweep axis: {axis} is not a scalar key")
     if not values:
         raise ConfigError("sweep values: must be non-empty")
-    parsed = [_parse_value(axis, str(v)) for v in values]
+    sub_cfgs = [{**cfg, axis: _parse_value(axis, str(v))} for v in values]
+    resolved = [resolve(sub_cfg) for sub_cfg in sub_cfgs]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     summaries = []
-    for value in parsed:
-        sub_cfg = dict(cfg)
-        sub_cfg[axis] = value
-        res = resolve(sub_cfg)
+    for sub_cfg, res in zip(sub_cfgs, resolved):
+        value = sub_cfg[axis]
         summary = run(sub_cfg, out / f"{axis}={value}", mode)
         summaries.append(summary)
         runs = summary["runs"]

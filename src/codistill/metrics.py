@@ -3,7 +3,7 @@ and prediction churn across retrains."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -41,14 +41,7 @@ class ChurnReport:
     val_loss_half_range: float
 
     def as_dict(self) -> dict:
-        return {
-            "pair_churn": self.pair_churn,
-            "churn_mean": self.churn_mean,
-            "churn_half_range": self.churn_half_range,
-            "val_losses": self.val_losses,
-            "val_loss_mean": self.val_loss_mean,
-            "val_loss_half_range": self.val_loss_half_range,
-        }
+        return asdict(self)
 
 
 def evaluate(params: Parameters, validation: Batch):

@@ -7,7 +7,7 @@ perturbed evaluation per coordinate.
 
 import numpy as np
 
-from codistill.nn import TASK_LM, Parameters, _layout, _views, forward
+from codistill.nn import TASK_LM, Batch, Parameters, _layout, _views, forward
 
 
 def rel_err(a, b, floor=1e-6):
@@ -107,3 +107,17 @@ def recompute_backward(params, batch, dlogits):
             grads["embed"] = g
     flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
     return pres[-1], flat
+
+
+def interleave(streams):
+    """Merge W streams of size B into one stream of size W*B.
+
+    The step-t batch is the concatenation, in stream order, of the members'
+    step-t batches, so a single consumer sees exactly the examples the W
+    separate consumers would have seen at each step.
+    """
+    streams = list(streams)
+    while True:
+        parts = [next(s) for s in streams]
+        yield Batch(np.concatenate([p.inputs for p in parts], axis=0),
+                    np.concatenate([p.labels for p in parts], axis=0))

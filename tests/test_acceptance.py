@@ -17,18 +17,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codistill.data import (gen_classification, interleave, make_shards, split_train_val,
-                            unigram)
+from codistill.data import gen_classification, make_shards, split_train_val, unigram
 from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, FileCheckpointStore,
                                GroupConfig, InMemoryCheckpointStore, codistill_train,
                                comm_report, offline_distill, train_baseline, worker_streams)
-from codistill.experiments import parse_config_text, run
+from codistill.experiments import parse_config_text, run, sweep
 from codistill.losses import CombinedLossSpec, SmoothingKind, combined_loss
 from codistill.metrics import churn_experiment, ensemble_predict, probs_nll, steps_to_target
 from codistill.nn import (Architecture, Batch, backward, forward, init_params,
                           param_count, predict_proba)
 from codistill.optim import OptimizerConfig
-from helpers import fd_param_grad, rel_err
+from helpers import fd_param_grad, interleave, rel_err
 
 SEEDS = (0, 1, 2, 3, 4)
 STEPS = 4000
@@ -461,9 +460,12 @@ offline.phase2_steps=30
 churn.repeats=2
 """
 
-ALL_KINDS = ("baseline", "batch_sweep", "codistill", "same_data_ablation",
-             "staleness_sweep", "smoothing_baseline", "ensemble_baseline",
-             "offline_distill", "churn")
+ALL_KINDS = ("baseline", "codistill", "same_data_ablation", "smoothing_baseline",
+             "ensemble_baseline", "offline_distill", "churn")
+
+# the paper's two scaling sweeps: (kind, axis, values)
+SWEEPS = (("baseline", "group.n_workers", [1, 2]),
+          ("codistill", "codistill.reload_interval", [1, 10]))
 
 
 def _csv_without_wall(path: Path) -> str:
@@ -475,22 +477,38 @@ def _csv_without_wall(path: Path) -> str:
     return "\n".join(out)
 
 
+def _outputs(root: Path) -> dict:
+    """metrics.csv (wall_seconds excluded), summary.json and sweep.csv of one
+    run or sweep, keyed by path relative to ``root``."""
+    out = {}
+    for path in sorted(root.rglob("*")):
+        if path.name == "metrics.csv":
+            out[str(path.relative_to(root))] = _csv_without_wall(path)
+        elif path.name in ("summary.json", "sweep.csv"):
+            out[str(path.relative_to(root))] = path.read_text()
+    return out
+
+
 def test_criterion_13_end_to_end_reproducibility(tmp_path):
     """Identical config + seeds in lockstep mode give byte-identical
-    metrics.csv (wall_seconds excluded) for one run of every experiment kind."""
+    metrics.csv (wall_seconds excluded) and summary.json for one run of every
+    experiment kind, and for one sweep along each of the paper's two axes."""
     mismatches = []
     for kind in ALL_KINDS:
         cfg = parse_config_text(TINY_CONFIG)
         cfg["kind"] = kind
-        if kind in ("batch_sweep", "staleness_sweep"):
-            cfg["sweep.values"] = [1, 2] if kind == "batch_sweep" else [1, 10]
         run(dict(cfg), tmp_path / kind / "a")
         run(dict(cfg), tmp_path / kind / "b")
-        csv_a = _csv_without_wall(tmp_path / kind / "a" / "metrics.csv")
-        csv_b = _csv_without_wall(tmp_path / kind / "b" / "metrics.csv")
-        sum_a = (tmp_path / kind / "a" / "summary.json").read_text()
-        sum_b = (tmp_path / kind / "b" / "summary.json").read_text()
-        if csv_a != csv_b or sum_a != sum_b:
+        if _outputs(tmp_path / kind / "a") != _outputs(tmp_path / kind / "b"):
             mismatches.append(kind)
-    report(13, not mismatches, "every experiment kind reproduces byte-identically",
-           f"kinds checked: {len(ALL_KINDS)}, mismatches: {mismatches or 'none'}")
+    for kind, axis, values in SWEEPS:
+        cfg = parse_config_text(TINY_CONFIG)
+        cfg["kind"] = kind
+        sweep(dict(cfg), axis, values, tmp_path / axis / "a")
+        sweep(dict(cfg), axis, values, tmp_path / axis / "b")
+        a, b = _outputs(tmp_path / axis / "a"), _outputs(tmp_path / axis / "b")
+        if len(a) != 2 * len(values) + 1 or a != b:
+            mismatches.append(axis)
+    report(13, not mismatches, "every experiment kind and sweep reproduces byte-identically",
+           f"kinds checked: {len(ALL_KINDS)}, sweeps: {len(SWEEPS)}, "
+           f"mismatches: {mismatches or 'none'}")

@@ -22,6 +22,9 @@ opt.lr=0.2
 """
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def tiny_cfg(kind="baseline", **overrides):
     cfg = parse_config_text(TINY)
     cfg["kind"] = kind
@@ -67,6 +70,19 @@ class TestConfigParsing:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             resolve(tiny_cfg(seeds=[]))
+
+    @pytest.mark.parametrize("kind", ["codistill", "same_data_ablation", "churn"])
+    def test_burn_in_shorter_than_reload_interval_named(self, kind):
+        """No teacher checkpoint would exist when distillation starts; kinds
+        that never codistill ignore both keys."""
+        short = {"codistill.burn_in": 10, "codistill.reload_interval": 50}
+        with pytest.raises(ConfigError, match="codistill.burn_in"):
+            resolve(tiny_cfg(kind, **short))
+        resolve(tiny_cfg("baseline", **short))
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_configs_resolve(self, path):
+        resolve(parse_config_file(path))
 
 
 class TestRun:
@@ -146,7 +162,13 @@ class TestRun:
           "ablation.s0.disjoint.m1": 0}),
         ("ensemble_baseline", {"opt.lr": 1e9},
          {"ensemble.s0.m0": 0, "ensemble.s0.m1": 0, "ensemble.s0.ens": 0}),
-    ], ids=["ablation", "ensemble"])
+        # both teachers finish phase 1; the student diverges at its first step
+        ("offline_distill",
+         {"offline.phase1_steps": 20, "offline.phase2_steps": 40, "opt.kind": "sgd",
+          "opt.lr": 0.5, "loss.distill": "logit_mse", "loss.distill_weight": 1e6},
+         {"offline.s0.phase1.model0": 20, "offline.s0.phase1.model1": 20,
+          "offline.s0.phase2.student": 0}),
+    ], ids=["ablation", "ensemble", "offline"])
     def test_divergence_keeps_finished_runs(self, tmp_path, kind, overrides, expected):
         from codistill.distrib import DivergenceError
         with pytest.raises(DivergenceError):
@@ -211,6 +233,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="axis"):
             sweep(tiny_cfg(), "seeds", [1], tmp_path)
 
+    def test_bad_value_fails_before_training(self, tmp_path):
+        cfg = tiny_cfg("codistill", **{"codistill.burn_in": 10})
+        with pytest.raises(ConfigError, match="codistill.burn_in"):
+            sweep(cfg, "codistill.reload_interval", [10, 50], tmp_path)
+        assert not (tmp_path / "codistill.reload_interval=10").exists()
+
 
 class TestLanguageModelTask:
     CORPUS = ("the cat sat on the mat. the dog sat on the log. "
@@ -265,7 +293,7 @@ class TestSweepShapes:
         """More synchronous workers (bigger effective batch) never need more
         steps to a fixed mid-training loss, flattening into a plateau."""
         cfg = parse_config_text("""
-            kind=batch_sweep
+            kind=baseline
             seeds=0,1,2
             steps=300
             eval_every=25
@@ -279,12 +307,12 @@ class TestSweepShapes:
             group.batch=8
             opt.kind=adagrad
             opt.lr=0.05
-            sweep.values=1,2,4,8
         """)
-        summary = run(cfg, tmp_path)
-        means = [summary["per_value"][str(w)]["mean_steps_to_target"]
-                 for w in (1, 2, 4, 8)]
-        assert all(m is not None for m in means)
+        sweep(cfg, "group.n_workers", [1, 2, 4, 8], tmp_path)
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        col = lines[0].split(",").index("mean_steps_to_target")
+        means = [float(line.split(",")[col]) for line in lines[1:]]
+        assert len(means) == 4
         assert all(b <= a for a, b in zip(means, means[1:]))
         assert means[-1] < means[0]
 
@@ -334,6 +362,21 @@ class TestMainEntry:
     def test_divergence_exit_one(self, tmp_path):
         path = self.write_cfg(tmp_path, TINY + "opt.lr=1e9\nseeds=0\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_runtime_error_exit_one(self, tmp_path, monkeypatch, capsys):
+        """A missing peer checkpoint is an error line and exit 1, not a
+        traceback, and the partial outputs are still written."""
+        from codistill import distrib
+        monkeypatch.setattr(distrib.InMemoryCheckpointStore, "load_latest",
+                            lambda store, model_id, entity=None: None)
+        path = self.write_cfg(tmp_path, TINY + "kind=codistill\nseeds=0\nsteps=30\n"
+                              "codistill.burn_in=10\ncodistill.reload_interval=10\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "RuntimeError"
+        assert (out / "metrics.csv").exists()
 
     def test_seed_offset(self, tmp_path):
         path = self.write_cfg(tmp_path, TINY)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codistill.data import (Dataset, batch_stream, gen_classification, ingest_text,
-                            interleave, make_shards, split_train_val, take, unigram)
+                            make_shards, split_train_val, take, unigram)
+from helpers import interleave
 
 
 class TestGenClassification:

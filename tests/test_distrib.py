@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from codistill.data import gen_classification, interleave, make_shards, split_train_val
+from codistill.data import gen_classification, make_shards, split_train_val
 from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, DivergenceError,
                                FileCheckpointStore, GroupConfig, GroupRunner,
                                InMemoryCheckpointStore, codistill_train,
@@ -18,6 +18,7 @@ from codistill.losses import CombinedLossSpec
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
                           SerializationError, TruncatedPayloadError, init_params, param_count)
 from codistill.optim import OptimizerConfig
+from helpers import interleave
 
 
 ARCH = Architecture(6, (12, 8), 4)

@@ -6,8 +6,10 @@ optimisation of the training path: ``metrics.csv`` without the
 ``wall_seconds`` column, and ``summary.json`` byte for byte. Together the
 cases cover every experiment kind, the LM head, every distillation loss,
 every optimizer, ``fresh_in_process`` teachers and the 32-bit checkpoint
-payload. A mismatch means a change altered training arithmetic; re-record
-only when that is the intent, and say so in the change.
+payload. The sweep cases hash ``sweep.csv`` and each value's outputs for
+the paper's two scaling sweeps through ``experiments.sweep``. A mismatch
+means a change altered training arithmetic; re-record only when that is the
+intent, and say so in the change.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codistill.experiments import EXPERIMENT_KINDS, run
+from codistill.experiments import EXPERIMENT_KINDS, run, sweep
 
 TINY = {
     "seeds": [0], "steps": 30, "eval_every": 10, "target_loss": 1.05,
@@ -30,7 +32,6 @@ LM = {"data.kind": "lm", "data.corpus": "corpus.txt", "data.window": 4,
 
 CASES = {
     "baseline": {"kind": "baseline", "seeds": [0, 1]},
-    "batch_sweep": {"kind": "batch_sweep", "sweep.values": [1, 2]},
     "codistill": {"kind": "codistill", "codistill.n_models": 3, **CODISTILL},
     "codistill_kl_adam": {"kind": "codistill", "loss.distill": "kl_divergence",
                           "opt.kind": "adam", "opt.lr": 0.01, **CODISTILL},
@@ -41,7 +42,6 @@ CASES = {
     "codistill_float32": {"kind": "codistill", "codistill.float32_payload": True,
                           **CODISTILL},
     "same_data_ablation": {"kind": "same_data_ablation", **CODISTILL},
-    "staleness_sweep": {"kind": "staleness_sweep", "sweep.values": [1, 10], **CODISTILL},
     "smoothing_uniform": {"kind": "smoothing_baseline"},
     "smoothing_unigram": {"kind": "smoothing_baseline", "loss.smoothing": "unigram"},
     "ensemble_baseline": {"kind": "ensemble_baseline"},
@@ -56,8 +56,6 @@ CASES = {
 GOLDEN = {
     "baseline": ("a8af2b43b0742dc593ab7497e397ebefcc9181157d57748389b770391baa9420",
         "c30e066ce61e6b886e93b4c349dabf0843f77c82c23e2f3e63ddd60500b92413"),
-    "batch_sweep": ("5ffc426b7d4569290c5da418a4e3a7171d42bb08993cbaf1610162567e87b7da",
-        "0e63ea59297293d47f0e222ecd4238191b8ef43bb88da1eb6794fd704abb5502"),
     "churn": ("52e0b1e1a2552e5773b39827ab5290ee0df0b185ce8173a005230ab96f9e315d",
         "a296074aaeb063cf0031da26fd2d0d9db11d8d28d8c5c8eba158fc6fcf59c1dc"),
     "codistill": ("a6dc43df90204cd6b9dac884906c974b9c5ea217d4028b09e0a532d591902fc7",
@@ -84,8 +82,31 @@ GOLDEN = {
         "23f3e4c012810373153d1d182f1313f53036b7ffb0abd70f90b19944afb1fb08"),
     "smoothing_unigram": ("98f17d72f51335c383646b6544a98abe24fd9891e84826ace96b9487124fab99",
         "9e087fe852d539a429d48a12f136f8f34d0681c560539ece3e04e2ba60cb22b4"),
-    "staleness_sweep": ("7b6fcb47fc74ba42441f92447d1fceafe55b5edd759677777f00588fc5d3d831",
-        "2537f9eaaeb5274ae35afbcc81844bed7bb22019ac0c66beb7d7ab5a2009bd5e"),
+}
+
+# name -> (config, axis, values): the paper's two scaling sweeps through
+# ``experiments.sweep``, worker count on the baseline and checkpoint
+# staleness on codistillation.
+SWEEP_CASES = {
+    "sweep_n_workers": ({"kind": "baseline"}, "group.n_workers", [1, 2]),
+    "sweep_reload_interval": ({"kind": "codistill", **CODISTILL},
+                              "codistill.reload_interval", [1, 10]),
+}
+
+# (sweep.csv, then metrics.csv without wall_seconds and summary.json per value)
+SWEEP_GOLDEN = {
+    "sweep_n_workers": (
+        "9b5b6949a468167f30577f33970461827126dd6a706117427ae09d9693ad3481",
+        "61dfe64ec4dec28e3f74a74ed935cbdf0d402c1c65e6b9fcc18de994f87d43c7",
+        "b77dd9c440a8cb017dfa52808a069ed5a86d9f4cde73eafec9415c174ae7964c",
+        "39a6432dd5b691d64874966f36b89f1e1c71433fd55ef7c5991bbbf277be4c00",
+        "57bf38584c8f3aa91978b130a128600c29afebdaa1d88c08b5df13417520162d"),
+    "sweep_reload_interval": (
+        "56d0644cd6546190f089f90dd0398ddd0f957dcd11633b0e70e72c7fa04214ae",
+        "3f23f7ed7f1c0a7d1d5382074131fb9eca4146104f8bd358d70b2d3327bc2b8c",
+        "958a9dfa70feefeff1d6cbd1dd9ae88fbabf6a02371a766bfc1f678f62e90f8f",
+        "cf582077a1e1a0ea6f67759536712274b862eb13cebef421def79fccb27f81b1",
+        "5c2a2e401ae484a8bcccb2bb43df31799520ffe02aa9840ec7f6b8da3325983a"),
 }
 
 
@@ -115,12 +136,31 @@ def case_hashes(name: str, work_dir: Path) -> tuple[str, str]:
             hashlib.sha256((out / "summary.json").read_bytes()).hexdigest())
 
 
+def sweep_hashes(name: str, work_dir: Path) -> tuple[str, ...]:
+    """Run one sweep case inside ``work_dir`` and hash its outputs."""
+    cfg, axis, values = SWEEP_CASES[name]
+    out = work_dir / "out"
+    sweep({**TINY, **cfg}, axis, values, out)
+    hashes = [hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()]
+    for value in values:
+        sub = out / f"{axis}={value}"
+        hashes += [_sha256_metrics(sub / "metrics.csv"),
+                   hashlib.sha256((sub / "summary.json").read_bytes()).hexdigest()]
+    return tuple(hashes)
+
+
 def test_cases_cover_every_kind():
     assert {c["kind"] for c in CASES.values()} == set(EXPERIMENT_KINDS)
     assert set(GOLDEN) == set(CASES)
+    assert set(SWEEP_GOLDEN) == set(SWEEP_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert case_hashes(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_golden_sweep_outputs(name, tmp_path):
+    assert sweep_hashes(name, tmp_path) == SWEEP_GOLDEN[name]
