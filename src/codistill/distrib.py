@@ -13,16 +13,32 @@ or peers' current parameters in process, which is deep mutual learning
 
 Lockstep mode (``codistill_train``) makes one loop call over all groups on
 one thread in a fixed round-robin order, which makes whole runs
-bit-reproducible. Concurrent mode (``codistill_train_concurrent``) makes one
-loop call per group, each on its own thread, against a shared (typically
-file-backed) checkpoint store to exercise the protocol under real asynchrony,
-with no bit-exactness guarantees.
+bit-reproducible. Concurrent mode (``codistill_train_concurrent``) forks one
+OS process per group (the ``fork`` start method, so Linux), each making one
+loop call over its group, with no bit-exactness guarantees. As in the
+paper's deployment, where groups on separate machines share only stale
+checkpoints, the ``FileCheckpointStore`` directory is the processes' only
+channel. Besides ``ckpt_<i>.bin`` it holds:
+
+  stop               exists once any group has failed; every group checks it
+                     before each step and stops
+  records_<i>.jsonl  group i's metric records, appended at every evaluation,
+                     so they outlive a crashed process
+  result_<i>.pkl     group i's final parameters, teacher lag, ledger counts
+                     and error, written when it ends
+
+A group waits at most ``START_TIMEOUT_S`` for its peers' first checkpoints.
+The parent process merges the results; it never trains, so a tracer or
+profiler that patches functions in the parent (``bench/tracer.py``) sees the
+one ``codistill_train_concurrent`` call but no span inside the groups.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import pickle
 import tempfile
 import threading
 import time
@@ -49,6 +65,12 @@ DIVERGENCE_THRESHOLD = 1e4
 
 TEACHER_MODES = ("stale_checkpoint", "fresh_in_process")
 
+# Concurrent mode: the most group processes one run may fork, and how long a
+# group waits for its peers' first checkpoints (and the parent for its
+# children to stop after a failure) before giving up on them.
+MAX_GROUP_PROCESSES = 16
+START_TIMEOUT_S = 30.0
+
 
 class DivergenceError(RuntimeError):
     """Training loss went non-finite or past the abort threshold."""
@@ -57,6 +79,10 @@ class DivergenceError(RuntimeError):
         super().__init__(message or f"training diverged at step {step}")
         self.step = step
         self.records = records or []
+
+    def __reduce__(self):
+        # self.args holds only the message, which pickle would pass as ``step``
+        return type(self), (self.step, str(self), self.records)
 
 
 class CommLedger:
@@ -153,6 +179,20 @@ class InMemoryCheckpointStore(_CheckpointStore):
         return self._blobs.get(model_id)
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write a temp file beside ``path`` and rename it into place, so a reader
+    sees the previous complete file or the new one, never a torn one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class FileCheckpointStore(_CheckpointStore):
     """One ``ckpt_<model_id>.bin`` per model in a directory.
 
@@ -170,15 +210,7 @@ class FileCheckpointStore(_CheckpointStore):
         return self._dir / f"ckpt_{model_id}.bin"
 
     def _write(self, model_id: int, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self._dir, prefix=f".ckpt_{model_id}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
-            os.replace(tmp, self._path(model_id))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(self._path(model_id), data)
 
     def _read(self, model_id: int) -> bytes | None:
         try:
@@ -224,16 +256,17 @@ class CodistillConfig:
     float32_payload: bool = False
 
     def __post_init__(self):
+        # every message starts with the field it is about
         if self.n_models < 2:
-            raise ValueError("codistillation needs at least two models")
+            raise ValueError("n_models must be at least 2: codistillation needs two models")
         if self.reload_interval < 1:
             raise ValueError("reload_interval must be positive")
         if self.n_burn_in < self.reload_interval:
             raise ValueError("n_burn_in must be >= reload_interval so a teacher checkpoint exists")
         if self.teacher_mode not in TEACHER_MODES:
-            raise ValueError(f"unknown teacher_mode {self.teacher_mode!r}")
+            raise ValueError(f"teacher_mode {self.teacher_mode!r} is unknown")
         if self.data_mode not in SHARD_MODES:
-            raise ValueError(f"unknown data_mode {self.data_mode!r}")
+            raise ValueError(f"data_mode {self.data_mode!r} is unknown")
         if self.distill_weight < 0.0:
             raise ValueError("distill_weight must be nonnegative")
 
@@ -352,7 +385,7 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     steps and the final step, and the records are appended to the caller's
     ``records``; a record's train loss is the mean objective since the
     previous one. After each evaluation, ``after_eval(step, new_records, t0)``
-    returns one more record to append. A set ``stop`` event ends the loop
+    returns one more record to append. ``stop.is_set()`` true ends the loop
     before the next step. Any exception leaves with ``records`` attached as
     ``err.records``, so the records made so far outlive the failure.
     """
@@ -401,18 +434,19 @@ class _PeerTeachers:
 
     ``stale_checkpoint`` (the paper's method): on every reload boundary the
     groups being stepped publish their checkpoints, then load their peers'
-    latest ones from the store; a ``barrier`` makes threaded groups wait for
-    every first checkpoint before loading. ``fresh_in_process`` (deep mutual
-    learning): the peers' parameters at the step boundary, without the store.
-    ``lags[i]`` is the largest gap between a step of group i and its oldest
-    teacher; each group writes only its own slots, so threads need no lock.
+    latest ones from the store. Given a ``stop`` signal, a group in its own
+    process first waits for its peers' first checkpoints, for at most
+    ``START_TIMEOUT_S`` and only until ``stop`` is set. ``fresh_in_process``
+    (deep mutual learning): the peers' parameters at the step boundary,
+    without the store. ``lags[i]`` is the largest gap between a step of
+    group i and its oldest teacher.
     """
 
-    def __init__(self, cfg: CodistillConfig, runners, store, barrier=None):
+    def __init__(self, cfg: CodistillConfig, runners, store, stop=None):
         self.cfg = cfg
         self.runners = runners
         self.store = store
-        self.barrier = barrier
+        self.stop = stop
         self.active = cfg.distill != "none" and cfg.distill_weight > 0.0
         self.specs = [replace(r.group.loss, distill=cfg.distill,
                               distill_weight=cfg.distill_weight) if self.active else None
@@ -431,11 +465,25 @@ class _PeerTeachers:
                 r = self.runners[i]
                 self.store.publish(Checkpoint(i, s, r.params, self.cfg.float32_payload),
                                    entity=r.entity)
-            if s == 0 and self.barrier is not None:
-                self.barrier.wait()
+            if s == 0 and self.stop is not None:
+                self._await_first_checkpoints(ids)
             for i in ids:
                 self.loaded[i] = {j: self._load(i, j) for j in range(len(self.runners)) if j != i}
         return [self._pair(i, s) for i in ids]
+
+    def _await_first_checkpoints(self, ids) -> None:
+        deadline = time.monotonic() + START_TIMEOUT_S
+        missing = [j for j in range(len(self.runners)) if j not in ids]
+        while True:
+            missing = [j for j in missing if not self.store._path(j).exists()]
+            if not missing:
+                return
+            if self.stop.is_set():
+                raise _PeerStopped("stopped while waiting for peer checkpoints")
+            if time.monotonic() > deadline:
+                raise RuntimeError(f"model {missing[0]} published no first checkpoint "
+                                   f"within {START_TIMEOUT_S} s")
+            time.sleep(0.005)
 
     def _load(self, i: int, j: int) -> tuple[Parameters, int]:
         ck = self.store.load_latest(j, entity=self.runners[i].entity)
@@ -545,55 +593,162 @@ def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
     return CodistillResult([r.params for r in runners], records, max(teachers.lags))
 
 
+class _PeerStopped(RuntimeError):
+    """A group stopped because a peer failed; the peer's error is the one to report."""
+
+
+class _StopFile:
+    """Concurrent mode's stop signal: set once the file exists."""
+
+    def __init__(self, path: Path):
+        self.path = str(path)
+
+    def is_set(self) -> bool:
+        return os.path.exists(self.path)
+
+    def set(self) -> None:
+        Path(self.path).touch()
+
+
+class _RecordFile:
+    """Stands in for a group process's record list: every batch of records is
+    appended to the file, one JSON object a line, where the parent reads it."""
+
+    def __init__(self, path: Path):
+        self.path = path
+
+    def extend(self, records) -> None:
+        with open(self.path, "a", encoding="utf-8") as f:
+            f.write("".join(json.dumps(asdict(r)) + "\n" for r in records))
+
+
+def _read_records(path: Path) -> list[MetricRecord]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return []
+    # a process killed mid-write leaves at most one line without its newline
+    return [MetricRecord(**json.loads(line)) for line in text.split("\n")[:-1]]
+
+
+def _group_process(i: int, runner: GroupRunner, teachers: _PeerTeachers, n_steps: int,
+                   validation: Batch, eval_every: int, directory: Path, stop: _StopFile):
+    """Body of group i's process: train, then report through the directory.
+
+    The runner and the store charge one fresh ledger whose counts go back to
+    the parent.
+    """
+    ledger = runner.ledger = teachers.store._ledger = CommLedger()
+    error = None
+    try:
+        _train_loop([runner], n_steps, validation, eval_every,
+                    _RecordFile(directory / f"records_{i}.jsonl"),
+                    lambda s: teachers([i], s), stop=stop)
+    except BaseException as err:  # handed to the parent, which re-raises it
+        error = err
+        try:
+            pickle.loads(pickle.dumps(err))
+        except Exception:
+            error = RuntimeError(f"{type(err).__name__}: {err}")
+    result = {"params": runner.params.values, "lag": teachers.lags[i],
+              "ledger": ledger.snapshot(), "error": error}
+    _write_atomic(directory / f"result_{i}.pkl", pickle.dumps(result))
+
+
 def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups, shards,
                                n_steps: int, store, validation: Batch,
                                eval_every: int = 100, *, ledger: CommLedger | None = None,
                                run_id_prefix: str = "model") -> CodistillResult:
-    """Codistillation with one thread per group against a shared store.
+    """Codistillation with one OS process per group, sharing only a
+    ``FileCheckpointStore`` directory.
 
     Demonstrates the protocol under real asynchrony: each group publishes and
     reloads on its own local step counter and sees whatever checkpoints are
     freshest at that moment. Scheduling is nondeterministic, so this mode is
     excluded from the bit-exact reproducibility guarantees. Requires
     ``stale_checkpoint`` teachers (there is no shared step boundary to
-    snapshot at).
+    snapshot at) and at most ``MAX_GROUP_PROCESSES`` groups. Forks, so Linux.
 
-    The first group to fail sets a shared stop flag, and its peers stop
-    before their next step. The error is re-raised with the records every
-    group collected, in model-id order.
+    The run's files in the directory are cleared first. The ledger counts of
+    every group that finished are added to ``ledger`` and the store's ledger.
+    The first group to fail (raise, or die without a result) stops its peers
+    before their next step, and its error is re-raised, with its original
+    class and message, carrying every group's records in model-id order. No
+    process outlives the call.
     """
-    runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
+    # imported here, not at the top: about 20 ms that lockstep runs need not pay
+    import multiprocessing.connection
+
     if cfg.teacher_mode != "stale_checkpoint":
         raise ValueError("concurrent mode requires stale_checkpoint teachers")
+    if not isinstance(store, FileCheckpointStore):
+        raise ValueError("concurrent mode needs a FileCheckpointStore: its directory is "
+                         "the group processes' only channel")
+    if cfg.n_models > MAX_GROUP_PROCESSES:
+        raise ValueError(f"concurrent mode runs one process per model, at most "
+                         f"{MAX_GROUP_PROCESSES}, not {cfg.n_models}")
+    runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
     n = cfg.n_models
-    barrier = threading.Barrier(n)
-    teachers = _PeerTeachers(cfg, runners, store, barrier)
-    stop = threading.Event()
-    results: list[list[MetricRecord]] = [[] for _ in range(n)]
-    errors: list[BaseException | None] = [None] * n
-
-    def run_group(i: int) -> None:
-        try:
-            _train_loop([runners[i]], n_steps, validation, eval_every, results[i],
-                        lambda s: teachers([i], s), stop=stop)
-        except BaseException as err:  # joined and re-raised by the caller
-            errors[i] = err
+    directory = store._dir
+    stop = _StopFile(directory / "stop")
+    for i in range(n):
+        for path in (store._path(i), directory / f"records_{i}.jsonl",
+                     directory / f"result_{i}.pkl"):
+            path.unlink(missing_ok=True)
+    Path(stop.path).unlink(missing_ok=True)
+    teachers = _PeerTeachers(cfg, runners, store, stop)
+    ctx = multiprocessing.get_context("fork")
+    procs = [ctx.Process(target=_group_process, name=runners[i].entity, daemon=True,
+                         args=(i, runners[i], teachers, n_steps, validation, eval_every,
+                               directory, stop))
+             for i in range(n)]
+    results: list[dict | None] = [None] * n
+    failures: list[BaseException] = []  # in the order the parent saw them
+    deadline = None  # set by the first failure: the peers' time to stop
+    try:
+        for proc in procs:
+            proc.start()
+        running = {proc.sentinel: i for i, proc in enumerate(procs)}
+        while running:
+            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+            ready = multiprocessing.connection.wait(list(running), timeout)
+            if not ready:
+                break  # the rest are killed below
+            for sentinel in ready:
+                i = running.pop(sentinel)
+                procs[i].join()
+                path = directory / f"result_{i}.pkl"
+                results[i] = pickle.loads(path.read_bytes()) if path.exists() else None
+                error = (results[i]["error"] if results[i] is not None else RuntimeError(
+                    f"the process of model {i} ended without a result "
+                    f"(exit code {procs[i].exitcode})"))
+                if error is not None:
+                    failures.append(error)
+                    stop.set()
+                    deadline = deadline or time.monotonic() + START_TIMEOUT_S
+    finally:
+        if any(proc.is_alive() for proc in procs):
             stop.set()
-            barrier.abort()  # a peer waiting for this group's first checkpoint fails too
-
-    threads = [threading.Thread(target=run_group, args=(i,), name=f"group{i}") for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    records = [rec for group_records in results for rec in group_records]
-    # a broken barrier only follows another group's failure, so report that one
-    failures = sorted((e for e in errors if e is not None),
-                      key=lambda e: isinstance(e, threading.BrokenBarrierError))
+            deadline = deadline or time.monotonic() + START_TIMEOUT_S
+        for proc in procs:
+            if proc.pid is not None:
+                proc.join(max(0.0, deadline - time.monotonic()) if deadline else None)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+    for runner, result in zip(runners, results):
+        for key, nbytes in (result["ledger"] if result is not None else {}).items():
+            entity, cause = key.rsplit("/", 1)
+            target = store._ledger if cause.startswith("checkpoint_") else runner.ledger
+            if target is not None:
+                target.add(entity, cause, nbytes)
+    records = [rec for i in range(n) for rec in _read_records(directory / f"records_{i}.jsonl")]
     if failures:
-        failures[0].records = records
-        raise failures[0]
-    return CodistillResult([r.params for r in runners], records, max(teachers.lags))
+        error = next((e for e in failures if not isinstance(e, _PeerStopped)), failures[0])
+        error.records = records
+        raise error
+    return CodistillResult([Parameters(arch, r["params"]) for r in results], records,
+                           max(r["lag"] for r in results))
 
 
 def offline_distill(arch: Architecture, teacher_groups, student_group: GroupConfig,

@@ -26,10 +26,10 @@ import numpy as np
 
 from .data import (SHARD_MODES, gen_classification, ingest_text, make_shards,
                    split_train_val, unigram)
-from .distrib import (TEACHER_MODES, CodistillConfig, CommLedger, DivergenceError,
-                      FileCheckpointStore, GroupConfig, GroupRunner, InMemoryCheckpointStore,
-                      _train_loop, codistill_train, codistill_train_concurrent, comm_report,
-                      offline_distill, train_baseline)
+from .distrib import (MAX_GROUP_PROCESSES, TEACHER_MODES, CodistillConfig, CommLedger,
+                      DivergenceError, FileCheckpointStore, GroupConfig, GroupRunner,
+                      InMemoryCheckpointStore, _train_loop, codistill_train,
+                      codistill_train_concurrent, comm_report, offline_distill, train_baseline)
 from .losses import DISTILL_KINDS, SMOOTHING_KINDS, CombinedLossSpec, SmoothingKind
 from .metrics import (CSV_COLUMNS, MetricRecord, churn_experiment, ensemble_predict,
                       evaluate, probs_nll, steps_to_target)
@@ -141,8 +141,11 @@ def parse_config_file(path) -> dict:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
-def resolve(cfg: dict) -> dict:
-    """Fill defaults and validate; returns the complete key->value mapping."""
+def resolve(cfg: dict, mode: str = "lockstep") -> dict:
+    """Fill defaults and validate for a run in ``mode``; returns the complete
+    key->value mapping."""
+    if mode not in MODES:
+        raise ConfigError(f"mode: unknown mode {mode!r}")
     for key in cfg:
         if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
@@ -158,10 +161,17 @@ def resolve(cfg: dict) -> dict:
         raise ConfigError("seeds: must be non-negative")
     if res["data.kind"] == "lm" and not res["data.corpus"]:
         raise ConfigError("data.corpus: required for lm datasets")
-    if (res["kind"] in _CODISTILL_KINDS
-            and res["codistill.burn_in"] < res["codistill.reload_interval"]):
-        raise ConfigError("codistill.burn_in: must be >= codistill.reload_interval so a "
-                          "teacher checkpoint exists when distillation starts")
+    if res["kind"] in _CODISTILL_KINDS:
+        try:
+            _codistill_cfg(res)
+        except ValueError as err:
+            raise ConfigError(f"{_CODISTILL_KEYS[str(err).split()[0]]}: {err}") from None
+        if mode == "concurrent" and res["codistill.teacher_mode"] != "stale_checkpoint":
+            raise ConfigError("codistill.teacher_mode: concurrent mode exchanges stale "
+                              "checkpoints; fresh_in_process needs lockstep mode")
+        if mode == "concurrent" and res["codistill.n_models"] > MAX_GROUP_PROCESSES:
+            raise ConfigError(f"codistill.n_models: concurrent mode runs one process per "
+                              f"model, at most {MAX_GROUP_PROCESSES}")
     return res
 
 
@@ -235,13 +245,17 @@ def _group(res: dict, seed: int, model_index: int = 0, *,
                        group_seed(seed, model_index))
 
 
+# CodistillConfig field -> the config key it is read from
+_CODISTILL_KEYS = {"n_models": "codistill.n_models", "n_burn_in": "codistill.burn_in",
+                   "reload_interval": "codistill.reload_interval", "distill": "loss.distill",
+                   "distill_weight": "loss.distill_weight",
+                   "teacher_mode": "codistill.teacher_mode",
+                   "data_mode": "codistill.data_mode",
+                   "float32_payload": "codistill.float32_payload"}
+
+
 def _codistill_cfg(res: dict, **overrides) -> CodistillConfig:
-    kw = dict(n_models=res["codistill.n_models"], n_burn_in=res["codistill.burn_in"],
-              reload_interval=res["codistill.reload_interval"],
-              distill=res["loss.distill"], distill_weight=res["loss.distill_weight"],
-              teacher_mode=res["codistill.teacher_mode"],
-              data_mode=res["codistill.data_mode"],
-              float32_payload=res["codistill.float32_payload"])
+    kw = {field: res[key] for field, key in _CODISTILL_KEYS.items()}
     kw.update(overrides)
     return CodistillConfig(**kw)
 
@@ -504,9 +518,7 @@ def run(cfg: dict, out_dir, mode: str = "lockstep") -> dict:
     the exception's class in summary.json, and the exception is re-raised
     for the caller to turn into a nonzero exit.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode: unknown mode {mode!r}")
-    res = resolve(cfg)
+    res = resolve(cfg, mode)
     env = build_env(res)
     summary = {"kind": res["kind"], "seeds": res["seeds"], "mode": mode,
                "provenance": env.provenance, "param_count": param_count(env.arch)}
@@ -546,7 +558,7 @@ def sweep(cfg: dict, axis: str, values, out_dir, mode: str = "lockstep") -> list
     if not values:
         raise ConfigError("sweep values: must be non-empty")
     sub_cfgs = [{**cfg, axis: _parse_value(axis, str(v))} for v in values]
-    resolved = [resolve(sub_cfg) for sub_cfg in sub_cfgs]
+    resolved = [resolve(sub_cfg, mode) for sub_cfg in sub_cfgs]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

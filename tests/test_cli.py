@@ -80,6 +80,23 @@ class TestConfigParsing:
             resolve(tiny_cfg(kind, **short))
         resolve(tiny_cfg("baseline", **short))
 
+    @pytest.mark.parametrize("key, value", [("codistill.n_models", 1),
+                                            ("codistill.reload_interval", 0),
+                                            ("loss.distill_weight", -1.0)])
+    def test_codistill_settings_checked_and_named(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            resolve(tiny_cfg("codistill", **{key: value}))
+
+    @pytest.mark.parametrize("key, value", [("codistill.teacher_mode", "fresh_in_process"),
+                                            ("codistill.n_models", 17)])
+    def test_concurrent_mode_limits_named(self, key, value):
+        """One process per group, exchanging stale checkpoints: fresh teachers
+        and more groups than the process cap are config errors there only."""
+        cfg = tiny_cfg("codistill", **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            resolve(cfg, mode="concurrent")
+        resolve(cfg)
+
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_configs_resolve(self, path):
         resolve(parse_config_file(path))
@@ -345,6 +362,34 @@ class TestConcurrentMode:
         assert set(summary["runs"]) == {"codistill.s0.m0", "codistill.s0.m1"}
 
 
+    def test_killed_process_exit_one_keeps_outputs(self, tmp_path, monkeypatch, capsys):
+        """A group process killed mid-run: exit 1 with an error line, the peer
+        stopped, and the outputs written with every record made."""
+        import os
+        import signal
+        from codistill.distrib import GroupRunner
+        step_batches = GroupRunner.step_batches
+
+        def dying_step(runner, *args):
+            if runner.model_id == 1 and runner.step_index == 25:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return step_batches(runner, *args)
+
+        monkeypatch.setattr(GroupRunner, "step_batches", dying_step)
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY + "kind=codistill\nseeds=0\nsteps=1000000\neval_every=10\n"
+                        "codistill.burn_in=10\ncodistill.reload_interval=10\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--mode", "concurrent"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "RuntimeError"
+        records = read_metrics_csv(out / "metrics.csv")
+        assert [r.step for r in records if r.run_id == "codistill.s0.m1"] == [0, 10, 20]
+        assert max(r.step for r in records if r.run_id == "codistill.s0.m0") < 1000000
+
+
 class TestMainEntry:
     def write_cfg(self, tmp_path, text):
         path = tmp_path / "exp.cfg"
@@ -358,6 +403,17 @@ class TestMainEntry:
     def test_config_error_exit_two(self, tmp_path):
         path = self.write_cfg(tmp_path, "kind=warp_speed\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("extra, mode", [
+        ("codistill.n_models=1\n", "lockstep"),
+        ("codistill.reload_interval=0\n", "lockstep"),
+        ("codistill.teacher_mode=fresh_in_process\n", "concurrent"),
+        ("codistill.n_models=17\n", "concurrent")])
+    def test_codistill_config_error_exit_two_writes_nothing(self, tmp_path, extra, mode):
+        path = self.write_cfg(tmp_path, TINY + "kind=codistill\ncodistill.burn_in=10\n" + extra)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), "--mode", mode]) == 2
+        assert not out.exists()
 
     def test_divergence_exit_one(self, tmp_path):
         path = self.write_cfg(tmp_path, TINY + "opt.lr=1e9\nseeds=0\n")

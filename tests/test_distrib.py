@@ -1,4 +1,8 @@
 import itertools
+import multiprocessing.connection
+import os
+import pickle
+import signal
 import sys
 import threading
 import time
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 
 from codistill.data import gen_classification, make_shards, split_train_val
+from codistill import distrib
 from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, DivergenceError,
                                FileCheckpointStore, GroupConfig, GroupRunner,
                                InMemoryCheckpointStore, codistill_train,
@@ -332,11 +337,22 @@ class TestCodistill:
         assert run_ids == sorted(run_ids)
         peer_steps = ledger.total("gradient_exchange", "model1") // (param_count(ARCH) * 8)
         assert peer_steps < n_steps
+        assert multiprocessing.active_children() == []
+
+
+class TestDivergenceError:
+    def test_pickle_round_trip(self):
+        """A group process's divergence reaches the parent through pickle."""
+        err = pickle.loads(pickle.dumps(DivergenceError(7, "loss nan at step 7")))
+        assert str(err) == "loss nan at step 7"
+        assert err.step == 7
+        assert str(pickle.loads(pickle.dumps(DivergenceError(3)))) == "training diverged at step 3"
 
 
 class TestConcurrentGroups:
     def run_in_thread(self, fn, timeout=60.0):
-        """Run ``fn`` on a helper thread; return its result or the exception it raised."""
+        """Run ``fn`` on a helper thread; return its result or the exception it
+        raised, and how long it took."""
         out = {}
 
         def target():
@@ -345,15 +361,23 @@ class TestConcurrentGroups:
             except BaseException as err:  # handed back to the test
                 out["error"] = err
 
+        t0 = time.monotonic()
         t = threading.Thread(target=target)
         t.start()
         t.join(timeout)
         assert not t.is_alive(), "concurrent run did not finish"
+        out["seconds"] = time.monotonic() - t0
+        assert multiprocessing.active_children() == []
         return out
 
-    def test_four_groups_short_switch_interval(self, tmp_path):
-        """More threads than cores, switching often: every exchange is
-        charged exactly once and every group keeps its full record set."""
+    def two_groups(self, seed=11):
+        train, val = make_task(n=400)
+        plan = make_shards(train, "disjoint", 2, seed)
+        return [sgd_group(1), sgd_group(2)], [plan.shard(train, i) for i in range(2)], val
+
+    def test_four_group_processes_on_two_cores(self, tmp_path):
+        """More processes than cores: every exchange is charged exactly once,
+        in the caller's ledger, and every group keeps its full record set."""
         train, val = make_task(n=800)
         plan = make_shards(train, "disjoint", 4, 5)
         shards = [plan.shard(train, i) for i in range(4)]
@@ -361,13 +385,8 @@ class TestConcurrentGroups:
         ledger = CommLedger()
         store = FileCheckpointStore(tmp_path, ARCH, ledger)
         cfg = CodistillConfig(4, 10, 5)
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            out = self.run_in_thread(lambda: codistill_train_concurrent(
-                ARCH, cfg, groups, shards, 40, store, val, eval_every=20, ledger=ledger))
-        finally:
-            sys.setswitchinterval(old)
+        out = self.run_in_thread(lambda: codistill_train_concurrent(
+            ARCH, cfg, groups, shards, 40, store, val, eval_every=20, ledger=ledger))
         result = out["result"]
         report = comm_report(ledger, param_count(ARCH), 40, groups[0], cfg)
         assert report.actual_checkpoint_total == report.expected_checkpoint_total
@@ -375,11 +394,103 @@ class TestConcurrentGroups:
         assert [(r.run_id, r.step) for r in result.records] == \
             [(f"model{i}", step) for i in range(4) for step in (0, 20, 40)]
 
+    def test_killed_process_stops_peer_and_keeps_its_records(self, tmp_path, monkeypatch):
+        """Group 1's process is killed at step 35; the parent names it, stops
+        group 0 long before its n_steps (group 0 ends on the stop file and
+        reports its ledger counts, rather than being killed), and keeps
+        group 1's records up to its last evaluation."""
+        step_batches = GroupRunner.step_batches
+
+        def dying_step(runner, *args):
+            if runner.model_id == 1 and runner.step_index == 35:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return step_batches(runner, *args)
+
+        monkeypatch.setattr(GroupRunner, "step_batches", dying_step)
+        groups, shards, val = self.two_groups()
+        n_steps = 10**6
+        ledger = CommLedger()
+        out = self.run_in_thread(lambda: codistill_train_concurrent(
+            ARCH, CodistillConfig(2, 10, 10), groups, shards, n_steps,
+            FileCheckpointStore(tmp_path, ARCH), val, eval_every=10, ledger=ledger))
+        err = out["error"]
+        assert isinstance(err, RuntimeError)
+        assert "model 1" in str(err) and "exit code -9" in str(err)
+        assert [r.step for r in err.records if r.run_id == "model1"] == [0, 10, 20, 30]
+        assert max(r.step for r in err.records if r.run_id == "model0") < n_steps
+        assert 0 < ledger.total("gradient_exchange", "model0") < n_steps * param_count(ARCH) * 8
+        assert ledger.total(entity="model1") == 0  # a killed group reports nothing
+        assert out["seconds"] < distrib.START_TIMEOUT_S + 5
+
+    def test_peer_without_first_checkpoint_times_out(self, tmp_path, monkeypatch):
+        """Group 0 never publishes: group 1 gives up waiting after the
+        start-up timeout, and group 0 is stopped."""
+        monkeypatch.setattr(distrib, "START_TIMEOUT_S", 1.0)
+        store = FileCheckpointStore(tmp_path, ARCH)
+        publish = store.publish
+        store.publish = lambda ckpt, entity=None: (None if ckpt.model_id == 0
+                                                   else publish(ckpt, entity))
+        groups, shards, val = self.two_groups()
+        out = self.run_in_thread(lambda: codistill_train_concurrent(
+            ARCH, CodistillConfig(2, 10, 10), groups, shards, 10**6, store, val))
+        err = out["error"]
+        assert isinstance(err, RuntimeError)
+        assert "model 0 published no first checkpoint within 1.0 s" in str(err)
+        assert out["seconds"] < 1.0 + 10
+
+    def test_leftover_files_do_not_affect_a_new_run(self, tmp_path):
+        """A stop file, records and a checkpoint left by an earlier run in the
+        same directory neither stop nor leak into the next run."""
+        groups, shards, val = self.two_groups()
+        (tmp_path / "stop").touch()
+        (tmp_path / "records_0.jsonl").write_text("not a record\n")
+        FileCheckpointStore(tmp_path, ARCH).publish(Checkpoint(1, 500, init_params(ARCH, 9)))
+        out = self.run_in_thread(lambda: codistill_train_concurrent(
+            ARCH, CodistillConfig(2, 10, 10), groups, shards, 30,
+            FileCheckpointStore(tmp_path, ARCH), val, eval_every=10))
+        assert [(r.run_id, r.step) for r in out["result"].records] == \
+            [(f"model{i}", step) for i in range(2) for step in (0, 10, 20, 30)]
+        assert FileCheckpointStore(tmp_path, ARCH).load_latest(1).step == 20
+
+    def test_interrupted_parent_leaves_no_process(self, tmp_path, monkeypatch):
+        """A KeyboardInterrupt in the parent stops and reaps every group."""
+        wait = multiprocessing.connection.wait
+        calls = []
+
+        def interrupted_wait(*args, **kwargs):
+            if not calls:
+                calls.append(1)
+                raise KeyboardInterrupt
+            return wait(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted_wait)
+        groups, shards, val = self.two_groups()
+        out = self.run_in_thread(lambda: codistill_train_concurrent(
+            ARCH, CodistillConfig(2, 10, 10), groups, shards, 10**6,
+            FileCheckpointStore(tmp_path, ARCH), val))
+        assert isinstance(out["error"], KeyboardInterrupt)
+        assert out["seconds"] < distrib.START_TIMEOUT_S + 5
+
+    @pytest.mark.parametrize("case", ["memory_store", "over_cap", "fresh_teachers"])
+    def test_rejected_before_forking(self, tmp_path, case):
+        groups, shards, val = self.two_groups()
+        cfg, store = CodistillConfig(2, 10, 10), FileCheckpointStore(tmp_path, ARCH)
+        if case == "memory_store":
+            store = InMemoryCheckpointStore(ARCH)
+        elif case == "over_cap":
+            n = distrib.MAX_GROUP_PROCESSES + 1
+            cfg = CodistillConfig(n, 10, 10)
+            groups, shards = [sgd_group(i) for i in range(n)], shards[:1] * n
+        else:
+            cfg = CodistillConfig(2, 10, 10, teacher_mode="fresh_in_process")
+        with pytest.raises(ValueError):
+            codistill_train_concurrent(ARCH, cfg, groups, shards, 10, store, val)
+        assert multiprocessing.active_children() == []
+
     def test_failed_first_publish_releases_waiting_peers(self, tmp_path):
         """Group 0 cannot publish its first checkpoint; the peer waiting for
         it stops too, and the caller sees group 0's error, not the peer's."""
-        train, val = make_task(n=400)
-        plan = make_shards(train, "disjoint", 2, 11)
+        groups, shards, val = self.two_groups()
         store = FileCheckpointStore(tmp_path, ARCH)
         publish = store.publish
 
@@ -390,8 +501,7 @@ class TestConcurrentGroups:
 
         store.publish = failing_publish
         out = self.run_in_thread(lambda: codistill_train_concurrent(
-            ARCH, CodistillConfig(2, 10, 10), [sgd_group(1), sgd_group(2)],
-            [plan.shard(train, i) for i in range(2)], 50, store, val))
+            ARCH, CodistillConfig(2, 10, 10), groups, shards, 50, store, val))
         err = out["error"]
         assert isinstance(err, OSError) and "disk full" in str(err)
         assert [(r.run_id, r.step) for r in err.records] == [("model0", 0), ("model1", 0)]
