@@ -13,12 +13,18 @@ or peers' current parameters in process, which is deep mutual learning
 
 Lockstep mode (``codistill_train``) makes one loop call over all groups on
 one thread in a fixed round-robin order, which makes whole runs
-bit-reproducible. Concurrent mode (``codistill_train_concurrent``) forks one
-OS process per group (the ``fork`` start method, so Linux), each making one
-loop call over its group, with no bit-exactness guarantees. As in the
-paper's deployment, where groups on separate machines share only stale
-checkpoints, the ``FileCheckpointStore`` directory is the processes' only
-channel. Besides ``ckpt_<i>.bin`` it holds:
+bit-reproducible. When at least 2 CPUs are available, each evaluation
+point's validation passes run on one helper thread beside the next training
+steps; they read only that point's immutable ``Parameters``, and numpy
+releases the interpreter lock in their large matmuls and ufuncs. With one
+CPU they run inline, with the same records.
+
+Concurrent mode (``codistill_train_concurrent``) forks one OS process per
+group (the ``fork`` start method, so Linux), each making one loop call over
+its group, with no bit-exactness guarantees. As in the paper's deployment,
+where groups on separate machines share only stale checkpoints, the
+``FileCheckpointStore`` directory is the processes' only channel. Besides
+``ckpt_<i>.bin`` it holds:
 
   stop               exists once any group has failed; every group checks it
                      before each step and stops
@@ -28,9 +34,11 @@ channel. Besides ``ckpt_<i>.bin`` it holds:
                      and error, written when it ends
 
 A group waits at most ``START_TIMEOUT_S`` for its peers' first checkpoints.
-The parent process merges the results; it never trains, so a tracer or
-profiler that patches functions in the parent (``bench/tracer.py``) sees the
-one ``codistill_train_concurrent`` call but no span inside the groups.
+Group processes validate inline: the groups already fill the cores, and a
+killed group keeps the records of its last evaluation. The parent process
+merges the results; it never trains, so a tracer or profiler that patches
+functions in the parent (``bench/tracer.py``) sees the one
+``codistill_train_concurrent`` call but no span inside the groups.
 """
 
 from __future__ import annotations
@@ -230,8 +238,10 @@ class GroupConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_workers < 1 or self.batch_size < 1:
-            raise ValueError("n_workers and batch_size must be positive")
+        # every message starts with the field it is about
+        for name in ("n_workers", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def effective_batch(self) -> int:
@@ -361,18 +371,45 @@ class GroupRunner:
     def step_stream(self, loss_spec: CombinedLossSpec | None = None, teacher_fn=None) -> float:
         return self.step_batches(self.next_batches(), loss_spec, teacher_fn)
 
-    def record(self, run_id: str, validation: Batch, t0: float,
-               train_loss: float | None) -> MetricRecord:
-        val_loss, val_acc = evaluate(self.params, validation)
+    def record(self, run_id: str, validation: Batch, t0: float, train_loss: float | None):
+        """This evaluation point's record, deferred.
+
+        The step, ledger totals and (immutable) parameters are read now; the
+        returned function runs the validation pass and builds the
+        ``MetricRecord``, on any thread, stamped with the time it finished.
+        """
+        params, step = self.params, self.step_index
         sync = (self.ledger.total("gradient_exchange", self.entity)
                 + self.ledger.total("parameter_broadcast", self.entity))
         ckpt = (self.ledger.total("checkpoint_publish", self.entity)
                 + self.ledger.total("checkpoint_load", self.entity))
-        return MetricRecord(run_id=run_id, step=self.step_index,
-                            wall_seconds=time.perf_counter() - t0,
-                            train_loss=train_loss, validation_loss=val_loss,
-                            validation_accuracy=val_acc,
-                            bytes_grad_exchange=sync, bytes_checkpoint=ckpt)
+
+        def finish() -> MetricRecord:
+            val_loss, val_acc = evaluate(params, validation)
+            return MetricRecord(run_id=run_id, step=step,
+                                wall_seconds=time.perf_counter() - t0,
+                                train_loss=train_loss, validation_loss=val_loss,
+                                validation_accuracy=val_acc,
+                                bytes_grad_exchange=sync, bytes_checkpoint=ckpt)
+
+        return finish
+
+
+class _Evaluation(threading.Thread):
+    """One evaluation point's deferred work on a helper thread: after
+    ``join``, ``records`` holds what it made and ``error`` what it raised."""
+
+    def __init__(self, finish):
+        super().__init__()
+        self.finish = finish
+        self.records: list[MetricRecord] = []
+        self.error: BaseException | None = None
+
+    def run(self) -> None:
+        try:
+            self.finish(self.records)
+        except BaseException as err:  # re-raised on the training thread
+            self.error = err
 
 
 def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, records: list,
@@ -383,23 +420,64 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     (hard loss only) or a ``(loss spec, teacher fn)`` pair. The runners then
     step in order. Every runner is evaluated at step 0, every ``eval_every``
     steps and the final step, and the records are appended to the caller's
-    ``records``; a record's train loss is the mean objective since the
-    previous one. After each evaluation, ``after_eval(step, new_records, t0)``
-    returns one more record to append. ``stop.is_set()`` true ends the loop
-    before the next step. Any exception leaves with ``records`` attached as
-    ``err.records``, so the records made so far outlive the failure.
+    ``records``, in model order; a record's train loss is the mean objective
+    since the previous one. After each evaluation,
+    ``after_eval(step, new_records, params, t0)`` returns one more record to
+    append, given that point's parameters of every runner. ``stop.is_set()``
+    true ends the loop before the next step; a loop given ``stop`` runs in a
+    concurrent-mode group process.
+
+    An evaluation point snapshots each runner's step, train loss, ledger
+    totals and parameters; only the validation passes and the records'
+    construction are deferred. With at least 2 CPUs they run on a helper
+    thread while training goes on, at most one point in flight: the loop
+    waits for point k-1 before starting point k, and for the last one before
+    it returns. Group processes, and processes with one CPU, run them inline
+    at the same place. Either way the records are the same, and no thread
+    outlives the call. Any exception, a deferred one included with its own
+    class, leaves with the records made before it attached as
+    ``err.records``.
     """
     t0 = time.perf_counter()
     windows: list[list[float]] = [[] for _ in runners]
+    # group processes already fill the cores, and a killed one must keep its
+    # last evaluation's records
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    helper = stop is None and cpus >= 2
+    pending: _Evaluation | None = None  # the evaluation point in flight
+
+    def drain(reraise: bool = True) -> None:
+        """Wait for the evaluation in flight, keep its records, re-raise its error."""
+        nonlocal pending
+        if pending is None:
+            return
+        pending.join()
+        done, pending = pending, None
+        records.extend(done.records)
+        if reraise and done.error is not None:
+            raise done.error
 
     def emit(step: int) -> None:
-        new = [r.record(r.entity, validation, t0, float(np.mean(w)) if w else None)
-               for r, w in zip(runners, windows)]
-        records.extend(new)
+        nonlocal pending
+        members = [r.record(r.entity, validation, t0, float(np.mean(w)) if w else None)
+                   for r, w in zip(runners, windows)]
+        params = [r.params for r in runners]
         for w in windows:
             w.clear()
-        if after_eval is not None:
-            records.append(after_eval(step, new, t0))
+
+        def finish(out) -> None:
+            new = [m() for m in members]
+            out.extend(new)
+            if after_eval is not None:
+                out.append(after_eval(step, new, params, t0))
+
+        drain()
+        if helper:
+            pending = _Evaluation(finish)
+            pending.start()
+        else:
+            finish(records)
 
     try:
         emit(0)
@@ -414,9 +492,15 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
                 windows[i].append(loss)
             if (s + 1) % eval_every == 0 or s + 1 == n_steps:
                 emit(s + 1)
+        drain()
     except Exception as err:
+        # keep the records of a point still in flight; this error is the one to report
+        drain(reraise=False)
         err.records = records
         raise
+    finally:
+        if pending is not None:  # left by a KeyboardInterrupt
+            pending.join()
 
 
 def _static_teachers(loss: CombinedLossSpec, teacher_fn, distill: str, distill_weight: float):

@@ -161,11 +161,14 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
         raise ConfigError("seeds: must be non-negative")
     if res["data.kind"] == "lm" and not res["data.corpus"]:
         raise ConfigError("data.corpus: required for lm datasets")
-    if res["kind"] in _CODISTILL_KINDS:
-        try:
+    try:
+        _architecture(res, n_classes=1)  # an lm's vocabulary is known once its corpus is read
+        _group(res, res["seeds"][0])
+        if res["kind"] in _CODISTILL_KINDS:
             _codistill_cfg(res)
-        except ValueError as err:
-            raise ConfigError(f"{_CODISTILL_KEYS[str(err).split()[0]]}: {err}") from None
+    except ValueError as err:
+        raise ConfigError(f"{_FIELD_KEYS[str(err).split()[0]]}: {err}") from None
+    if res["kind"] in _CODISTILL_KINDS:
         if mode == "concurrent" and res["codistill.teacher_mode"] != "stale_checkpoint":
             raise ConfigError("codistill.teacher_mode: concurrent mode exchanges stale "
                               "checkpoints; fresh_in_process needs lockstep mode")
@@ -205,20 +208,24 @@ class Env:
     provenance: dict
 
 
+def _architecture(res: dict, n_classes: int) -> Architecture:
+    if res["data.kind"] == "lm":
+        return Architecture(res["data.window"] * res["model.embedding_dim"],
+                            tuple(res["model.hidden"]), n_classes,
+                            task="lm_fixed_context", context_window=res["data.window"],
+                            vocab_size=n_classes, embedding_dim=res["model.embedding_dim"])
+    return Architecture(res["data.dim"], tuple(res["model.hidden"]), res["data.classes"])
+
+
 def build_env(res: dict) -> Env:
     if res["data.kind"] == "lm":
         ds = ingest_text(res["data.corpus"], res["data.window"])
-        arch = Architecture(res["data.window"] * res["model.embedding_dim"],
-                            tuple(res["model.hidden"]), ds.n_classes,
-                            task="lm_fixed_context", context_window=res["data.window"],
-                            vocab_size=ds.n_classes,
-                            embedding_dim=res["model.embedding_dim"])
     else:
         ds = gen_classification(res["data.seed"], res["data.n"], res["data.dim"],
                                 res["data.classes"], res["data.difficulty"])
-        arch = Architecture(res["data.dim"], tuple(res["model.hidden"]), res["data.classes"])
     train, val = split_train_val(ds, res["data.val_fraction"], res["data.seed"])
-    return Env(res, arch, train, val.as_batch(), dict(ds.provenance))
+    return Env(res, _architecture(res, ds.n_classes), train, val.as_batch(),
+               dict(ds.provenance))
 
 
 def group_seed(seed: int, model_index: int) -> int:
@@ -228,8 +235,7 @@ def group_seed(seed: int, model_index: int) -> int:
 
 
 def _optimizer(res: dict) -> OptimizerConfig:
-    return OptimizerConfig(res["opt.kind"], res["opt.lr"], res["opt.beta1"],
-                           res["opt.beta2"], res["opt.eps"], res["opt.adagrad_eps"])
+    return OptimizerConfig(**{field: res[key] for field, key in _OPTIMIZER_KEYS.items()})
 
 
 def _smoothing_spec(res: dict, train) -> CombinedLossSpec:
@@ -245,13 +251,21 @@ def _group(res: dict, seed: int, model_index: int = 0, *,
                        group_seed(seed, model_index))
 
 
-# CodistillConfig field -> the config key it is read from
+# Dataclass field -> the config key it is read from. Each dataclass's
+# ValueError names the field first, which resolve() turns into the key.
+_OPTIMIZER_KEYS = {"kind": "opt.kind", "learning_rate": "opt.lr", "beta1": "opt.beta1",
+                   "beta2": "opt.beta2", "eps": "opt.eps", "adagrad_eps": "opt.adagrad_eps"}
 _CODISTILL_KEYS = {"n_models": "codistill.n_models", "n_burn_in": "codistill.burn_in",
                    "reload_interval": "codistill.reload_interval", "distill": "loss.distill",
                    "distill_weight": "loss.distill_weight",
                    "teacher_mode": "codistill.teacher_mode",
                    "data_mode": "codistill.data_mode",
                    "float32_payload": "codistill.float32_payload"}
+_FIELD_KEYS = {**_OPTIMIZER_KEYS, **_CODISTILL_KEYS,
+               "n_workers": "group.n_workers", "batch_size": "group.batch",
+               "input_dim": "data.dim", "output_dim": "data.classes",
+               "hidden_dims": "model.hidden", "context_window": "data.window",
+               "embedding_dim": "model.embedding_dim"}
 
 
 def _codistill_cfg(res: dict, **overrides) -> CodistillConfig:
@@ -392,8 +406,8 @@ def _kind_ensemble_baseline(env: Env, mode: str, out_dir, records):
                                entity=f"ensemble.s{seed}.m{i}", model_id=i)
                    for i in range(n)]
 
-        def joint_record(step, members, t0):
-            probs = ensemble_predict([r.params for r in runners], env.val)
+        def joint_record(step, members, params, t0):
+            probs = ensemble_predict(params, env.val)
             return MetricRecord(f"ensemble.s{seed}.ens", step, time.perf_counter() - t0, None,
                                 float(probs_nll(probs, env.val.labels).mean()),
                                 float((probs.argmax(axis=1) == env.val.labels).mean()),

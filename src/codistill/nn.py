@@ -65,31 +65,36 @@ class Architecture:
     embedding_dim: int | None = None
 
     def __post_init__(self):
+        # every message starts with the field it is about; the lm fields are
+        # checked before input_dim, which they determine
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        dims = (self.input_dim, self.output_dim) + self.hidden_dims
-        if any(int(d) != d or d < 1 for d in dims):
-            raise ValueError(f"all dimensions must be positive integers, got {dims}")
-        object.__setattr__(self, "input_dim", int(self.input_dim))
-        object.__setattr__(self, "output_dim", int(self.output_dim))
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if self.task == TASK_LM:
             for name in ("context_window", "vocab_size", "embedding_dim"):
                 v = getattr(self, name)
                 if v is None or int(v) != v or v < 1:
                     raise ValueError(f"{name} must be a positive integer for the lm task")
+        for name in ("input_dim", "output_dim"):
+            v = getattr(self, name)
+            if int(v) != v or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v}")
+            object.__setattr__(self, name, int(v))
+        if self.activation != "relu":
+            raise ValueError(f"activation {self.activation!r} is unsupported")
+        if self.task == TASK_LM:
             if self.input_dim != self.context_window * self.embedding_dim:
                 raise ValueError(
-                    "lm task requires input_dim == context_window * embedding_dim "
+                    "input_dim must equal context_window * embedding_dim for the lm task "
                     f"({self.input_dim} != {self.context_window} * {self.embedding_dim})"
                 )
             if self.output_dim != self.vocab_size:
-                raise ValueError("lm task requires output_dim == vocab_size")
+                raise ValueError("output_dim must equal vocab_size for the lm task")
         elif self.task == TASK_CLASSIFICATION:
             if any(getattr(self, n) is not None for n in ("context_window", "vocab_size", "embedding_dim")):
-                raise ValueError("context_window/vocab_size/embedding_dim are lm-only fields")
+                raise ValueError("context_window, vocab_size and embedding_dim are lm-only fields")
         else:
-            raise ValueError(f"unknown task {self.task!r}")
+            raise ValueError(f"task {self.task!r} is unknown")
 
     def fingerprint(self) -> int:
         """Stable 64-bit hash over every field (process-independent)."""
@@ -262,11 +267,23 @@ class ForwardTrace:
                 delta = (delta @ v[f"w{i}"].T) * (acts[i] > 0.0)
             elif arch.task == TASK_LM:
                 dinput = (delta @ v["w0"].T).reshape(batch.size, arch.context_window, arch.embedding_dim)
-                g = np.zeros_like(v["embed"])
-                np.add.at(g, batch.inputs, dinput)
-                grads["embed"] = g
+                grads["embed"] = _embedding_grad(batch.inputs, dinput, arch.vocab_size)
         flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
         return Parameters(arch, flat)
+
+
+def _embedding_grad(ids: np.ndarray, dinput: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Embedding-table gradient: each token's (E,) input gradient summed into
+    its row of a (vocab_size, E) table.
+
+    One ``np.bincount`` over flat (token, column) indices. It adds in the
+    order the tokens appear, starting from 0.0, so it equals
+    ``np.add.at(zeros, ids, dinput)`` bit for bit, in a fraction of the time.
+    """
+    e = dinput.shape[-1]
+    flat = (ids[..., None] * e + np.arange(e)).ravel()
+    return np.bincount(flat, weights=dinput.ravel(),
+                       minlength=vocab_size * e).reshape(vocab_size, e)
 
 
 def forward_trace(params: Parameters, batch: Batch) -> ForwardTrace:

@@ -28,12 +28,14 @@ class OptimizerConfig:
     adagrad_eps: float = 1e-10
 
     def __post_init__(self):
+        # every message starts with the field it is about
         if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer {self.kind!r}")
+            raise ValueError(f"kind {self.kind!r} is not an optimizer")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

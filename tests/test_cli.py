@@ -87,6 +87,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             resolve(tiny_cfg("codistill", **{key: value}))
 
+    @pytest.mark.parametrize("key, value, extra", [
+        ("opt.lr", 0.0, {}), ("opt.beta1", 1.0, {}), ("opt.beta2", -0.5, {}),
+        ("group.n_workers", 0, {}), ("group.batch", 0, {}), ("model.hidden", [8, 0], {}),
+        ("data.dim", 0, {}), ("data.classes", 0, {}),
+        ("data.window", 0, {"data.kind": "lm", "data.corpus": "corpus.txt"}),
+        ("model.embedding_dim", 0, {"data.kind": "lm", "data.corpus": "corpus.txt"})])
+    def test_model_and_group_settings_checked_and_named(self, key, value, extra):
+        """Checked before any data set is built, for every kind."""
+        with pytest.raises(ConfigError, match=key):
+            resolve(tiny_cfg("baseline", **extra, **{key: value}))
+
     @pytest.mark.parametrize("key, value", [("codistill.teacher_mode", "fresh_in_process"),
                                             ("codistill.n_models", 17)])
     def test_concurrent_mode_limits_named(self, key, value):
@@ -413,6 +424,15 @@ class TestMainEntry:
         path = self.write_cfg(tmp_path, TINY + "kind=codistill\ncodistill.burn_in=10\n" + extra)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out), "--mode", mode]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, key", [("opt.lr=0\n", "opt.lr"),
+                                            ("group.batch=0\n", "group.batch")])
+    def test_group_config_error_exit_two_writes_nothing(self, tmp_path, capsys, extra, key):
+        path = self.write_cfg(tmp_path, TINY + "kind=baseline\n" + extra)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_divergence_exit_one(self, tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from codistill.data import gen_classification, make_shards, split_train_val
-from codistill import distrib
+from codistill import distrib, experiments
 from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, DivergenceError,
                                FileCheckpointStore, GroupConfig, GroupRunner,
                                InMemoryCheckpointStore, codistill_train,
@@ -689,3 +689,119 @@ class TestLedger:
             ledger.add("a", "bogus", 1)
         with pytest.raises(ValueError):
             ledger.add("a", "checkpoint_load", -1)
+
+
+class TestLockstepEvaluation:
+    """Lockstep validation runs on a helper thread when at least 2 CPUs are
+    available and inline otherwise, with the same records either way."""
+
+    TINY = {"seeds": [0], "steps": 30, "eval_every": 10, "data.n": 400, "data.dim": 6,
+            "data.classes": 3, "data.difficulty": 0.3, "data.seed": 5,
+            "model.hidden": [12, 8], "opt.lr": 0.2, "codistill.burn_in": 10,
+            "codistill.reload_interval": 10}
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def slow_evaluate(monkeypatch, seconds=0.05):
+        """distrib.evaluate that takes at least ``seconds`` and notes its thread."""
+        evaluate, threads = distrib.evaluate, []
+
+        def slow(params, validation):
+            threads.append(threading.get_ident())
+            time.sleep(seconds)
+            return evaluate(params, validation)
+
+        monkeypatch.setattr(distrib, "evaluate", slow)
+        return threads
+
+    @staticmethod
+    def outputs(out_dir):
+        lines = (out_dir / "metrics.csv").read_text().splitlines()
+        rows = [",".join(c for i, c in enumerate(line.split(",")) if i != 2) for line in lines]
+        return rows, (out_dir / "summary.json").read_text()
+
+    @pytest.mark.parametrize("kind", ["baseline", "codistill", "ensemble_baseline"])
+    def test_inline_and_helper_thread_write_identical_outputs(self, kind, tmp_path,
+                                                              monkeypatch):
+        threads = self.slow_evaluate(monkeypatch, 0.0)
+        self.cpus(monkeypatch, 2)
+        experiments.run({**self.TINY, "kind": kind}, tmp_path / "helper")
+        assert set(threads) - {threading.get_ident()}, "no evaluation ran on a helper thread"
+        threads.clear()
+        self.cpus(monkeypatch, 1)
+        experiments.run({**self.TINY, "kind": kind}, tmp_path / "inline")
+        assert set(threads) == {threading.get_ident()}
+        assert self.outputs(tmp_path / "helper") == self.outputs(tmp_path / "inline")
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_divergence_after_an_evaluation_keeps_its_records(self, n_cpus, tmp_path,
+                                                              monkeypatch):
+        """Training fails 3 steps after the step-10 evaluation point, while its
+        slow validation pass is still running on the helper thread."""
+        self.cpus(monkeypatch, n_cpus)
+        self.slow_evaluate(monkeypatch, 0.2)
+        step_batches = GroupRunner.step_batches
+
+        def diverging(runner, *args):
+            if runner.step_index == 13:
+                raise DivergenceError(13)
+            return step_batches(runner, *args)
+
+        monkeypatch.setattr(GroupRunner, "step_batches", diverging)
+        with pytest.raises(DivergenceError) as err:
+            experiments.run({**self.TINY, "kind": "baseline"}, tmp_path)
+        assert [r.step for r in err.value.records] == [0, 10]
+        rows, _ = self.outputs(tmp_path)
+        assert [row.split(",")[1] for row in rows[1:]] == ["0", "10"]
+
+    @pytest.mark.parametrize("outcome", ["finished", "diverged", "interrupted"])
+    def test_no_thread_outlives_the_loop(self, outcome, monkeypatch):
+        """At most one evaluation thread runs beside training, and none is left
+        once the loop returns or raises, also from inside a step callback."""
+        self.cpus(monkeypatch, 2)
+        self.slow_evaluate(monkeypatch, 0.2)
+        train, val = make_task()
+        before = threading.active_count()
+        seen = []
+
+        def callback(s, loss, params):
+            seen.append(threading.active_count())
+            if outcome == "interrupted" and s == 11:
+                raise KeyboardInterrupt
+
+        lr = 1e9 if outcome == "diverged" else 0.2
+        error = {"finished": None, "diverged": DivergenceError,
+                 "interrupted": KeyboardInterrupt}[outcome]
+        if error is None:
+            train_baseline(ARCH, sgd_group(1, lr=lr), train, 40, val, eval_every=10,
+                           step_callback=callback)
+        else:
+            with pytest.raises(error):
+                train_baseline(ARCH, sgd_group(1, lr=lr), train, 40, val, eval_every=10,
+                               step_callback=callback)
+        assert threading.active_count() == before
+        assert seen and max(seen) <= before + 1
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_failed_evaluation_surfaces_with_the_records_before_it(self, n_cpus,
+                                                                    monkeypatch):
+        class EvaluationFailed(Exception):
+            pass
+
+        self.cpus(monkeypatch, n_cpus)
+        evaluate, calls = distrib.evaluate, []
+
+        def third_call_fails(params, validation):
+            calls.append(1)
+            if len(calls) == 3:
+                raise EvaluationFailed("third evaluation")
+            return evaluate(params, validation)
+
+        monkeypatch.setattr(distrib, "evaluate", third_call_fails)
+        train, val = make_task()
+        with pytest.raises(EvaluationFailed) as err:
+            train_baseline(ARCH, sgd_group(1), train, 50, val, eval_every=10)
+        assert [r.step for r in err.value.records] == [0, 10]
