@@ -17,7 +17,9 @@ bit-reproducible. When at least 2 CPUs are available, each evaluation
 point's validation passes run on one helper thread beside the next training
 steps; they read only that point's immutable ``Parameters``, and numpy
 releases the interpreter lock in their large matmuls and ufuncs. With one
-CPU they run inline, with the same records.
+CPU they run inline, with the same records: there a helper thread only
+takes turns with training on the one core, and its handoffs cost more than
+they save.
 
 Concurrent mode (``codistill_train_concurrent``) forks one OS process per
 group (the ``fork`` start method, so Linux), each making one loop call over
@@ -371,7 +373,8 @@ class GroupRunner:
     def step_stream(self, loss_spec: CombinedLossSpec | None = None, teacher_fn=None) -> float:
         return self.step_batches(self.next_batches(), loss_spec, teacher_fn)
 
-    def record(self, run_id: str, validation: Batch, t0: float, train_loss: float | None):
+    def _snapshot_record(self, run_id: str, validation: Batch, t0: float,
+                         train_loss: float | None):
         """This evaluation point's record, deferred.
 
         The step, ledger totals and (immutable) parameters are read now; the
@@ -441,7 +444,7 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     t0 = time.perf_counter()
     windows: list[list[float]] = [[] for _ in runners]
     # group processes already fill the cores, and a killed one must keep its
-    # last evaluation's records
+    # last evaluation's records; on one CPU a helper thread only adds handoffs
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     helper = stop is None and cpus >= 2
@@ -460,7 +463,8 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
 
     def emit(step: int) -> None:
         nonlocal pending
-        members = [r.record(r.entity, validation, t0, float(np.mean(w)) if w else None)
+        members = [r._snapshot_record(r.entity, validation, t0,
+                                      float(np.mean(w)) if w else None)
                    for r, w in zip(runners, windows)]
         params = [r.params for r in runners]
         for w in windows:

@@ -267,23 +267,11 @@ class ForwardTrace:
                 delta = (delta @ v[f"w{i}"].T) * (acts[i] > 0.0)
             elif arch.task == TASK_LM:
                 dinput = (delta @ v["w0"].T).reshape(batch.size, arch.context_window, arch.embedding_dim)
-                grads["embed"] = _embedding_grad(batch.inputs, dinput, arch.vocab_size)
+                g = np.zeros_like(v["embed"])
+                np.add.at(g, batch.inputs, dinput)
+                grads["embed"] = g
         flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
         return Parameters(arch, flat)
-
-
-def _embedding_grad(ids: np.ndarray, dinput: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Embedding-table gradient: each token's (E,) input gradient summed into
-    its row of a (vocab_size, E) table.
-
-    One ``np.bincount`` over flat (token, column) indices. It adds in the
-    order the tokens appear, starting from 0.0, so it equals
-    ``np.add.at(zeros, ids, dinput)`` bit for bit, in a fraction of the time.
-    """
-    e = dinput.shape[-1]
-    flat = (ids[..., None] * e + np.arange(e)).ravel()
-    return np.bincount(flat, weights=dinput.ravel(),
-                       minlength=vocab_size * e).reshape(vocab_size, e)
 
 
 def forward_trace(params: Parameters, batch: Batch) -> ForwardTrace:

@@ -74,14 +74,6 @@ def naive_mlp_forward(params, x):
     return out
 
 
-def add_at_embedding_grad(ids, dinput, vocab_size):
-    """Embedding-table gradient by ``np.add.at``: each token's (E,) input
-    gradient added into its row, in the order the tokens appear."""
-    g = np.zeros((vocab_size, dinput.shape[-1]))
-    np.add.at(g, ids, dinput)
-    return g
-
-
 def recompute_backward(params, batch, dlogits):
     """(logits, gradient) the way the network was first written: a fresh
     forward pass that keeps every pre-activation, out-of-place bias and relu,
@@ -110,7 +102,9 @@ def recompute_backward(params, batch, dlogits):
         elif arch.task == TASK_LM:
             dinput = (delta @ v["w0"].T).reshape(batch.size, arch.context_window,
                                                  arch.embedding_dim)
-            grads["embed"] = add_at_embedding_grad(batch.inputs, dinput, arch.vocab_size)
+            g = np.zeros_like(v["embed"])
+            np.add.at(g, batch.inputs, dinput)
+            grads["embed"] = g
     flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
     return pres[-1], flat
 

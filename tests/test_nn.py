@@ -6,12 +6,11 @@ from hypothesis.extra import numpy as hnp
 
 from codistill.losses import hard_ce
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
-                          Parameters, TruncatedPayloadError, _embedding_grad, _layout,
-                          _slices, _views, backward, deserialize_checkpoint,
-                          deserialize_params, forward, forward_trace, init_params,
-                          param_count, predict_proba, serialize_params, softmax)
-from helpers import (add_at_embedding_grad, fd_param_grad, naive_mlp_forward,
-                     recompute_backward, rel_err)
+                          Parameters, TruncatedPayloadError, _layout, _slices, _views,
+                          backward, deserialize_checkpoint, deserialize_params, forward,
+                          forward_trace, init_params, param_count, predict_proba,
+                          serialize_params, softmax)
+from helpers import fd_param_grad, naive_mlp_forward, recompute_backward, rel_err
 
 
 class TestArchitecture:
@@ -231,22 +230,6 @@ class TestForwardTrace:
         want_logits, want_grad = recompute_backward(params, batch, dlogits)
         assert np.array_equal(trace.logits, want_logits)
         assert np.array_equal(trace.grad(dlogits).values, want_grad)
-
-    @given(data=st.data(), vocab=st.integers(1, 6), batch_size=st.integers(1, 40),
-           window=st.integers(1, 8), dim=st.integers(1, 5))
-    @settings(max_examples=200, deadline=None)
-    def test_embedding_grad_equals_add_at(self, data, vocab, batch_size, window, dim):
-        """The bincount scatter is bit-identical to np.add.at with ids that
-        repeat many times and gradients spanning 1e-8 to 1e8."""
-        ids = data.draw(hnp.arrays(np.int64, (batch_size, window),
-                                   elements=st.integers(0, vocab - 1)))
-        exponents = data.draw(hnp.arrays(np.float64, (batch_size, window, dim),
-                                         elements=st.floats(-8.0, 8.0)))
-        signs = data.draw(hnp.arrays(np.float64, (batch_size, window, dim),
-                                     elements=st.sampled_from([-1.0, 1.0])))
-        dinput = signs * 10.0 ** exponents
-        assert np.array_equal(_embedding_grad(ids, dinput, vocab),
-                              add_at_embedding_grad(ids, dinput, vocab))
 
     def test_grad_checks_upstream(self, small_params, small_batch):
         trace = forward_trace(small_params, small_batch)
