@@ -8,9 +8,9 @@ an experiment runner that reproduces the method's ablations on synthetic and
 small-corpus tasks.
 """
 
-from .nn import (Architecture, Batch, Parameters, backward, deserialize_checkpoint,
-                 deserialize_params, forward, forward_trace, init_params, param_count,
-                 predict_proba, serialize_params, softmax)
+from .nn import (Architecture, Batch, Parameters, backward, deserialize_checkpoint, forward,
+                 forward_trace, init_params, param_count, predict_proba, serialize_params,
+                 softmax)
 from .losses import (CombinedLossSpec, SmoothingKind, combined_loss, hard_ce, kl_div,
                      logit_mse, smoothing_target, soft_ce)
 from .optim import NonFiniteGradientError, OptimizerConfig, OptimizerState, init_state
@@ -20,8 +20,7 @@ from .distrib import (Checkpoint, CodistillConfig, CodistillResult, CommLedger,
                       CommReport, DivergenceError, FileCheckpointStore, GroupConfig,
                       GroupRunner, InMemoryCheckpointStore, OfflineResult, codistill_train,
                       codistill_train_concurrent, comm_report, mean_teacher_fn,
-                      offline_distill, train_baseline, train_with_static_teacher,
-                      worker_streams)
+                      offline_distill, train_baseline, worker_streams)
 from .metrics import (ChurnReport, MetricRecord, churn_experiment, ensemble_predict,
                       evaluate, prediction_churn, probs_nll, steps_to_target)
 

@@ -58,6 +58,20 @@ def take(dataset: Dataset, indices: np.ndarray) -> Dataset:
                    dataset.n_classes, dataset.vocab, dict(dataset.provenance))
 
 
+def check_classification(n_examples: int, input_dim: int, n_classes: int,
+                         difficulty: float) -> None:
+    """``gen_classification``'s argument checks; each message starts with the
+    parameter it is about."""
+    if n_classes < 2:
+        raise ValueError("n_classes must be at least 2")
+    if input_dim < 1:
+        raise ValueError("input_dim must be positive")
+    if n_examples < n_classes:
+        raise ValueError("n_examples must be at least n_classes: one example per class")
+    if difficulty < 0.0:
+        raise ValueError("difficulty must be nonnegative")
+
+
 def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: int,
                        difficulty: float) -> Dataset:
     """Balanced Gaussian class-cluster mixture.
@@ -66,12 +80,7 @@ def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: in
     nearest-neighbor centroid distance; 0 collapses every example onto its
     centroid. Class counts differ by at most one.
     """
-    if n_classes < 2 or input_dim < 1:
-        raise ValueError("need n_classes >= 2 and input_dim >= 1")
-    if n_examples < n_classes:
-        raise ValueError("need at least one example per class")
-    if difficulty < 0.0:
-        raise ValueError("difficulty must be nonnegative")
+    check_classification(n_examples, input_dim, n_classes, difficulty)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     centroids = rng.standard_normal((n_classes, input_dim))
     dists = np.linalg.norm(centroids[:, None, :] - centroids[None, :, :], axis=2)
@@ -111,13 +120,18 @@ def ingest_text(path, context_window: int) -> Dataset:
     })
 
 
+def check_split(val_fraction: float) -> None:
+    """``split_train_val``'s argument check; the message starts with the parameter."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError("val_fraction must lie in (0, 1)")
+
+
 def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
     """Seeded held-out split, applied before any sharding.
 
     Returns (train, validation); validation data is never sharded.
     """
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError("val_fraction must lie in (0, 1)")
+    check_split(val_fraction)
     n_val = min(max(int(round(dataset.n * val_fraction)), 1), dataset.n - 1)
     perm = np.random.default_rng(np.random.SeedSequence([int(seed), 1])).permutation(dataset.n)
     return take(dataset, perm[n_val:]), take(dataset, perm[:n_val])

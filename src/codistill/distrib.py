@@ -6,7 +6,7 @@ training loop over N groups, and logical communication accounting.
 Every training mode is that loop with a different teacher source, which
 gives each group nothing or a (loss spec, teacher fn) pair at each step:
 none (``train_baseline``); a frozen teacher such as an ensemble, which is
-classic distillation (``train_with_static_teacher``, ``offline_distill``);
+classic distillation (``offline_distill``);
 peers' stale checkpoints from the store, the paper's online codistillation;
 or peers' current parameters in process, which is deep mutual learning
 (``teacher_mode="fresh_in_process"``).
@@ -28,12 +28,13 @@ where groups on separate machines share only stale checkpoints, the
 ``FileCheckpointStore`` directory is the processes' only channel. Besides
 ``ckpt_<i>.bin`` it holds:
 
-  stop               exists once any group has failed; every group checks it
-                     before each step and stops
-  records_<i>.jsonl  group i's metric records, appended at every evaluation,
-                     so they outlive a crashed process
-  result_<i>.pkl     group i's final parameters, teacher lag, ledger counts
-                     and error, written when it ends
+  stop             exists once any group has failed; every group checks it
+                   before each step and stops
+  records_<i>.csv  group i's metric records as ``metrics.csv`` rows without
+                   the header, appended at every evaluation, so they outlive
+                   a crashed process
+  result_<i>.pkl   group i's final parameters, teacher lag, ledger counts and
+                   error, written when it ends
 
 A group waits at most ``START_TIMEOUT_S`` for its peers' first checkpoints.
 Group processes validate inline: the groups already fill the cores, and a
@@ -45,13 +46,13 @@ functions in the parent (``bench/tracer.py``) sees the one
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pickle
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -60,7 +61,7 @@ import numpy as np
 from . import optim
 from .data import SHARD_MODES, batch_stream
 from .losses import CombinedLossSpec, combined_loss
-from .metrics import MetricRecord, evaluate
+from .metrics import MetricRecord, evaluate, format_row, parse_row
 # backward is unused here but stays importable as distrib.backward, the name
 # bench/tracer.py wraps
 from .nn import (Architecture, Batch, Parameters, backward, deserialize_checkpoint,  # noqa: F401
@@ -398,23 +399,6 @@ class GroupRunner:
         return finish
 
 
-class _Evaluation(threading.Thread):
-    """One evaluation point's deferred work on a helper thread: after
-    ``join``, ``records`` holds what it made and ``error`` what it raised."""
-
-    def __init__(self, finish):
-        super().__init__()
-        self.finish = finish
-        self.records: list[MetricRecord] = []
-        self.error: BaseException | None = None
-
-    def run(self) -> None:
-        try:
-            self.finish(self.records)
-        except BaseException as err:  # re-raised on the training thread
-            self.error = err
-
-
 def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, records: list,
                 teachers=None, *, step_callback=None, after_eval=None, stop=None) -> None:
     """The one training loop; each training mode is a different ``teachers``.
@@ -426,14 +410,14 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     ``records``, in model order; a record's train loss is the mean objective
     since the previous one. After each evaluation,
     ``after_eval(step, new_records, params, t0)`` returns one more record to
-    append, given that point's parameters of every runner. ``stop.is_set()``
-    true ends the loop before the next step; a loop given ``stop`` runs in a
-    concurrent-mode group process.
+    append, given that point's parameters of every runner. An existing
+    ``stop`` path ends the loop before the next step; a loop given ``stop``
+    runs in a concurrent-mode group process.
 
     An evaluation point snapshots each runner's step, train loss, ledger
     totals and parameters; only the validation passes and the records'
-    construction are deferred. With at least 2 CPUs they run on a helper
-    thread while training goes on, at most one point in flight: the loop
+    construction are deferred. With at least 2 CPUs they run on a one-thread
+    executor while training goes on, at most one point in flight: the loop
     waits for point k-1 before starting point k, and for the last one before
     it returns. Group processes, and processes with one CPU, run them inline
     at the same place. Either way the records are the same, and no thread
@@ -447,19 +431,17 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     # last evaluation's records; on one CPU a helper thread only adds handoffs
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    helper = stop is None and cpus >= 2
-    pending: _Evaluation | None = None  # the evaluation point in flight
+    helper = ThreadPoolExecutor(max_workers=1) if stop is None and cpus >= 2 else None
+    pending = None  # the future of the evaluation point in flight
 
     def drain(reraise: bool = True) -> None:
-        """Wait for the evaluation in flight, keep its records, re-raise its error."""
+        """Wait for the evaluation in flight, which appends its records itself,
+        and re-raise its error."""
         nonlocal pending
-        if pending is None:
-            return
-        pending.join()
         done, pending = pending, None
-        records.extend(done.records)
-        if reraise and done.error is not None:
-            raise done.error
+        error = done.exception() if done is not None else None
+        if error is not None and reraise:
+            raise error
 
     def emit(step: int) -> None:
         nonlocal pending
@@ -470,23 +452,22 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
         for w in windows:
             w.clear()
 
-        def finish(out) -> None:
+        def finish() -> None:
             new = [m() for m in members]
-            out.extend(new)
+            records.extend(new)
             if after_eval is not None:
-                out.append(after_eval(step, new, params, t0))
+                records.append(after_eval(step, new, params, t0))
 
         drain()
-        if helper:
-            pending = _Evaluation(finish)
-            pending.start()
+        if helper is None:
+            finish()
         else:
-            finish(records)
+            pending = helper.submit(finish)
 
     try:
         emit(0)
         for s in range(n_steps):
-            if stop is not None and stop.is_set():
+            if stop is not None and stop.exists():
                 break
             pairs = teachers(s) if teachers is not None else [None] * len(runners)
             for i, (r, pair) in enumerate(zip(runners, pairs)):
@@ -503,8 +484,8 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
         err.records = records
         raise
     finally:
-        if pending is not None:  # left by a KeyboardInterrupt
-            pending.join()
+        if helper is not None:  # waits for a point left by a KeyboardInterrupt
+            helper.shutdown()
 
 
 def _static_teachers(loss: CombinedLossSpec, teacher_fn, distill: str, distill_weight: float):
@@ -522,9 +503,9 @@ class _PeerTeachers:
 
     ``stale_checkpoint`` (the paper's method): on every reload boundary the
     groups being stepped publish their checkpoints, then load their peers'
-    latest ones from the store. Given a ``stop`` signal, a group in its own
+    latest ones from the store. Given a ``stop`` path, a group in its own
     process first waits for its peers' first checkpoints, for at most
-    ``START_TIMEOUT_S`` and only until ``stop`` is set. ``fresh_in_process``
+    ``START_TIMEOUT_S`` and only until ``stop`` exists. ``fresh_in_process``
     (deep mutual learning): the peers' parameters at the step boundary,
     without the store. ``lags[i]`` is the largest gap between a step of
     group i and its oldest teacher.
@@ -566,7 +547,7 @@ class _PeerTeachers:
             missing = [j for j in missing if not self.store._path(j).exists()]
             if not missing:
                 return
-            if self.stop.is_set():
+            if self.stop.exists():
                 raise _PeerStopped("stopped while waiting for peer checkpoints")
             if time.monotonic() > deadline:
                 raise RuntimeError(f"model {missing[0]} published no first checkpoint "
@@ -604,23 +585,6 @@ def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
     callback = (None if step_callback is None
                 else lambda i, s, loss, params: step_callback(s, loss, params))
     _train_loop([runner], n_steps, validation, eval_every, records, step_callback=callback)
-    return runner.params, records
-
-
-def train_with_static_teacher(arch: Architecture, group: GroupConfig, shard, n_steps: int,
-                              teacher_fn, distill: str, distill_weight: float,
-                              validation: Batch, eval_every: int = 100, *,
-                              ledger: CommLedger | None = None, streams=None,
-                              run_id: str = "student"):
-    """Distill from a frozen teacher signal for the whole run.
-
-    ``teacher_fn(batch)`` returns the teacher signal in the form the chosen
-    distillation loss expects. With weight 0 this is exactly train_baseline.
-    """
-    runner = GroupRunner(arch, group, shard, streams=streams, ledger=ledger, entity=run_id)
-    records: list[MetricRecord] = []
-    _train_loop([runner], n_steps, validation, eval_every, records,
-                _static_teachers(group.loss, teacher_fn, distill, distill_weight))
     return runner.params, records
 
 
@@ -685,29 +649,16 @@ class _PeerStopped(RuntimeError):
     """A group stopped because a peer failed; the peer's error is the one to report."""
 
 
-class _StopFile:
-    """Concurrent mode's stop signal: set once the file exists."""
-
-    def __init__(self, path: Path):
-        self.path = str(path)
-
-    def is_set(self) -> bool:
-        return os.path.exists(self.path)
-
-    def set(self) -> None:
-        Path(self.path).touch()
-
-
 class _RecordFile:
     """Stands in for a group process's record list: every batch of records is
-    appended to the file, one JSON object a line, where the parent reads it."""
+    appended to the file as ``metrics.csv`` rows, where the parent reads it."""
 
     def __init__(self, path: Path):
         self.path = path
 
     def extend(self, records) -> None:
         with open(self.path, "a", encoding="utf-8") as f:
-            f.write("".join(json.dumps(asdict(r)) + "\n" for r in records))
+            f.write("".join(format_row(r) + "\n" for r in records))
 
 
 def _read_records(path: Path) -> list[MetricRecord]:
@@ -716,11 +667,11 @@ def _read_records(path: Path) -> list[MetricRecord]:
     except FileNotFoundError:
         return []
     # a process killed mid-write leaves at most one line without its newline
-    return [MetricRecord(**json.loads(line)) for line in text.split("\n")[:-1]]
+    return [parse_row(line) for line in text.split("\n")[:-1]]
 
 
 def _group_process(i: int, runner: GroupRunner, teachers: _PeerTeachers, n_steps: int,
-                   validation: Batch, eval_every: int, directory: Path, stop: _StopFile):
+                   validation: Batch, eval_every: int, directory: Path, stop: Path):
     """Body of group i's process: train, then report through the directory.
 
     The runner and the store charge one fresh ledger whose counts go back to
@@ -730,7 +681,7 @@ def _group_process(i: int, runner: GroupRunner, teachers: _PeerTeachers, n_steps
     error = None
     try:
         _train_loop([runner], n_steps, validation, eval_every,
-                    _RecordFile(directory / f"records_{i}.jsonl"),
+                    _RecordFile(directory / f"records_{i}.csv"),
                     lambda s: teachers([i], s), stop=stop)
     except BaseException as err:  # handed to the parent, which re-raises it
         error = err
@@ -778,12 +729,12 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
     n = cfg.n_models
     directory = store._dir
-    stop = _StopFile(directory / "stop")
+    stop = directory / "stop"
+    stop.unlink(missing_ok=True)
     for i in range(n):
-        for path in (store._path(i), directory / f"records_{i}.jsonl",
+        for path in (store._path(i), directory / f"records_{i}.csv",
                      directory / f"result_{i}.pkl"):
             path.unlink(missing_ok=True)
-    Path(stop.path).unlink(missing_ok=True)
     teachers = _PeerTeachers(cfg, runners, store, stop)
     ctx = multiprocessing.get_context("fork")
     procs = [ctx.Process(target=_group_process, name=runners[i].entity, daemon=True,
@@ -812,11 +763,11 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
                     f"(exit code {procs[i].exitcode})"))
                 if error is not None:
                     failures.append(error)
-                    stop.set()
+                    stop.touch()
                     deadline = deadline or time.monotonic() + START_TIMEOUT_S
     finally:
         if any(proc.is_alive() for proc in procs):
-            stop.set()
+            stop.touch()
             deadline = deadline or time.monotonic() + START_TIMEOUT_S
         for proc in procs:
             if proc.pid is not None:
@@ -830,7 +781,7 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
             target = store._ledger if cause.startswith("checkpoint_") else runner.ledger
             if target is not None:
                 target.add(entity, cause, nbytes)
-    records = [rec for i in range(n) for rec in _read_records(directory / f"records_{i}.jsonl")]
+    records = [rec for i in range(n) for rec in _read_records(directory / f"records_{i}.csv")]
     if failures:
         error = next((e for e in failures if not isinstance(e, _PeerStopped)), failures[0])
         error.records = records

@@ -24,15 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SHARD_MODES, gen_classification, ingest_text, make_shards,
-                   split_train_val, unigram)
+from .data import (SHARD_MODES, check_classification, check_split, gen_classification,
+                   ingest_text, make_shards, split_train_val, unigram)
 from .distrib import (MAX_GROUP_PROCESSES, TEACHER_MODES, CodistillConfig, CommLedger,
                       DivergenceError, FileCheckpointStore, GroupConfig, GroupRunner,
                       InMemoryCheckpointStore, _train_loop, codistill_train,
                       codistill_train_concurrent, comm_report, offline_distill, train_baseline)
 from .losses import DISTILL_KINDS, SMOOTHING_KINDS, CombinedLossSpec, SmoothingKind
 from .metrics import (CSV_COLUMNS, MetricRecord, churn_experiment, ensemble_predict,
-                      evaluate, probs_nll, steps_to_target)
+                      format_cell, format_row, parse_row, probs_nll, steps_to_target)
 from .nn import Architecture, Batch, param_count
 from .optim import OPTIMIZER_KINDS, OptimizerConfig
 
@@ -161,7 +161,15 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
         raise ConfigError("seeds: must be non-negative")
     if res["data.kind"] == "lm" and not res["data.corpus"]:
         raise ConfigError("data.corpus: required for lm datasets")
+    for key, least in (("steps", 0), ("eval_every", 1), ("offline.phase1_steps", 0),
+                       ("offline.phase2_steps", 0), ("churn.repeats", 2)):
+        if res[key] < least:
+            raise ConfigError(f"{key}: must be at least {least}")
     try:
+        if res["data.kind"] == "classification":
+            check_classification(res["data.n"], res["data.dim"], res["data.classes"],
+                                 res["data.difficulty"])
+        check_split(res["data.val_fraction"])
         _architecture(res, n_classes=1)  # an lm's vocabulary is known once its corpus is read
         _group(res, res["seeds"][0])
         if res["kind"] in _CODISTILL_KINDS:
@@ -251,8 +259,8 @@ def _group(res: dict, seed: int, model_index: int = 0, *,
                        group_seed(seed, model_index))
 
 
-# Dataclass field -> the config key it is read from. Each dataclass's
-# ValueError names the field first, which resolve() turns into the key.
+# Dataclass field or data-check parameter -> the config key it is read from.
+# Each check's ValueError names it first, which resolve() turns into the key.
 _OPTIMIZER_KEYS = {"kind": "opt.kind", "learning_rate": "opt.lr", "beta1": "opt.beta1",
                    "beta2": "opt.beta2", "eps": "opt.eps", "adagrad_eps": "opt.adagrad_eps"}
 _CODISTILL_KEYS = {"n_models": "codistill.n_models", "n_burn_in": "codistill.burn_in",
@@ -265,7 +273,9 @@ _FIELD_KEYS = {**_OPTIMIZER_KEYS, **_CODISTILL_KEYS,
                "n_workers": "group.n_workers", "batch_size": "group.batch",
                "input_dim": "data.dim", "output_dim": "data.classes",
                "hidden_dims": "model.hidden", "context_window": "data.window",
-               "embedding_dim": "model.embedding_dim"}
+               "embedding_dim": "model.embedding_dim", "n_examples": "data.n",
+               "n_classes": "data.classes", "difficulty": "data.difficulty",
+               "val_fraction": "data.val_fraction"}
 
 
 def _codistill_cfg(res: dict, **overrides) -> CodistillConfig:
@@ -484,34 +494,13 @@ _KIND_FNS = {
 # output files
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_metrics_csv(path, records) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt_cell(v) for v in (
-            r.run_id, r.step, r.wall_seconds, r.train_loss, r.validation_loss,
-            r.validation_accuracy, r.bytes_grad_exchange, r.bytes_checkpoint)))
+    lines = [",".join(CSV_COLUMNS)] + [format_row(r) for r in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_metrics_csv(path) -> list[MetricRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    records = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        records.append(MetricRecord(
-            run_id=cells[0], step=int(cells[1]), wall_seconds=float(cells[2]),
-            train_loss=float(cells[3]) if cells[3] else None,
-            validation_loss=float(cells[4]), validation_accuracy=float(cells[5]),
-            bytes_grad_exchange=int(cells[6]), bytes_checkpoint=int(cells[7])))
-    return records
+    return [parse_row(line) for line in Path(path).read_text(encoding="utf-8").splitlines()[1:]]
 
 
 def _write_outputs(out_dir, res, records, summary) -> None:
@@ -597,6 +586,6 @@ def sweep(cfg: dict, axis: str, values, out_dir, mode: str = "lockstep") -> list
         columns.append("mean_steps_to_target")
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(row.get(c)) for c in columns))
+        lines.append(",".join(format_cell(row.get(c)) for c in columns))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return summaries

@@ -3,7 +3,7 @@ and prediction churn across retrains."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +11,7 @@ import numpy as np
 from .losses import hard_ce_loss, _LOG_FLOOR
 from .nn import Batch, Parameters, forward, predict_proba
 
+# MetricRecord's fields, in order, under their file names
 CSV_COLUMNS = ("run_id", "step", "wall_seconds", "train_loss", "val_loss",
                "val_accuracy", "bytes_grad_exchange", "bytes_checkpoint")
 
@@ -27,6 +28,28 @@ class MetricRecord:
     validation_accuracy: float
     bytes_grad_exchange: int = 0
     bytes_checkpoint: int = 0
+
+
+def format_cell(value) -> str:
+    """A CSV cell that parses back to the same value: floats by ``repr``, so
+    bit-exact, and None as the empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def format_row(record: MetricRecord) -> str:
+    """The record's CSV row, in CSV_COLUMNS order, without a newline."""
+    return ",".join(format_cell(getattr(record, f.name)) for f in fields(MetricRecord))
+
+
+def parse_row(line: str) -> MetricRecord:
+    """Inverse of ``format_row``."""
+    run_id, step, wall, train, val, acc, grad, ckpt = line.split(",")
+    return MetricRecord(run_id, int(step), float(wall), float(train) if train else None,
+                        float(val), float(acc), int(grad), int(ckpt))
 
 
 @dataclass

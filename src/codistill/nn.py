@@ -365,8 +365,3 @@ def deserialize_checkpoint(data: bytes, arch: Architecture):
     if not np.all(np.isfinite(values)):
         raise SerializationError("checkpoint payload contains non-finite values")
     return Parameters(arch, values), step, model_id, bool(flag)
-
-
-def deserialize_params(data: bytes, arch: Architecture) -> Parameters:
-    """Round-trip counterpart of serialize_params (metadata discarded)."""
-    return deserialize_checkpoint(data, arch)[0]

@@ -92,7 +92,9 @@ class TestConfigParsing:
         ("group.n_workers", 0, {}), ("group.batch", 0, {}), ("model.hidden", [8, 0], {}),
         ("data.dim", 0, {}), ("data.classes", 0, {}),
         ("data.window", 0, {"data.kind": "lm", "data.corpus": "corpus.txt"}),
-        ("model.embedding_dim", 0, {"data.kind": "lm", "data.corpus": "corpus.txt"})])
+        ("model.embedding_dim", 0, {"data.kind": "lm", "data.corpus": "corpus.txt"}),
+        ("data.val_fraction", 0.0, {}),
+        ("data.val_fraction", 1.0, {"data.kind": "lm", "data.corpus": "corpus.txt"})])
     def test_model_and_group_settings_checked_and_named(self, key, value, extra):
         """Checked before any data set is built, for every kind."""
         with pytest.raises(ConfigError, match=key):
@@ -426,8 +428,14 @@ class TestMainEntry:
         assert main(["run", "--config", str(path), "--out", str(out), "--mode", mode]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra, key", [("opt.lr=0\n", "opt.lr"),
-                                            ("group.batch=0\n", "group.batch")])
+    @pytest.mark.parametrize("extra, key", [
+        ("opt.lr=0\n", "opt.lr"), ("group.batch=0\n", "group.batch"),
+        ("steps=-1\n", "steps"), ("eval_every=0\n", "eval_every"),
+        ("offline.phase1_steps=-5\n", "offline.phase1_steps"),
+        ("offline.phase2_steps=-5\n", "offline.phase2_steps"),
+        ("churn.repeats=1\n", "churn.repeats"), ("data.classes=1\n", "data.classes"),
+        ("data.n=2\n", "data.n"), ("data.val_fraction=2\n", "data.val_fraction"),
+        ("data.difficulty=-1\n", "data.difficulty")])
     def test_group_config_error_exit_two_writes_nothing(self, tmp_path, capsys, extra, key):
         path = self.write_cfg(tmp_path, TINY + "kind=baseline\n" + extra)
         out = tmp_path / "out"

@@ -16,10 +16,10 @@ from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, Divergen
                                FileCheckpointStore, GroupConfig, GroupRunner,
                                InMemoryCheckpointStore, codistill_train,
                                codistill_train_concurrent, comm_report, mean_teacher_fn,
-                               offline_distill, train_baseline, train_with_static_teacher,
-                               worker_streams)
+                               offline_distill, train_baseline, worker_streams)
 from codistill.nn import forward, predict_proba, serialize_params
 from codistill.losses import CombinedLossSpec
+from codistill.metrics import MetricRecord, format_row
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
                           SerializationError, TruncatedPayloadError, init_params, param_count)
 from codistill.optim import OptimizerConfig
@@ -443,7 +443,7 @@ class TestConcurrentGroups:
         same directory neither stop nor leak into the next run."""
         groups, shards, val = self.two_groups()
         (tmp_path / "stop").touch()
-        (tmp_path / "records_0.jsonl").write_text("not a record\n")
+        (tmp_path / "records_0.csv").write_text("not a record\n")
         FileCheckpointStore(tmp_path, ARCH).publish(Checkpoint(1, 500, init_params(ARCH, 9)))
         out = self.run_in_thread(lambda: codistill_train_concurrent(
             ARCH, CodistillConfig(2, 10, 10), groups, shards, 30,
@@ -451,6 +451,18 @@ class TestConcurrentGroups:
         assert [(r.run_id, r.step) for r in out["result"].records] == \
             [(f"model{i}", step) for i in range(2) for step in (0, 10, 20, 30)]
         assert FileCheckpointStore(tmp_path, ARCH).load_latest(1).step == 20
+
+    def test_torn_last_record_row_is_dropped(self, tmp_path):
+        """A group killed while appending leaves a last row without its
+        newline; reading its record file yields only the complete rows."""
+        rows = [MetricRecord("model0", step, 0.25, None if step == 0 else 1.5, 1.0 / 3,
+                             0.75, 10**15, 4096) for step in (0, 10, 20)]
+        path = tmp_path / "records_0.csv"
+        distrib._RecordFile(path).extend(rows[:2])
+        with open(path, "a") as f:
+            f.write(format_row(rows[2])[:20])
+        assert distrib._read_records(path) == rows[:2]
+        assert distrib._read_records(tmp_path / "records_1.csv") == []
 
     def test_interrupted_parent_leaves_no_process(self, tmp_path, monkeypatch):
         """A KeyboardInterrupt in the parent stops and reaps every group."""
@@ -665,11 +677,12 @@ class TestOfflineDistill:
         def onehot_teacher(batch):
             return np.eye(ARCH.output_dim)[batch.labels]
 
-        got, _ = train_with_static_teacher(ARCH, student, self.train, 50, onehot_teacher,
-                                           "soft_cross_entropy", 1.0, self.val, eval_every=25)
+        runner = GroupRunner(ARCH, student, self.train)
+        distrib._train_loop([runner], 50, self.val, 25, [], distrib._static_teachers(
+            student.loss, onehot_teacher, "soft_cross_entropy", 1.0))
         expect, _ = train_baseline(ARCH, sgd_group(55, lr=0.2), self.train, 50, self.val,
                                    eval_every=25)
-        assert np.array_equal(got.values, expect.values)
+        assert np.array_equal(runner.params.values, expect.values)
 
     def test_records_cover_both_phases(self):
         result = offline_distill(ARCH, [sgd_group(41), sgd_group(42)], sgd_group(55),

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from codistill.data import gen_classification, split_train_val
 from codistill.distrib import GroupConfig, train_baseline
 from codistill.losses import CombinedLossSpec, hard_ce
-from codistill.metrics import (MetricRecord, churn_experiment, ensemble_predict, evaluate,
+from codistill.metrics import (CSV_COLUMNS, MetricRecord, churn_experiment, ensemble_predict,
+                               evaluate, format_row, parse_row,
                                prediction_churn, probs_nll, steps_to_target)
 from codistill.nn import (Architecture, Batch, Parameters, forward, init_params, param_count,
                           predict_proba)
@@ -186,3 +189,22 @@ class TestChurnExperiment:
     def test_requires_two_repeats(self):
         with pytest.raises(ValueError, match="two"):
             churn_experiment(lambda s: rand_params(s), 1, rand_val(0))
+
+
+# finite floats of magnitude 1e-300 to 1e300, either sign, and signed zero
+floats = (st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+          | st.sampled_from([0.0, -0.0]))
+byte_counts = st.integers(0, 10**30)
+
+
+class TestRecordCodec:
+    """One row format serves metrics.csv and the concurrent groups' record files."""
+
+    @given(st.builds(MetricRecord, st.text("abcxyz019._", min_size=1),
+                     st.integers(0, 10**12), floats, st.none() | floats, floats, floats,
+                     byte_counts, byte_counts))
+    def test_row_round_trip_is_exact(self, record):
+        row = format_row(record)
+        assert len(row.split(",")) == len(CSV_COLUMNS)
+        assert parse_row(row) == record
+        assert format_row(parse_row(row)) == row  # keeps the sign of -0.0 too

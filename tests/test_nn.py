@@ -7,9 +7,8 @@ from hypothesis.extra import numpy as hnp
 from codistill.losses import hard_ce
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
                           Parameters, TruncatedPayloadError, _layout, _slices, _views,
-                          backward, deserialize_checkpoint, deserialize_params, forward,
-                          forward_trace, init_params, param_count, predict_proba,
-                          serialize_params, softmax)
+                          backward, deserialize_checkpoint, forward, forward_trace,
+                          init_params, param_count, predict_proba, serialize_params, softmax)
 from helpers import fd_param_grad, naive_mlp_forward, recompute_backward, rel_err
 
 
@@ -257,32 +256,32 @@ class TestSerialization:
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = Parameters(small_arch, rng.standard_normal(param_count(small_arch)) * 100)
-            assert np.array_equal(deserialize_params(serialize_params(p), small_arch).values,
-                                  p.values)
+            assert np.array_equal(
+                deserialize_checkpoint(serialize_params(p), small_arch)[0].values, p.values)
 
     def test_float32_payload(self, small_arch):
         p = init_params(small_arch, 11)
         data = serialize_params(p, float32=True)
         assert len(data) < len(serialize_params(p))
-        q = deserialize_params(data, small_arch)
+        q = deserialize_checkpoint(data, small_arch)[0]
         assert np.abs(q.values - p.values).max() < 1e-6
 
     def test_wrong_magic(self, small_arch):
         data = serialize_params(init_params(small_arch, 1))
         with pytest.raises(CorruptHeaderError):
-            deserialize_params(b"XXXX" + data[4:], small_arch)
+            deserialize_checkpoint(b"XXXX" + data[4:], small_arch)
 
     def test_fingerprint_mismatch(self, small_arch):
         other = Architecture(6, (8, 6), 4)
         data = serialize_params(init_params(small_arch, 1))
         with pytest.raises(FingerprintMismatchError):
-            deserialize_params(data, other)
+            deserialize_checkpoint(data, other)
 
     def test_truncated_payload(self, small_arch):
         data = serialize_params(init_params(small_arch, 1))
         with pytest.raises(TruncatedPayloadError):
-            deserialize_params(data[:-4], small_arch)
+            deserialize_checkpoint(data[:-4], small_arch)
 
     def test_short_header(self, small_arch):
         with pytest.raises(CorruptHeaderError):
-            deserialize_params(b"CODL", small_arch)
+            deserialize_checkpoint(b"CODL", small_arch)
