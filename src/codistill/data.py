@@ -126,13 +126,18 @@ def check_split(val_fraction: float) -> None:
         raise ValueError("val_fraction must lie in (0, 1)")
 
 
+def _validation_size(n_examples: int, val_fraction: float) -> int:
+    """Examples ``split_train_val`` holds out: at least one, never all."""
+    return min(max(int(round(n_examples * val_fraction)), 1), n_examples - 1)
+
+
 def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
     """Seeded held-out split, applied before any sharding.
 
     Returns (train, validation); validation data is never sharded.
     """
     check_split(val_fraction)
-    n_val = min(max(int(round(dataset.n * val_fraction)), 1), dataset.n - 1)
+    n_val = _validation_size(dataset.n, val_fraction)
     perm = np.random.default_rng(np.random.SeedSequence([int(seed), 1])).permutation(dataset.n)
     return take(dataset, perm[n_val:]), take(dataset, perm[:n_val])
 

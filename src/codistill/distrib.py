@@ -5,11 +5,11 @@ training loop over N groups, and logical communication accounting.
 
 Every training mode is that loop with a different teacher source, which
 gives each group nothing or a (loss spec, teacher fn) pair at each step:
-none (``train_baseline``); a frozen teacher such as an ensemble, which is
-classic distillation (``offline_distill``);
-peers' stale checkpoints from the store, the paper's online codistillation;
-or peers' current parameters in process, which is deep mutual learning
-(``teacher_mode="fresh_in_process"``).
+none (``train_baseline``); a frozen teacher, which is classic distillation
+from an ensemble (``offline_distill``) or, from a constant distribution,
+label smoothing; or peers' stale checkpoints from the store, the paper's
+online codistillation. Deep mutual learning is codistillation that reloads
+every step (``reload_interval=1``), every read charged to the ledger.
 
 Lockstep mode (``codistill_train``) makes one loop call over all groups on
 one thread in a fixed round-robin order, which makes whole runs
@@ -73,8 +73,6 @@ LEDGER_CAUSES = ("gradient_exchange", "parameter_broadcast",
                  "checkpoint_publish", "checkpoint_load")
 
 DIVERGENCE_THRESHOLD = 1e4
-
-TEACHER_MODES = ("stale_checkpoint", "fresh_in_process")
 
 # Concurrent mode: the most group processes one run may fork, and how long a
 # group waits for its peers' first checkpoints (and the parent for its
@@ -246,10 +244,6 @@ class GroupConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def effective_batch(self) -> int:
-        return self.n_workers * self.batch_size
-
 
 @dataclass(frozen=True)
 class CodistillConfig:
@@ -264,7 +258,6 @@ class CodistillConfig:
     reload_interval: int = 50
     distill: str = "soft_cross_entropy"
     distill_weight: float = 1.0
-    teacher_mode: str = "stale_checkpoint"
     data_mode: str = "disjoint"
     float32_payload: bool = False
 
@@ -276,8 +269,6 @@ class CodistillConfig:
             raise ValueError("reload_interval must be positive")
         if self.n_burn_in < self.reload_interval:
             raise ValueError("n_burn_in must be >= reload_interval so a teacher checkpoint exists")
-        if self.teacher_mode not in TEACHER_MODES:
-            raise ValueError(f"teacher_mode {self.teacher_mode!r} is unknown")
         if self.data_mode not in SHARD_MODES:
             raise ValueError(f"data_mode {self.data_mode!r} is unknown")
         if self.distill_weight < 0.0:
@@ -322,7 +313,7 @@ class GroupRunner:
 
     def __init__(self, arch: Architecture, group: GroupConfig, shard=None, *,
                  streams=None, ledger: CommLedger | None = None,
-                 entity: str = "group0", model_id: int = 0):
+                 entity: str = "group0"):
         self.arch = arch
         self.group = group
         self.params = init_params(arch, group.seed)
@@ -332,12 +323,8 @@ class GroupRunner:
             raise ValueError(f"expected {group.n_workers} streams, got {len(self.streams)}")
         self.ledger = ledger if ledger is not None else CommLedger()
         self.entity = entity
-        self.model_id = model_id
         self.step_index = 0
         self._param_bytes = param_count(arch) * 8
-
-    def next_batches(self) -> list[Batch]:
-        return [next(s) for s in self.streams]
 
     def step_batches(self, batches: list[Batch], loss_spec: CombinedLossSpec | None = None,
                      teacher_fn=None) -> float:
@@ -372,7 +359,7 @@ class GroupRunner:
         return loss
 
     def step_stream(self, loss_spec: CombinedLossSpec | None = None, teacher_fn=None) -> float:
-        return self.step_batches(self.next_batches(), loss_spec, teacher_fn)
+        return self.step_batches([next(s) for s in self.streams], loss_spec, teacher_fn)
 
     def _snapshot_record(self, run_id: str, validation: Batch, t0: float,
                          train_loss: float | None):
@@ -501,14 +488,12 @@ class _PeerTeachers:
     """Teacher source of codistillation: after burn-in each group distills
     toward the mean prediction of its N-1 peers.
 
-    ``stale_checkpoint`` (the paper's method): on every reload boundary the
-    groups being stepped publish their checkpoints, then load their peers'
-    latest ones from the store. Given a ``stop`` path, a group in its own
-    process first waits for its peers' first checkpoints, for at most
-    ``START_TIMEOUT_S`` and only until ``stop`` exists. ``fresh_in_process``
-    (deep mutual learning): the peers' parameters at the step boundary,
-    without the store. ``lags[i]`` is the largest gap between a step of
-    group i and its oldest teacher.
+    On every reload boundary the groups being stepped publish their
+    checkpoints, then load their peers' latest ones from the store. Given a
+    ``stop`` path, a group in its own process first waits for its peers'
+    first checkpoints, for at most ``START_TIMEOUT_S`` and only until
+    ``stop`` exists. ``lags[i]`` is the largest gap between a step of group i
+    and its oldest teacher.
     """
 
     def __init__(self, cfg: CodistillConfig, runners, store, stop=None):
@@ -525,11 +510,7 @@ class _PeerTeachers:
         self.lags = [0] * len(runners)
 
     def __call__(self, ids, s: int):
-        if self.cfg.teacher_mode == "fresh_in_process":
-            current = [r.params for r in self.runners]
-            for i in ids:
-                self.loaded[i] = {j: (p, s) for j, p in enumerate(current) if j != i}
-        elif s % self.cfg.reload_interval == 0:
+        if s % self.cfg.reload_interval == 0:
             for i in ids:
                 r = self.runners[i]
                 self.store.publish(Checkpoint(i, s, r.params, self.cfg.float32_payload),
@@ -615,11 +596,11 @@ def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards,
     if len({g.seed for g in groups}) != cfg.n_models:
         raise ValueError("group seeds must be distinct")
     for g in groups:
-        if g.loss.distill != "none" or g.loss.smoothing is not None:
+        if g.loss.distill != "none":
             raise ValueError("group loss must be plain hard CE; the codistill config owns the distillation term")
     ledger = ledger if ledger is not None else CommLedger()
     return [GroupRunner(arch, groups[i], shards[i], ledger=ledger,
-                        entity=f"{run_id_prefix}{i}", model_id=i) for i in range(cfg.n_models)]
+                        entity=f"{run_id_prefix}{i}") for i in range(cfg.n_models)]
 
 
 def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
@@ -633,8 +614,7 @@ def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
     takes one training step, in model-id order. Before ``n_burn_in`` steps the
     groups train on the hard loss only; afterwards each adds the distillation
     term against the mean prediction of the other N-1 models' last-loaded
-    checkpoints. With ``fresh_in_process`` teachers the peer parameters are
-    snapshotted at every step boundary and the store is not used.
+    checkpoints.
     """
     runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
     teachers = _PeerTeachers(cfg, runners, store)
@@ -704,9 +684,8 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     Demonstrates the protocol under real asynchrony: each group publishes and
     reloads on its own local step counter and sees whatever checkpoints are
     freshest at that moment. Scheduling is nondeterministic, so this mode is
-    excluded from the bit-exact reproducibility guarantees. Requires
-    ``stale_checkpoint`` teachers (there is no shared step boundary to
-    snapshot at) and at most ``MAX_GROUP_PROCESSES`` groups. Forks, so Linux.
+    excluded from the bit-exact reproducibility guarantees. Runs at most
+    ``MAX_GROUP_PROCESSES`` groups. Forks, so Linux.
 
     The run's files in the directory are cleared first. The ledger counts of
     every group that finished are added to ``ledger`` and the store's ledger.
@@ -718,8 +697,6 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     # imported here, not at the top: about 20 ms that lockstep runs need not pay
     import multiprocessing.connection
 
-    if cfg.teacher_mode != "stale_checkpoint":
-        raise ValueError("concurrent mode requires stale_checkpoint teachers")
     if not isinstance(store, FileCheckpointStore):
         raise ValueError("concurrent mode needs a FileCheckpointStore: its directory is "
                          "the group processes' only channel")
@@ -850,7 +827,7 @@ def comm_report(ledger: CommLedger, model_param_count: int, n_steps: int,
     sync_per_step = 2 * group.n_workers * pb
     n_groups = codistill.n_models if codistill is not None else 1
     expected_sync = n_groups * n_steps * sync_per_step
-    if codistill is not None and codistill.teacher_mode == "stale_checkpoint":
+    if codistill is not None:
         ckpt_bytes = model_param_count * (4 if codistill.float32_payload else 8)
         exchanges = math.ceil(n_steps / codistill.reload_interval) if n_steps > 0 else 0
         per_group_ckpt = exchanges * codistill.n_models * ckpt_bytes  # 1 publish + N-1 loads

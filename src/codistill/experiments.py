@@ -24,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SHARD_MODES, check_classification, check_split, gen_classification,
-                   ingest_text, make_shards, split_train_val, unigram)
-from .distrib import (MAX_GROUP_PROCESSES, TEACHER_MODES, CodistillConfig, CommLedger,
-                      DivergenceError, FileCheckpointStore, GroupConfig, GroupRunner,
-                      InMemoryCheckpointStore, _train_loop, codistill_train,
+from .data import (SHARD_MODES, _validation_size, check_classification, check_split,
+                   gen_classification, ingest_text, make_shards, split_train_val, unigram)
+from .distrib import (MAX_GROUP_PROCESSES, CodistillConfig, CommLedger, DivergenceError,
+                      FileCheckpointStore, GroupConfig, GroupRunner, InMemoryCheckpointStore,
+                      _static_teachers, _train_loop, codistill_train,
                       codistill_train_concurrent, comm_report, offline_distill, train_baseline)
-from .losses import DISTILL_KINDS, SMOOTHING_KINDS, CombinedLossSpec, SmoothingKind
+from .losses import DISTILL_KINDS, CombinedLossSpec
 from .metrics import (CSV_COLUMNS, MetricRecord, churn_experiment, ensemble_predict,
                       format_cell, format_row, parse_row, probs_nll, steps_to_target)
 from .nn import Architecture, Batch, param_count
@@ -82,7 +82,6 @@ SCHEMA = {
     "codistill.n_models": ("int", 2),
     "codistill.burn_in": ("int", 400),
     "codistill.reload_interval": ("int", 50),
-    "codistill.teacher_mode": ("str", "stale_checkpoint"),
     "codistill.data_mode": ("str", "disjoint"),
     "codistill.float32_payload": ("bool", False),
     "offline.phase1_steps": ("int", 2000),
@@ -95,8 +94,7 @@ _ENUMS = {
     "data.kind": ("classification", "lm"),
     "opt.kind": OPTIMIZER_KINDS,
     "loss.distill": DISTILL_KINDS,
-    "loss.smoothing": SMOOTHING_KINDS,
-    "codistill.teacher_mode": TEACHER_MODES,
+    "loss.smoothing": ("uniform", "unigram"),
     "codistill.data_mode": SHARD_MODES,
 }
 
@@ -159,11 +157,14 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
         raise ConfigError("seeds: must be non-empty")
     if any(s < 0 for s in res["seeds"]):
         raise ConfigError("seeds: must be non-negative")
+    if len(set(res["seeds"])) != len(res["seeds"]):
+        raise ConfigError("seeds: must be distinct")
     if res["data.kind"] == "lm" and not res["data.corpus"]:
         raise ConfigError("data.corpus: required for lm datasets")
     for key, least in (("steps", 0), ("eval_every", 1), ("offline.phase1_steps", 0),
-                       ("offline.phase2_steps", 0), ("churn.repeats", 2)):
-        if res[key] < least:
+                       ("offline.phase2_steps", 0), ("churn.repeats", 2),
+                       ("loss.distill_weight", 0), ("loss.smoothing_weight", 0)):
+        if not res[key] >= least:  # a NaN weight too
             raise ConfigError(f"{key}: must be at least {least}")
     try:
         if res["data.kind"] == "classification":
@@ -176,13 +177,13 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
             _codistill_cfg(res)
     except ValueError as err:
         raise ConfigError(f"{_FIELD_KEYS[str(err).split()[0]]}: {err}") from None
-    if res["kind"] in _CODISTILL_KINDS:
-        if mode == "concurrent" and res["codistill.teacher_mode"] != "stale_checkpoint":
-            raise ConfigError("codistill.teacher_mode: concurrent mode exchanges stale "
-                              "checkpoints; fresh_in_process needs lockstep mode")
-        if mode == "concurrent" and res["codistill.n_models"] > MAX_GROUP_PROCESSES:
-            raise ConfigError(f"codistill.n_models: concurrent mode runs one process per "
-                              f"model, at most {MAX_GROUP_PROCESSES}")
+    if (res["kind"] in _CODISTILL_KINDS and mode == "concurrent"
+            and res["codistill.n_models"] > MAX_GROUP_PROCESSES):
+        raise ConfigError(f"codistill.n_models: concurrent mode runs one process per "
+                          f"model, at most {MAX_GROUP_PROCESSES}")
+    if res["data.kind"] == "classification":
+        n = res["data.n"]
+        _check_batch(res, n - _validation_size(n, res["data.val_fraction"]))
     return res
 
 
@@ -225,6 +226,18 @@ def _architecture(res: dict, n_classes: int) -> Architecture:
     return Architecture(res["data.dim"], tuple(res["model.hidden"]), res["data.classes"])
 
 
+def _check_batch(res: dict, n_train: int) -> None:
+    """A worker's batch must fit in the smallest shard a group trains on; the
+    kinds that split the training set split it ``codistill.n_models`` ways."""
+    split = res["kind"] == "same_data_ablation" or (
+        res["kind"] in (*_CODISTILL_KINDS, "offline_distill")
+        and res["codistill.data_mode"] == "disjoint")
+    smallest = n_train // max(res["codistill.n_models"], 1) if split else n_train
+    if res["group.batch"] > smallest:
+        raise ConfigError(f"group.batch: {res['group.batch']} is more than the {smallest} "
+                          f"training examples of the smallest shard")
+
+
 def build_env(res: dict) -> Env:
     if res["data.kind"] == "lm":
         ds = ingest_text(res["data.corpus"], res["data.window"])
@@ -246,17 +259,19 @@ def _optimizer(res: dict) -> OptimizerConfig:
     return OptimizerConfig(**{field: res[key] for field, key in _OPTIMIZER_KEYS.items()})
 
 
-def _smoothing_spec(res: dict, train) -> CombinedLossSpec:
-    kind = res["loss.smoothing"]
-    smoothing = SmoothingKind(kind, unigram(train) if kind == "unigram" else None)
-    return CombinedLossSpec(smoothing=smoothing, smoothing_weight=res["loss.smoothing_weight"])
+def _smoothing_teachers(kind: str, train, weight: float):
+    """Label smoothing as distillation from a constant teacher (Yuan et al.,
+    CVPR 2020): soft cross entropy toward the uniform distribution, or the
+    training labels' unigram distribution, for every example."""
+    target = (unigram(train) if kind == "unigram"
+              else np.full(train.n_classes, 1.0 / train.n_classes))
+    teacher = lambda batch: np.broadcast_to(target, (batch.size, len(target)))  # noqa: E731
+    return _static_teachers(CombinedLossSpec(), teacher, "soft_cross_entropy", weight)
 
 
-def _group(res: dict, seed: int, model_index: int = 0, *,
-           loss: CombinedLossSpec | None = None) -> GroupConfig:
+def _group(res: dict, seed: int, model_index: int = 0) -> GroupConfig:
     return GroupConfig(res["group.n_workers"], res["group.batch"], _optimizer(res),
-                       loss if loss is not None else CombinedLossSpec(),
-                       group_seed(seed, model_index))
+                       CombinedLossSpec(), group_seed(seed, model_index))
 
 
 # Dataclass field or data-check parameter -> the config key it is read from.
@@ -266,7 +281,6 @@ _OPTIMIZER_KEYS = {"kind": "opt.kind", "learning_rate": "opt.lr", "beta1": "opt.
 _CODISTILL_KEYS = {"n_models": "codistill.n_models", "n_burn_in": "codistill.burn_in",
                    "reload_interval": "codistill.reload_interval", "distill": "loss.distill",
                    "distill_weight": "loss.distill_weight",
-                   "teacher_mode": "codistill.teacher_mode",
                    "data_mode": "codistill.data_mode",
                    "float32_payload": "codistill.float32_payload"}
 _FIELD_KEYS = {**_OPTIMIZER_KEYS, **_CODISTILL_KEYS,
@@ -397,14 +411,15 @@ def _kind_same_data_ablation(env: Env, mode: str, out_dir, records):
 
 def _kind_smoothing_baseline(env: Env, mode: str, out_dir, records):
     res = env.res
-    spec = _smoothing_spec(res, env.train)
+    kind = res["loss.smoothing"]
+    teachers = _smoothing_teachers(kind, env.train, res["loss.smoothing_weight"])
     for seed in res["seeds"]:
-        _, recs = train_baseline(env.arch, _group(res, seed, loss=spec), env.train,
-                                 res["steps"], env.val, res["eval_every"],
-                                 run_id=f"smoothing_{res['loss.smoothing']}.s{seed}")
-        records.extend(recs)
-    return {"smoothing": res["loss.smoothing"],
-            "smoothing_weight": res["loss.smoothing_weight"]}
+        runner = GroupRunner(env.arch, _group(res, seed), env.train,
+                             entity=f"smoothing_{kind}.s{seed}")
+        seed_records = []
+        _train_loop([runner], res["steps"], env.val, res["eval_every"], seed_records, teachers)
+        records.extend(seed_records)
+    return {"smoothing": kind, "smoothing_weight": res["loss.smoothing_weight"]}
 
 
 def _kind_ensemble_baseline(env: Env, mode: str, out_dir, records):
@@ -413,7 +428,7 @@ def _kind_ensemble_baseline(env: Env, mode: str, out_dir, records):
     n = res["codistill.n_models"]
     for seed in res["seeds"]:
         runners = [GroupRunner(env.arch, _group(res, seed, i), env.train,
-                               entity=f"ensemble.s{seed}.m{i}", model_id=i)
+                               entity=f"ensemble.s{seed}.m{i}")
                    for i in range(n)]
 
         def joint_record(step, members, params, t0):
@@ -523,6 +538,7 @@ def run(cfg: dict, out_dir, mode: str = "lockstep") -> dict:
     """
     res = resolve(cfg, mode)
     env = build_env(res)
+    _check_batch(res, env.train.n)  # resolve() cannot for an lm, whose corpus is read only now
     summary = {"kind": res["kind"], "seeds": res["seeds"], "mode": mode,
                "provenance": env.provenance, "param_count": param_count(env.arch)}
     records: list[MetricRecord] = []

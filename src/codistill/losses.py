@@ -5,11 +5,12 @@ gradient of that mean with respect to the logits, shaped like the logits.
 Gradients therefore already carry the 1/B factor and the network backward
 pass consumes them unchanged.
 
-The hard-label loss is always cross entropy; the auxiliary term is either a
+The hard-label loss is always cross entropy; the one auxiliary term is a
 distillation loss against a teacher signal (soft-target cross entropy, mean
-squared logit error, or KL divergence) or a label-smoothing term against a
-fixed target distribution. Smoothing and distillation are mutually exclusive
-within one run.
+squared logit error, or KL divergence). Label smoothing is that term with
+soft-target cross entropy toward a constant teacher, the uniform or the
+unigram distribution (Yuan et al., "Revisiting Knowledge Distillation via
+Label Smoothing Regularization", CVPR 2020).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DISTILL_KINDS = ("soft_cross_entropy", "logit_mse", "kl_divergence", "none")
-SMOOTHING_KINDS = ("uniform", "unigram")
 
 # probabilities are clamped here before any explicit log
 _LOG_FLOOR = 1e-12
@@ -140,54 +140,18 @@ def kl_div(teacher_probs: np.ndarray, logits: np.ndarray):
 
 
 @dataclass(frozen=True)
-class SmoothingKind:
-    """Fixed target distribution for the label-smoothing baselines."""
-
-    kind: str
-    unigram_probs: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in SMOOTHING_KINDS:
-            raise ValueError(f"unknown smoothing kind {self.kind!r}")
-        if self.kind == "unigram":
-            if self.unigram_probs is None:
-                raise ValueError("unigram smoothing requires unigram_probs")
-            probs = np.asarray(self.unigram_probs, dtype=np.float64)
-            if probs.ndim != 1 or probs.min() < 0.0 or abs(probs.sum() - 1.0) > 1e-9:
-                raise ValueError("unigram_probs must be a probability vector (sum 1 within 1e-9)")
-            object.__setattr__(self, "unigram_probs", probs)
-
-
-def smoothing_target(kind: SmoothingKind, n_classes: int) -> np.ndarray:
-    """Target distribution a smoothing baseline matches instead of a teacher."""
-    if kind.kind == "uniform":
-        return np.full(n_classes, 1.0 / n_classes)
-    if len(kind.unigram_probs) != n_classes:
-        raise ValueError(f"unigram_probs has {len(kind.unigram_probs)} entries, expected {n_classes}")
-    return kind.unigram_probs.copy()
-
-
-@dataclass(frozen=True)
 class CombinedLossSpec:
-    """Hard-label loss plus one optional auxiliary term.
-
-    ``distill_weight`` scales the distillation term; the smoothing baselines
-    carry their own hand-tuned weight. A spec may enable at most one of the
-    two (baseline runs vs codistillation runs).
-    """
+    """Hard-label loss plus an optional distillation term scaled by
+    ``distill_weight``."""
 
     distill: str = "none"
     distill_weight: float = 1.0
-    smoothing: SmoothingKind | None = None
-    smoothing_weight: float = 0.1
 
     def __post_init__(self):
         if self.distill not in DISTILL_KINDS:
             raise ValueError(f"unknown distillation loss {self.distill!r}")
         if self.distill_weight < 0.0:
             raise ValueError("distill_weight must be nonnegative")
-        if self.smoothing is not None and self.distill != "none":
-            raise ValueError("smoothing and distillation are mutually exclusive in one run")
 
 
 def _distill_term(kind: str, teacher_signal: np.ndarray, logits: np.ndarray, parts):
@@ -223,9 +187,4 @@ def combined_loss(spec: CombinedLossSpec, labels: np.ndarray, logits: np.ndarray
         return loss + spec.distill_weight * dloss, grad + spec.distill_weight * dgrad
     if teacher_signal is not None:
         raise ValueError("teacher signal supplied but distillation is disabled")
-    if spec.smoothing is not None and spec.smoothing_weight != 0.0:
-        target = smoothing_target(spec.smoothing, logits.shape[1])
-        t = _check_teacher_probs(np.broadcast_to(target, logits.shape), logits)
-        sloss, sgrad = _soft_ce_from_parts(t, parts)
-        return loss + spec.smoothing_weight * sloss, grad + spec.smoothing_weight * sgrad
     return loss, grad

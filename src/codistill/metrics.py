@@ -129,8 +129,9 @@ def prediction_churn(params_a: Parameters, params_b: Parameters, validation: Bat
 
 
 def churn_experiment(train_fn, n_repeats: int, validation: Batch, *,
-                     seeds=None, base_seed: int = 0) -> ChurnReport:
-    """Retrain ``n_repeats`` times with fresh seeds and aggregate churn.
+                     base_seed: int = 0) -> ChurnReport:
+    """Retrain with seeds ``base_seed`` ... ``base_seed + n_repeats - 1`` and
+    aggregate churn.
 
     ``train_fn(seed)`` must return the trained Parameters (for codistillation
     runs that is replica 0, one copy picked arbitrarily). Churn is computed
@@ -139,11 +140,7 @@ def churn_experiment(train_fn, n_repeats: int, validation: Batch, *,
     """
     if n_repeats < 2:
         raise ValueError("need at least two retrains")
-    if seeds is None:
-        seeds = [base_seed + i for i in range(n_repeats)]
-    if len(seeds) != n_repeats:
-        raise ValueError("seeds must match n_repeats")
-    models = [train_fn(s) for s in seeds]
+    models = [train_fn(base_seed + i) for i in range(n_repeats)]
     pair_churn = [prediction_churn(a, b, validation) for a, b in combinations(models, 2)]
     val_losses = [evaluate(m, validation)[0] for m in models]
 

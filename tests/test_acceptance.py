@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codistill.data import gen_classification, make_shards, split_train_val, unigram
+from codistill.data import gen_classification, make_shards, split_train_val
 from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, FileCheckpointStore,
-                               GroupConfig, InMemoryCheckpointStore, codistill_train,
-                               comm_report, offline_distill, train_baseline, worker_streams)
-from codistill.experiments import parse_config_text, run, sweep
-from codistill.losses import CombinedLossSpec, SmoothingKind, combined_loss
+                               GroupConfig, GroupRunner, InMemoryCheckpointStore, _train_loop,
+                               codistill_train, comm_report, offline_distill, train_baseline,
+                               worker_streams)
+from codistill.experiments import _smoothing_teachers, parse_config_text, run, sweep
+from codistill.losses import CombinedLossSpec, combined_loss
 from codistill.metrics import churn_experiment, ensemble_predict, probs_nll, steps_to_target
 from codistill.nn import (Architecture, Batch, backward, forward, init_params,
                           param_count, predict_proba)
@@ -61,9 +62,8 @@ class Battery:
     smooth_records: dict = field(default_factory=dict)   # (kind, seed) -> records
     build_seconds: float = 0.0
 
-    def group(self, seed: int, loss=None) -> GroupConfig:
-        return GroupConfig(1, 32, OptimizerConfig("adagrad", 0.1),
-                           loss or CombinedLossSpec(), seed)
+    def group(self, seed: int) -> GroupConfig:
+        return GroupConfig(1, 32, OptimizerConfig("adagrad", 0.1), CombinedLossSpec(), seed)
 
     def codistill(self, seed: int, *, shards, reload_interval=RELOAD, steps=STEPS,
                   data_mode="disjoint", run_id_prefix="model"):
@@ -87,7 +87,6 @@ def battery():
     ds = gen_classification(7, 50_000, 32, 10, 0.5)
     train, valset = split_train_val(ds, 0.1, 7)
     b = Battery(Architecture(32, (64, 32), 10), train, valset.as_batch())
-    uni = unigram(train)
     for seed in SEEDS:
         _, recs = train_baseline(b.arch, b.group(1000 * seed), train, STEPS, b.val,
                                  EVAL_EVERY, run_id=f"base.s{seed}")
@@ -104,12 +103,12 @@ def battery():
         shared = b.codistill(seed, shards=[shared_plan.shard(subset, i) for i in range(2)],
                              data_mode="shared")
         b.shared_records[seed] = [r for r in shared.records if r.run_id == "model0"]
-        for kind, probs in (("uniform", None), ("unigram", uni)):
-            spec = CombinedLossSpec(smoothing=SmoothingKind(kind, probs),
-                                    smoothing_weight=0.1)
-            _, recs = train_baseline(b.arch, b.group(1000 * seed, spec), train, STEPS,
-                                     b.val, EVAL_EVERY, run_id=f"smooth.{kind}.s{seed}")
-            b.smooth_records[(kind, seed)] = recs
+        for kind in ("uniform", "unigram"):
+            runner = GroupRunner(b.arch, b.group(1000 * seed), train,
+                                 entity=f"smooth.{kind}.s{seed}")
+            b.smooth_records[(kind, seed)] = recs = []
+            _train_loop([runner], STEPS, b.val, EVAL_EVERY, recs,
+                        _smoothing_teachers(kind, train, 0.1))
     b.build_seconds = time.perf_counter() - t0
     return b
 

@@ -100,15 +100,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             resolve(tiny_cfg("baseline", **extra, **{key: value}))
 
-    @pytest.mark.parametrize("key, value", [("codistill.teacher_mode", "fresh_in_process"),
-                                            ("codistill.n_models", 17)])
+    @pytest.mark.parametrize("key, value", [("codistill.n_models", 17)])
     def test_concurrent_mode_limits_named(self, key, value):
-        """One process per group, exchanging stale checkpoints: fresh teachers
-        and more groups than the process cap are config errors there only."""
-        cfg = tiny_cfg("codistill", **{key: value})
+        """One process per group: more groups than the process cap are a
+        config error there only."""
+        cfg = tiny_cfg("codistill", **{key: value, "group.batch": 16})  # 21 per shard
         with pytest.raises(ConfigError, match=key):
             resolve(cfg, mode="concurrent")
         resolve(cfg)
+
+    def test_teacher_mode_is_an_unknown_key(self):
+        """Every peer read goes through the store; deep mutual learning is
+        ``codistill.reload_interval=1``."""
+        with pytest.raises(ConfigError, match="unknown key 'codistill.teacher_mode'"):
+            parse_config_text("codistill.teacher_mode=stale_checkpoint\n")
+        with pytest.raises(ConfigError, match="unknown key 'codistill.teacher_mode'"):
+            resolve(tiny_cfg("codistill", **{"codistill.teacher_mode": "fresh_in_process"}))
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_configs_resolve(self, path):
@@ -300,6 +307,18 @@ class TestLanguageModelTask:
         assert stats["final_val_loss"] < first.validation_loss
         assert stats["final_val_accuracy"] > 0.3  # repetitive text is predictable
 
+    def test_lm_batch_larger_than_training_set_exit_two_writes_nothing(self, tmp_path,
+                                                                         capsys):
+        """An lm's training-set size is known once its corpus is read, which
+        is still before any output exists."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"kind=baseline\ndata.kind=lm\ndata.corpus={self.corpus_path(tmp_path)}\n"
+                        f"group.batch={len(self.CORPUS)}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: group.batch:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lm_unigram_smoothing_runs(self, tmp_path):
         cfg = parse_config_text(f"""
             kind=smoothing_baseline
@@ -384,7 +403,7 @@ class TestConcurrentMode:
         step_batches = GroupRunner.step_batches
 
         def dying_step(runner, *args):
-            if runner.model_id == 1 and runner.step_index == 25:
+            if runner.entity == "codistill.s0.m1" and runner.step_index == 25:
                 os.kill(os.getpid(), signal.SIGKILL)
             return step_batches(runner, *args)
 
@@ -435,12 +454,27 @@ class TestMainEntry:
         ("offline.phase2_steps=-5\n", "offline.phase2_steps"),
         ("churn.repeats=1\n", "churn.repeats"), ("data.classes=1\n", "data.classes"),
         ("data.n=2\n", "data.n"), ("data.val_fraction=2\n", "data.val_fraction"),
-        ("data.difficulty=-1\n", "data.difficulty")])
+        ("data.difficulty=-1\n", "data.difficulty"),
+        ("group.batch=1000\n", "group.batch"),  # 360 training examples
+        ("kind=codistill\ncodistill.n_models=16\n", "group.batch"),  # 22 per shard
+        ("kind=smoothing_baseline\nloss.smoothing_weight=-5\n", "loss.smoothing_weight"),
+        ("kind=offline_distill\nloss.distill_weight=-1\n", "loss.distill_weight"),
+        ("loss.distill_weight=nan\n", "loss.distill_weight"),
+        ("seeds=0,0\n", "seeds")])
     def test_group_config_error_exit_two_writes_nothing(self, tmp_path, capsys, extra, key):
         path = self.write_cfg(tmp_path, TINY + "kind=baseline\n" + extra)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_batch_larger_than_shard_exit_two_writes_nothing(self, tmp_path, capsys):
+        """Checked for every value before the first one trains."""
+        path = self.write_cfg(tmp_path, TINY + "seeds=0\nsteps=20\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--axis", "group.batch",
+                     "--values", "8,1000", "--out", str(out)]) == 2
+        assert "config error: group.batch:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_divergence_exit_one(self, tmp_path):

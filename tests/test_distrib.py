@@ -247,12 +247,6 @@ class TestCodistill:
                                        self.val, eval_every=60)
             assert np.array_equal(result.params[i].values, expect.values)
 
-    def test_fresh_in_process_equals_reload_every_step(self):
-        stale = self.run_codistill(CodistillConfig(2, 20, 1, teacher_mode="stale_checkpoint"))
-        fresh = self.run_codistill(CodistillConfig(2, 20, 1, teacher_mode="fresh_in_process"))
-        for a, b in zip(stale.params, fresh.params):
-            assert np.array_equal(a.values, b.values)
-
     def test_deterministic(self):
         cfg = CodistillConfig(2, 20, 10)
         a = self.run_codistill(cfg)
@@ -402,7 +396,7 @@ class TestConcurrentGroups:
         step_batches = GroupRunner.step_batches
 
         def dying_step(runner, *args):
-            if runner.model_id == 1 and runner.step_index == 35:
+            if runner.entity == "model1" and runner.step_index == 35:
                 os.kill(os.getpid(), signal.SIGKILL)
             return step_batches(runner, *args)
 
@@ -483,18 +477,16 @@ class TestConcurrentGroups:
         assert isinstance(out["error"], KeyboardInterrupt)
         assert out["seconds"] < distrib.START_TIMEOUT_S + 5
 
-    @pytest.mark.parametrize("case", ["memory_store", "over_cap", "fresh_teachers"])
+    @pytest.mark.parametrize("case", ["memory_store", "over_cap"])
     def test_rejected_before_forking(self, tmp_path, case):
         groups, shards, val = self.two_groups()
         cfg, store = CodistillConfig(2, 10, 10), FileCheckpointStore(tmp_path, ARCH)
         if case == "memory_store":
             store = InMemoryCheckpointStore(ARCH)
-        elif case == "over_cap":
+        else:
             n = distrib.MAX_GROUP_PROCESSES + 1
             cfg = CodistillConfig(n, 10, 10)
             groups, shards = [sgd_group(i) for i in range(n)], shards[:1] * n
-        else:
-            cfg = CodistillConfig(2, 10, 10, teacher_mode="fresh_in_process")
         with pytest.raises(ValueError):
             codistill_train_concurrent(ARCH, cfg, groups, shards, 10, store, val)
         assert multiprocessing.active_children() == []
@@ -554,22 +546,6 @@ class TestThreeModelCodistill:
         # 5 exchange rounds per group: 1 publish + 2 loads each
         assert report.actual_checkpoint_total == report.expected_checkpoint_total
         assert report.actual_checkpoint_total == 3 * 5 * 3 * param_count(ARCH) * 8
-
-    def test_fresh_equals_reload_one_with_three_models(self):
-        train, val = make_task(n=600)
-        plan = make_shards(train, "disjoint", 3, 2)
-        shards = [plan.shard(train, i) for i in range(3)]
-        groups = [sgd_group(300 + i) for i in range(3)]
-
-        def run_mode(mode):
-            cfg = CodistillConfig(3, 10, 1, teacher_mode=mode)
-            return codistill_train(ARCH, cfg, groups, shards, 60,
-                                   InMemoryCheckpointStore(ARCH), val, eval_every=30)
-
-        stale = run_mode("stale_checkpoint")
-        fresh = run_mode("fresh_in_process")
-        for a, b in zip(stale.params, fresh.params):
-            assert np.array_equal(a.values, b.values)
 
 
 class TestStoreCounters:

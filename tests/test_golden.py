@@ -5,9 +5,10 @@ compares SHA-256 hashes of its outputs with hashes recorded before any
 optimisation of the training path: ``metrics.csv`` without the
 ``wall_seconds`` column, and ``summary.json`` byte for byte. Together the
 cases cover every experiment kind, the LM head, every distillation loss,
-every optimizer, ``fresh_in_process`` teachers and the 32-bit checkpoint
+every optimizer, both label-smoothing teachers and the 32-bit checkpoint
 payload. The sweep cases hash ``sweep.csv`` and each value's outputs for
-the paper's two scaling sweeps through ``experiments.sweep``. A mismatch
+the paper's two scaling sweeps through ``experiments.sweep``; its
+``codistill.reload_interval=1`` value is deep mutual learning. A mismatch
 means a change altered training arithmetic; re-record only when that is the
 intent, and say so in the change.
 """
@@ -37,8 +38,6 @@ CASES = {
                           "opt.kind": "adam", "opt.lr": 0.01, **CODISTILL},
     "codistill_logit_mse_sgd": {"kind": "codistill", "loss.distill": "logit_mse",
                                 "opt.kind": "sgd", **CODISTILL},
-    "codistill_fresh": {"kind": "codistill", "codistill.teacher_mode": "fresh_in_process",
-                        **CODISTILL},
     "codistill_float32": {"kind": "codistill", "codistill.float32_payload": True,
                           **CODISTILL},
     "same_data_ablation": {"kind": "same_data_ablation", **CODISTILL},
@@ -62,8 +61,6 @@ GOLDEN = {
         "2705e325112a31acc3e398921d303c00f45bc7ac95271b9179e9dacab3b54421"),
     "codistill_float32": ("0ac77b60c53945d3237701bc70dc54a7b4b06cc2f7d532d6d8c5c8b6d401e0a7",
         "529c2e5b23672d25f2d80e5f04edb258a17dd2398a26e3fe99572916b116e7cd"),
-    "codistill_fresh": ("d64a4921f6b46db5f7385e1828b88e619a5b07fc86209fd1b345188f45a30907",
-        "0498007dbda33e9c9136addaf3065d4a2712eb9c1645fee29104e940b64a341c"),
     "codistill_kl_adam": ("b0df3cae66bf99b4f6854ca858653450ee3fae513f39c3bfdfa1e48f1da01c5b",
         "1ffbcd387425d8857c2116bf9729f33ae94496e18e1716a6aafd952aafda7c3e"),
     "codistill_logit_mse_sgd": ("4c91995f0bdf62325404a89827ab740da74673150cffe8c240d9c814a62d96f7",

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from codistill.losses import (CombinedLossSpec, SmoothingKind, combined_loss, hard_ce,
-                              hard_ce_loss, kl_div, logit_mse, smoothing_target, soft_ce)
-from codistill.nn import softmax
+from codistill.data import Dataset
+from codistill.experiments import _smoothing_teachers
+from codistill.losses import (CombinedLossSpec, combined_loss, hard_ce, hard_ce_loss, kl_div,
+                              logit_mse, soft_ce)
+from codistill.nn import Batch, softmax
 from helpers import fd_logit_grad, rel_err
 
 
@@ -190,27 +192,25 @@ class TestFiniteDifferenceSweep:
 
 
 class TestSmoothing:
+    """Label smoothing is soft-CE distillation toward a constant teacher,
+    which gives every row of a batch the same target distribution."""
+
+    @staticmethod
+    def teacher_rows(kind, train, batch_size):
+        [(spec, teacher)] = _smoothing_teachers(kind, train, 0.1)(0)
+        assert spec == CombinedLossSpec("soft_cross_entropy", 0.1)
+        return teacher(Batch(np.zeros((batch_size, 1)), np.zeros(batch_size)))
+
     def test_uniform(self):
-        kind = SmoothingKind("uniform")
-        assert np.array_equal(smoothing_target(kind, 5), np.full(5, 0.2))
+        train = Dataset(np.zeros((3, 1)), np.array([0, 1, 4]), "classification", 5)
+        assert np.array_equal(self.teacher_rows("uniform", train, 4), np.full((4, 5), 0.2))
 
     def test_unigram_from_counts(self):
         # corpus "aab" over vocab {a, b}
-        kind = SmoothingKind("unigram", np.array([2 / 3, 1 / 3]))
-        assert np.abs(smoothing_target(kind, 2) - [2 / 3, 1 / 3]).max() < 1e-15
-
-    def test_unigram_requires_probs(self):
-        with pytest.raises(ValueError, match="unigram"):
-            SmoothingKind("unigram")
-
-    def test_unnormalized_unigram_rejected(self):
-        with pytest.raises(ValueError, match="probability"):
-            SmoothingKind("unigram", np.array([0.5, 0.6]))
-
-    def test_wrong_length(self):
-        kind = SmoothingKind("unigram", np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="entries"):
-            smoothing_target(kind, 3)
+        train = Dataset(np.zeros((3, 1)), np.array([0, 0, 1]), "lm", 2)
+        rows = self.teacher_rows("unigram", train, 3)
+        assert rows.shape == (3, 2)
+        assert np.abs(rows - [2 / 3, 1 / 3]).max() < 1e-15
 
 
 class TestCombinedLoss:
@@ -256,23 +256,6 @@ class TestCombinedLoss:
         with pytest.raises(ValueError, match="probability"):
             combined_loss(spec, np.array([0]), np.zeros((1, 2)), np.array([[3.0, -2.0]]))
 
-    def test_smoothing_and_distill_exclusive(self):
-        with pytest.raises(ValueError, match="exclusive"):
-            CombinedLossSpec(distill="soft_cross_entropy",
-                             smoothing=SmoothingKind("uniform"))
-
-    def test_smoothing_term_applied(self):
-        rng = np.random.default_rng(14)
-        logits, labels, _ = random_case(rng)
-        spec = CombinedLossSpec(smoothing=SmoothingKind("uniform"), smoothing_weight=0.5)
-        cl, cg = combined_loss(spec, labels, logits)
-        hl, _ = hard_ce(labels, logits)
-        target = np.full(logits.shape, 1.0 / logits.shape[1])
-        sl, _ = soft_ce(target, logits)
-        assert abs(cl - (hl + 0.5 * sl)) < 1e-15
-        fd = fd_logit_grad(lambda z: combined_loss(spec, labels, z)[0], logits)
-        assert rel_err(cg, fd).max() < 1e-6
-
     @pytest.mark.parametrize("distill", ["soft_cross_entropy", "kl_divergence", "logit_mse"])
     @given(seed=st.integers(0, 2**32 - 1), weight=st.floats(0.0, 10.0),
            scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
@@ -297,15 +280,17 @@ class TestCombinedLoss:
 
     @pytest.mark.parametrize("kind", ["uniform", "unigram"])
     def test_shared_softmax_smoothing_equals_separate_terms(self, kind):
+        """A broadcast constant teacher, as the smoothing baselines use, adds
+        exactly its weight times the soft cross entropy toward it."""
         rng = np.random.default_rng(15)
         logits, labels, _ = random_case(rng, B=6, K=5)
-        smoothing = SmoothingKind(kind, softmax(rng.standard_normal((1, 5)))[0]
-                                  if kind == "unigram" else None)
-        spec = CombinedLossSpec(smoothing=smoothing, smoothing_weight=0.3)
-        cl, cg = combined_loss(spec, labels, logits)
+        target = (softmax(rng.standard_normal((1, 5)))[0] if kind == "unigram"
+                  else np.full(5, 0.2))
+        teacher = np.broadcast_to(target, logits.shape)
+        spec = CombinedLossSpec(distill="soft_cross_entropy", distill_weight=0.3)
+        cl, cg = combined_loss(spec, labels, logits, teacher)
         hl, hg = hard_ce(labels, logits)
-        target = np.broadcast_to(smoothing_target(smoothing, 5), logits.shape)
-        sl, sg = soft_ce(target, logits)
+        sl, sg = soft_ce(teacher, logits)
         assert cl == hl + 0.3 * sl
         assert np.array_equal(cg, hg + 0.3 * sg)
 

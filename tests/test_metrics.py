@@ -172,8 +172,8 @@ class TestChurnExperiment:
     def test_forced_identical_seeds_give_zero_churn(self):
         ds = gen_classification(2, 300, 5, 3, 0.3)
         train, val = split_train_val(ds, 0.1, 2)
-        report = churn_experiment(self._train_fn(train, val.as_batch()), 2,
-                                  val.as_batch(), seeds=[7, 7])
+        train_fn = self._train_fn(train, val.as_batch())
+        report = churn_experiment(lambda seed: train_fn(7), 2, val.as_batch())
         assert report.churn_mean == 0.0
 
     def test_independent_retrains_have_positive_churn(self):
