@@ -278,6 +278,23 @@ class TestCombinedLoss:
         assert cl == hl + weight * dl
         assert np.array_equal(cg, hg + weight * dg)
 
+    def test_smoothing_term_applied(self):
+        """Uniform smoothing, run as the smoothing baselines run it: the
+        constant teacher from _smoothing_teachers adds its weight times the
+        soft cross entropy toward the uniform target."""
+        rng = np.random.default_rng(14)
+        logits, labels, _ = random_case(rng)
+        B, K = logits.shape
+        train = Dataset(np.zeros((K, 1)), np.arange(K), "classification", K)
+        [(spec, teacher_fn)] = _smoothing_teachers("uniform", train, 0.5)(0)
+        teacher = teacher_fn(Batch(np.zeros((B, 1)), labels))
+        cl, cg = combined_loss(spec, labels, logits, teacher)
+        hl, _ = hard_ce(labels, logits)
+        sl, _ = soft_ce(np.full(logits.shape, 1.0 / K), logits)
+        assert abs(cl - (hl + 0.5 * sl)) < 1e-15
+        fd = fd_logit_grad(lambda z: combined_loss(spec, labels, z, teacher)[0], logits)
+        assert rel_err(cg, fd).max() < 1e-6
+
     @pytest.mark.parametrize("kind", ["uniform", "unigram"])
     def test_shared_softmax_smoothing_equals_separate_terms(self, kind):
         """A broadcast constant teacher, as the smoothing baselines use, adds
