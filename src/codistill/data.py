@@ -68,8 +68,8 @@ def check_classification(n_examples: int, input_dim: int, n_classes: int,
         raise ValueError("input_dim must be positive")
     if n_examples < n_classes:
         raise ValueError("n_examples must be at least n_classes: one example per class")
-    if difficulty < 0.0:
-        raise ValueError("difficulty must be nonnegative")
+    if not 0.0 <= difficulty < np.inf:
+        raise ValueError("difficulty must be finite and nonnegative")
 
 
 def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: int,
@@ -98,17 +98,23 @@ def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: in
     })
 
 
+def _read_corpus(path, context_window: int) -> str:
+    """A UTF-8 corpus's text, holding at least one example."""
+    text = Path(path).read_text(encoding="utf-8")
+    if not text:
+        raise ValueError(f"empty corpus: {path}")
+    if len(text) < context_window + 1:
+        raise ValueError(f"corpus shorter than context_window + 1 ({context_window + 1} chars)")
+    return text
+
+
 def ingest_text(path, context_window: int) -> Dataset:
     """Character-level sliding-window dataset from a UTF-8 text file.
 
     Each example maps ``context_window`` consecutive characters to the next
     one; the vocabulary is the sorted set of characters in the corpus.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    if not text:
-        raise ValueError(f"empty corpus: {path}")
-    if len(text) < context_window + 1:
-        raise ValueError(f"corpus shorter than context_window + 1 ({context_window + 1} chars)")
+    text = _read_corpus(path, context_window)
     vocab = "".join(sorted(set(text)))
     index = {c: i for i, c in enumerate(vocab)}
     ids = np.fromiter((index[c] for c in text), dtype=np.int64, count=len(text))
@@ -146,8 +152,6 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
 class ShardPlan:
     """Assignment of example indices to worker groups."""
 
-    mode: str
-    n_shards: int
     assignment: tuple[np.ndarray, ...]
 
     def shard(self, dataset: Dataset, i: int) -> Dataset:
@@ -166,7 +170,7 @@ def make_shards(dataset: Dataset, mode: str, n_shards: int, seed: int) -> ShardP
     else:
         perm = np.random.default_rng(np.random.SeedSequence([int(seed), 2])).permutation(dataset.n)
         assignment = tuple(perm[i::n_shards].astype(np.int64) for i in range(n_shards))
-    return ShardPlan(mode, n_shards, assignment)
+    return ShardPlan(assignment)
 
 
 def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[Batch]:

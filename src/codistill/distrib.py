@@ -9,7 +9,8 @@ none (``train_baseline``); a frozen teacher, which is classic distillation
 from an ensemble (``offline_distill``) or, from a constant distribution,
 label smoothing; or peers' stale checkpoints from the store, the paper's
 online codistillation. Deep mutual learning is codistillation that reloads
-every step (``reload_interval=1``), every read charged to the ledger.
+every step (``reload_interval=1``), every read charged to the ledger. A
+step's gradient is a flat array that goes straight to ``optim.step``.
 
 Lockstep mode (``codistill_train``) makes one loop call over all groups on
 one thread in a fixed round-robin order, which makes whole runs
@@ -53,7 +54,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -285,14 +286,7 @@ class CodistillResult:
 @dataclass
 class OfflineResult:
     student_params: Parameters
-    teacher_params: list[Parameters]
     records: list[MetricRecord]
-    phase1_steps: int
-    phase2_steps: int
-
-    @property
-    def total_steps(self) -> int:
-        return self.phase1_steps + self.phase2_steps
 
 
 def worker_streams(shard, group: GroupConfig):
@@ -349,9 +343,8 @@ class GroupRunner:
         loss, dlogits = combined_loss(spec, batch.labels, trace.logits, teacher)
         if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
             raise DivergenceError(self.step_index, f"loss {loss} at step {self.step_index}")
-        grad = trace.grad(dlogits)
         new_values, self.opt_state = optim.step(self.group.optimizer, self.opt_state,
-                                                self.params.values, grad.values)
+                                                self.params.values, trace.grad(dlogits))
         self.params = Parameters(self.arch, new_values)
         self.ledger.add(self.entity, "gradient_exchange", self.group.n_workers * self._param_bytes)
         self.ledger.add(self.entity, "parameter_broadcast", self.group.n_workers * self._param_bytes)
@@ -387,7 +380,7 @@ class GroupRunner:
 
 
 def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, records: list,
-                teachers=None, *, step_callback=None, after_eval=None, stop=None) -> None:
+                teachers=None, *, after_eval=None, stop=None) -> None:
     """The one training loop; each training mode is a different ``teachers``.
 
     At every global step ``teachers(s)`` gives one entry per runner: None
@@ -399,7 +392,8 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     ``after_eval(step, new_records, params, t0)`` returns one more record to
     append, given that point's parameters of every runner. An existing
     ``stop`` path ends the loop before the next step; a loop given ``stop``
-    runs in a concurrent-mode group process.
+    runs in a concurrent-mode group process. There is no per-step hook: with
+    ``eval_every=1`` each record's train loss is that one step's loss.
 
     An evaluation point snapshots each runner's step, train loss, ledger
     totals and parameters; only the validation passes and the records'
@@ -457,11 +451,8 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
             if stop is not None and stop.exists():
                 break
             pairs = teachers(s) if teachers is not None else [None] * len(runners)
-            for i, (r, pair) in enumerate(zip(runners, pairs)):
-                loss = r.step_stream(*pair) if pair is not None else r.step_stream()
-                if step_callback is not None:
-                    step_callback(i, s, loss, r.params)
-                windows[i].append(loss)
+            for r, pair, window in zip(runners, pairs, windows):
+                window.append(r.step_stream(*pair) if pair is not None else r.step_stream())
             if (s + 1) % eval_every == 0 or s + 1 == n_steps:
                 emit(s + 1)
         drain()
@@ -475,12 +466,12 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
             helper.shutdown()
 
 
-def _static_teachers(loss: CombinedLossSpec, teacher_fn, distill: str, distill_weight: float):
+def _static_teachers(teacher_fn, distill: str, distill_weight: float):
     """Teacher source of a frozen teacher: the same pair at every step, or
     None when the distillation term is off."""
     if distill == "none" or distill_weight == 0.0:
         return None
-    pair = [(replace(loss, distill=distill, distill_weight=distill_weight), teacher_fn)]
+    pair = [(CombinedLossSpec(distill, distill_weight), teacher_fn)]
     return lambda s: pair
 
 
@@ -502,9 +493,7 @@ class _PeerTeachers:
         self.store = store
         self.stop = stop
         self.active = cfg.distill != "none" and cfg.distill_weight > 0.0
-        self.specs = [replace(r.group.loss, distill=cfg.distill,
-                              distill_weight=cfg.distill_weight) if self.active else None
-                      for r in runners]
+        self.spec = CombinedLossSpec(cfg.distill, cfg.distill_weight)
         # loaded[i] maps peer id -> (Parameters, checkpoint step)
         self.loaded: list[dict[int, tuple[Parameters, int]]] = [{} for _ in runners]
         self.lags = [0] * len(runners)
@@ -546,13 +535,13 @@ class _PeerTeachers:
             return None
         teachers = self.loaded[i].values()
         self.lags[i] = max(self.lags[i], s - min(step for _, step in teachers))
-        return self.specs[i], mean_teacher_fn([p for p, _ in teachers], self.cfg.distill)
+        return self.spec, mean_teacher_fn([p for p, _ in teachers], self.cfg.distill)
 
 
 def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
                    validation: Batch, eval_every: int = 100, *,
                    ledger: CommLedger | None = None, streams=None,
-                   run_id: str = "baseline", step_callback=None):
+                   run_id: str = "baseline"):
     """Synchronous-SGD training of a single group.
 
     Evaluates at step 0, every ``eval_every`` steps, and the final step; the
@@ -563,9 +552,7 @@ def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
     """
     runner = GroupRunner(arch, group, shard, streams=streams, ledger=ledger, entity=run_id)
     records: list[MetricRecord] = []
-    callback = (None if step_callback is None
-                else lambda i, s, loss, params: step_callback(s, loss, params))
-    _train_loop([runner], n_steps, validation, eval_every, records, step_callback=callback)
+    _train_loop([runner], n_steps, validation, eval_every, records)
     return runner.params, records
 
 
@@ -605,8 +592,8 @@ def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards,
 
 def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
                     n_steps: int, store, validation: Batch, eval_every: int = 100, *,
-                    ledger: CommLedger | None = None, run_id_prefix: str = "model",
-                    step_callback=None) -> CodistillResult:
+                    ledger: CommLedger | None = None,
+                    run_id_prefix: str = "model") -> CodistillResult:
     """Lockstep codistillation over N groups.
 
     On every global step that hits the reload boundary each group publishes
@@ -621,7 +608,7 @@ def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
     everyone = range(cfg.n_models)
     records: list[MetricRecord] = []
     _train_loop(runners, n_steps, validation, eval_every, records,
-                lambda s: teachers(everyone, s), step_callback=step_callback)
+                lambda s: teachers(everyone, s))
     return CodistillResult([r.params for r in runners], records, max(teachers.lags))
 
 
@@ -771,29 +758,25 @@ def offline_distill(arch: Architecture, teacher_groups, student_group: GroupConf
                     teacher_shards, student_shard, phase1_steps: int, phase2_steps: int,
                     validation: Batch, *, distill: str = "soft_cross_entropy",
                     distill_weight: float = 1.0, eval_every: int = 100,
-                    ledger: CommLedger | None = None,
                     run_id_prefix: str = "") -> OfflineResult:
     """Two-phase pipeline: train independent teachers, then distill a fresh
     student against the frozen ensemble's mean predictions.
 
     Run ids are ``<run_id_prefix>phase1.model<i>`` and
-    ``<run_id_prefix>phase2.student``. Step accounting treats each phase's
-    models as running in parallel, so the reported total is
-    phase1_steps + phase2_steps.
+    ``<run_id_prefix>phase2.student``.
     """
-    ledger = ledger if ledger is not None else CommLedger()
     records: list[MetricRecord] = []
     teacher_params = []
     for i, (g, sh) in enumerate(zip(teacher_groups, teacher_shards)):
-        teacher = GroupRunner(arch, g, sh, ledger=ledger, entity=f"{run_id_prefix}phase1.model{i}")
+        teacher = GroupRunner(arch, g, sh, entity=f"{run_id_prefix}phase1.model{i}")
         _train_loop([teacher], phase1_steps, validation, eval_every, records)
         teacher_params.append(teacher.params)
-    student = GroupRunner(arch, student_group, student_shard, ledger=ledger,
+    student = GroupRunner(arch, student_group, student_shard,
                           entity=f"{run_id_prefix}phase2.student")
     _train_loop([student], phase2_steps, validation, eval_every, records,
-                _static_teachers(student_group.loss, mean_teacher_fn(teacher_params, distill),
-                                 distill, distill_weight))
-    return OfflineResult(student.params, teacher_params, records, phase1_steps, phase2_steps)
+                _static_teachers(mean_teacher_fn(teacher_params, distill), distill,
+                                 distill_weight))
+    return OfflineResult(student.params, records)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SHARD_MODES, _validation_size, check_classification, check_split,
-                   gen_classification, ingest_text, make_shards, split_train_val, unigram)
+from .data import (SHARD_MODES, _read_corpus, _validation_size, check_classification,
+                   check_split, gen_classification, ingest_text, make_shards, split_train_val,
+                   unigram)
 from .distrib import (MAX_GROUP_PROCESSES, CodistillConfig, CommLedger, DivergenceError,
                       FileCheckpointStore, GroupConfig, GroupRunner, InMemoryCheckpointStore,
                       _static_teachers, _train_loop, codistill_train,
@@ -153,6 +154,8 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
     for key, allowed in _ENUMS.items():
         if res[key] is not None and res[key] not in allowed:
             raise ConfigError(f"{key}: unknown value {res[key]!r} (expected one of {allowed})")
+    if mode == "concurrent" and res["kind"] not in _CODISTILL_KINDS:
+        raise ConfigError(f"mode: kind {res['kind']} trains in lockstep only")
     if not res["seeds"]:
         raise ConfigError("seeds: must be non-empty")
     if any(s < 0 for s in res["seeds"]):
@@ -164,8 +167,8 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
     for key, least in (("steps", 0), ("eval_every", 1), ("offline.phase1_steps", 0),
                        ("offline.phase2_steps", 0), ("churn.repeats", 2),
                        ("loss.distill_weight", 0), ("loss.smoothing_weight", 0)):
-        if not res[key] >= least:  # a NaN weight too
-            raise ConfigError(f"{key}: must be at least {least}")
+        if not least <= res[key] < np.inf:  # a NaN weight too
+            raise ConfigError(f"{key}: must be finite and at least {least}")
     try:
         if res["data.kind"] == "classification":
             check_classification(res["data.n"], res["data.dim"], res["data.classes"],
@@ -177,13 +180,16 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
             _codistill_cfg(res)
     except ValueError as err:
         raise ConfigError(f"{_FIELD_KEYS[str(err).split()[0]]}: {err}") from None
-    if (res["kind"] in _CODISTILL_KINDS and mode == "concurrent"
-            and res["codistill.n_models"] > MAX_GROUP_PROCESSES):
+    if mode == "concurrent" and res["codistill.n_models"] > MAX_GROUP_PROCESSES:
         raise ConfigError(f"codistill.n_models: concurrent mode runs one process per "
                           f"model, at most {MAX_GROUP_PROCESSES}")
-    if res["data.kind"] == "classification":
-        n = res["data.n"]
-        _check_batch(res, n - _validation_size(n, res["data.val_fraction"]))
+    n = res["data.n"]
+    if res["data.kind"] == "lm":  # one example per corpus character after the first window
+        try:
+            n = len(_read_corpus(res["data.corpus"], res["data.window"])) - res["data.window"]
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"data.corpus: {err}") from None
+    _check_batch(res, n - _validation_size(n, res["data.val_fraction"]))
     return res
 
 
@@ -266,7 +272,7 @@ def _smoothing_teachers(kind: str, train, weight: float):
     target = (unigram(train) if kind == "unigram"
               else np.full(train.n_classes, 1.0 / train.n_classes))
     teacher = lambda batch: np.broadcast_to(target, (batch.size, len(target)))  # noqa: E731
-    return _static_teachers(CombinedLossSpec(), teacher, "soft_cross_entropy", weight)
+    return _static_teachers(teacher, "soft_cross_entropy", weight)
 
 
 def _group(res: dict, seed: int, model_index: int = 0) -> GroupConfig:
@@ -292,17 +298,15 @@ _FIELD_KEYS = {**_OPTIMIZER_KEYS, **_CODISTILL_KEYS,
                "val_fraction": "data.val_fraction"}
 
 
-def _codistill_cfg(res: dict, **overrides) -> CodistillConfig:
-    kw = {field: res[key] for field, key in _CODISTILL_KEYS.items()}
-    kw.update(overrides)
-    return CodistillConfig(**kw)
+def _codistill_cfg(res: dict) -> CodistillConfig:
+    return CodistillConfig(**{field: res[key] for field, key in _CODISTILL_KEYS.items()})
 
 
 def _run_codistill_once(env: Env, seed: int, run_prefix: str, mode: str, out_dir,
-                        shards=None, **cfg_overrides):
+                        shards=None):
     """One codistillation run: shard plan, N groups, shared store and ledger."""
     res = env.res
-    cfg = _codistill_cfg(res, **cfg_overrides)
+    cfg = _codistill_cfg(res)
     if shards is None:
         plan = make_shards(env.train, cfg.data_mode, cfg.n_models, seed)
         shards = [plan.shard(env.train, i) for i in range(cfg.n_models)]
@@ -394,13 +398,13 @@ def _kind_same_data_ablation(env: Env, mode: str, out_dir, records):
         plan = make_shards(env.train, "disjoint", n, seed)
         disjoint_shards = [plan.shard(env.train, i) for i in range(n)]
         result, _ = _run_codistill_once(env, seed, f"ablation.s{seed}.disjoint.m", mode,
-                                        out_dir, shards=disjoint_shards, data_mode="disjoint")
+                                        out_dir, shards=disjoint_shards)
         records.extend(result.records)
         subset = disjoint_shards[0]
         shared_plan = make_shards(subset, "shared", n, seed)
         shared_shards = [shared_plan.shard(subset, i) for i in range(n)]
         result, _ = _run_codistill_once(env, seed, f"ablation.s{seed}.shared.m", mode,
-                                        out_dir, shards=shared_shards, data_mode="shared")
+                                        out_dir, shards=shared_shards)
         records.extend(result.records)
     runs = _summarize_runs(records, res["target_loss"])
     means = {name: _seed_mean(runs, "final_val_loss", match=f".{name}")
@@ -446,25 +450,24 @@ def _kind_ensemble_baseline(env: Env, mode: str, out_dir, records):
 
 
 def _kind_offline_distill(env: Env, mode: str, out_dir, records):
+    """Step accounting treats each phase's models as running in parallel, so
+    the total is phase1_steps + phase2_steps."""
     res = env.res
     n = res["codistill.n_models"]
-    totals = {}
+    p1, p2 = res["offline.phase1_steps"], res["offline.phase2_steps"]
     for seed in res["seeds"]:
         plan = make_shards(env.train, res["codistill.data_mode"], n, seed)
         shards = [plan.shard(env.train, i) for i in range(n)]
         groups = [_group(res, seed, i) for i in range(n)]
         student = _group(res, seed, n)  # fresh model, distinct seed
-        result = offline_distill(env.arch, groups, student, shards, env.train,
-                                 res["offline.phase1_steps"], res["offline.phase2_steps"],
+        result = offline_distill(env.arch, groups, student, shards, env.train, p1, p2,
                                  env.val, distill=res["loss.distill"],
                                  distill_weight=res["loss.distill_weight"],
                                  eval_every=res["eval_every"],
                                  run_id_prefix=f"offline.s{seed}.")
         records.extend(result.records)
-        totals[str(seed)] = {"phase1_steps": result.phase1_steps,
-                             "phase2_steps": result.phase2_steps,
-                             "total_steps": result.total_steps}
-    return {"step_accounting": totals}
+    totals = {"phase1_steps": p1, "phase2_steps": p2, "total_steps": p1 + p2}
+    return {"step_accounting": {str(seed): totals for seed in res["seeds"]}}
 
 
 def _kind_churn(env: Env, mode: str, out_dir, records):
@@ -538,7 +541,6 @@ def run(cfg: dict, out_dir, mode: str = "lockstep") -> dict:
     """
     res = resolve(cfg, mode)
     env = build_env(res)
-    _check_batch(res, env.train.n)  # resolve() cannot for an lm, whose corpus is read only now
     summary = {"kind": res["kind"], "seeds": res["seeds"], "mode": mode,
                "provenance": env.provenance, "param_count": param_count(env.arch)}
     records: list[MetricRecord] = []

@@ -96,7 +96,7 @@ def steps_to_target(records, target_loss: float):
 
 
 def _check_same_arch(params_list):
-    fps = {p.arch_fingerprint for p in params_list}
+    fps = {p.arch.fingerprint() for p in params_list}
     if len(fps) != 1:
         raise ValueError("architecture mismatch between models")
 

@@ -58,7 +58,6 @@ class Architecture:
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
-    activation: str = "relu"
     task: str = TASK_CLASSIFICATION
     context_window: int | None = None
     vocab_size: int | None = None
@@ -80,8 +79,6 @@ class Architecture:
             if int(v) != v or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v}")
             object.__setattr__(self, name, int(v))
-        if self.activation != "relu":
-            raise ValueError(f"activation {self.activation!r} is unsupported")
         if self.task == TASK_LM:
             if self.input_dim != self.context_window * self.embedding_dim:
                 raise ValueError(
@@ -97,8 +94,9 @@ class Architecture:
             raise ValueError(f"task {self.task!r} is unknown")
 
     def fingerprint(self) -> int:
-        """Stable 64-bit hash over every field (process-independent)."""
-        key = repr((self.input_dim, self.hidden_dims, self.output_dim, self.activation,
+        """Stable 64-bit hash over every field (process-independent); the
+        hidden layers' activation, always relu, is part of the key."""
+        key = repr((self.input_dim, self.hidden_dims, self.output_dim, "relu",
                     self.task, self.context_window, self.vocab_size, self.embedding_dim))
         return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "little")
 
@@ -161,10 +159,6 @@ class Parameters:
             raise ValueError("non-finite parameter values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @property
-    def arch_fingerprint(self) -> int:
-        return self.arch.fingerprint()
 
 
 @dataclass
@@ -242,12 +236,13 @@ class ForwardTrace:
     acts: list[np.ndarray]  # input of each linear layer
     logits: np.ndarray  # (B, output_dim)
 
-    def grad(self, dloss_dlogits: np.ndarray) -> Parameters:
+    def grad(self, dloss_dlogits: np.ndarray) -> np.ndarray:
         """Gradient for the loss whose logit gradient is supplied.
 
         The loss functions in this package already fold the 1/B batch
         reduction into their logit gradient, so the result is the gradient of
-        the batch-mean loss. Layout matches ``Parameters``.
+        the batch-mean loss: a flat float64 vector in the ``Parameters``
+        layout, whose finiteness ``optim.step`` checks.
         """
         arch = self.params.arch
         batch, v, acts = self.batch, self.views, self.acts
@@ -270,8 +265,7 @@ class ForwardTrace:
                 g = np.zeros_like(v["embed"])
                 np.add.at(g, batch.inputs, dinput)
                 grads["embed"] = g
-        flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
-        return Parameters(arch, flat)
+        return np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
 
 
 def forward_trace(params: Parameters, batch: Batch) -> ForwardTrace:
@@ -313,8 +307,8 @@ def predict_proba(params: Parameters, batch: Batch) -> np.ndarray:
     return softmax(forward(params, batch))
 
 
-def backward(params: Parameters, batch: Batch, dloss_dlogits: np.ndarray) -> Parameters:
-    """Gradient for the loss whose logit gradient is supplied.
+def backward(params: Parameters, batch: Batch, dloss_dlogits: np.ndarray) -> np.ndarray:
+    """Gradient for the loss whose logit gradient is supplied, as a flat vector.
 
     Runs the forward pass again for its activations; a caller that already
     holds a ``ForwardTrace`` should call its ``grad`` instead.
@@ -330,7 +324,7 @@ def serialize_params(params: Parameters, *, step: int = 0, model_id: int = 0,
     bit-exact round trip (teacher predictions tolerate the precision loss).
     """
     dtype = np.dtype("<f4") if float32 else np.dtype("<f8")
-    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.arch_fingerprint,
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.arch.fingerprint(),
                           step, model_id, 1 if float32 else 0, params.values.size)
     return header + params.values.astype(dtype).tobytes()
 

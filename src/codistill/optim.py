@@ -31,11 +31,14 @@ class OptimizerConfig:
         # every message starts with the field it is about
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"kind {self.kind!r} is not an optimizer")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
+        for name in ("eps", "adagrad_eps"):  # 0 gives 0/0 where a gradient stays 0
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,7 @@ def test_criterion_01_gradient_correctness():
                 return combined_loss(spec, batch.labels, z, teacher)[0]
 
             _, dlogits = combined_loss(spec, batch.labels, forward(params, batch), teacher)
-            analytic = backward(params, batch, dlogits).values
+            analytic = backward(params, batch, dlogits)
             fd = fd_param_grad(params, batch, loss_of)
             worst = max(worst, float(rel_err(analytic, fd).max()))
     elapsed = time.perf_counter() - t0

@@ -319,6 +319,31 @@ class TestLanguageModelTask:
         assert "config error: group.batch:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lm_sweep_rejects_a_later_batch_before_training(self, tmp_path, capsys):
+        """Every value's batch is checked against the corpus before the first
+        value trains."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"kind=baseline\nseeds=0\nsteps=20\ndata.kind=lm\n"
+                        f"data.corpus={self.corpus_path(tmp_path)}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--axis", "group.batch",
+                     "--values", "8,100000", "--out", str(out)]) == 2
+        assert "config error: group.batch:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "", "abc"], ids=["missing", "empty", "short"])
+    def test_lm_bad_corpus_exit_two_writes_nothing(self, tmp_path, capsys, text):
+        """A missing, empty or too-short corpus (window 8) is a config error."""
+        corpus = tmp_path / "corpus.txt"
+        if text is not None:
+            corpus.write_text(text, encoding="utf-8")
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"kind=baseline\ndata.kind=lm\ndata.corpus={corpus}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: data.corpus:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lm_unigram_smoothing_runs(self, tmp_path):
         cfg = parse_config_text(f"""
             kind=smoothing_baseline
@@ -440,7 +465,9 @@ class TestMainEntry:
         ("codistill.n_models=1\n", "lockstep"),
         ("codistill.reload_interval=0\n", "lockstep"),
         ("codistill.teacher_mode=fresh_in_process\n", "concurrent"),
-        ("codistill.n_models=17\n", "concurrent")])
+        ("codistill.n_models=17\n", "concurrent"),
+        ("kind=ensemble_baseline\n", "concurrent"),  # the kinds that never fork
+        ("kind=baseline\n", "concurrent")])
     def test_codistill_config_error_exit_two_writes_nothing(self, tmp_path, extra, mode):
         path = self.write_cfg(tmp_path, TINY + "kind=codistill\ncodistill.burn_in=10\n" + extra)
         out = tmp_path / "out"
@@ -455,11 +482,19 @@ class TestMainEntry:
         ("churn.repeats=1\n", "churn.repeats"), ("data.classes=1\n", "data.classes"),
         ("data.n=2\n", "data.n"), ("data.val_fraction=2\n", "data.val_fraction"),
         ("data.difficulty=-1\n", "data.difficulty"),
+        ("data.difficulty=nan\n", "data.difficulty"),
+        ("data.difficulty=inf\n", "data.difficulty"),
+        ("opt.adagrad_eps=nan\n", "opt.adagrad_eps"),
+        ("opt.adagrad_eps=0\n", "opt.adagrad_eps"),
+        ("opt.kind=adam\nopt.eps=-1\n", "opt.eps"),
+        ("opt.kind=adam\nopt.eps=0\n", "opt.eps"),
         ("group.batch=1000\n", "group.batch"),  # 360 training examples
         ("kind=codistill\ncodistill.n_models=16\n", "group.batch"),  # 22 per shard
         ("kind=smoothing_baseline\nloss.smoothing_weight=-5\n", "loss.smoothing_weight"),
         ("kind=offline_distill\nloss.distill_weight=-1\n", "loss.distill_weight"),
         ("loss.distill_weight=nan\n", "loss.distill_weight"),
+        ("kind=smoothing_baseline\nloss.smoothing_weight=inf\n", "loss.smoothing_weight"),
+        ("opt.lr=inf\n", "opt.lr"),
         ("seeds=0,0\n", "seeds")])
     def test_group_config_error_exit_two_writes_nothing(self, tmp_path, capsys, extra, key):
         path = self.write_cfg(tmp_path, TINY + "kind=baseline\n" + extra)

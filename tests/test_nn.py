@@ -23,8 +23,6 @@ class TestArchitecture:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             Architecture(0, (8,), 4)
-        with pytest.raises(ValueError):
-            Architecture(6, (8,), 4, activation="tanh")
 
     def test_lm_dimension_invariant(self):
         with pytest.raises(ValueError, match="context_window"):
@@ -151,14 +149,14 @@ class TestPredictProba:
 class TestBackward:
     def test_zero_upstream_gives_zero_grad(self, small_params, small_batch):
         g = backward(small_params, small_batch, np.zeros((small_batch.size, 4)))
-        assert np.all(g.values == 0.0)
+        assert np.all(g == 0.0)
 
     def test_matches_finite_differences(self, small_arch, small_batch):
         for seed in range(10):
             p = init_params(small_arch, seed)
             logits = forward(p, small_batch)
             _, dlogits = hard_ce(small_batch.labels, logits)
-            analytic = backward(p, small_batch, dlogits).values
+            analytic = backward(p, small_batch, dlogits)
             fd = fd_param_grad(p, small_batch,
                                lambda z: hard_ce(small_batch.labels, z)[0])
             assert rel_err(analytic, fd).max() < 1e-4
@@ -167,7 +165,7 @@ class TestBackward:
         p = init_params(lm_arch, 2)
         logits = forward(p, lm_batch)
         _, dlogits = hard_ce(lm_batch.labels, logits)
-        analytic = backward(p, lm_batch, dlogits).values
+        analytic = backward(p, lm_batch, dlogits)
         fd = fd_param_grad(p, lm_batch, lambda z: hard_ce(lm_batch.labels, z)[0])
         assert rel_err(analytic, fd).max() < 1e-4
 
@@ -176,7 +174,7 @@ class TestBackward:
         _, dlogits = hard_ce(small_batch.labels, logits)
         a = backward(small_params, small_batch, dlogits)
         b = backward(small_params, small_batch, dlogits)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_shape_mismatch(self, small_params, small_batch):
         with pytest.raises(ValueError, match="shape"):
@@ -215,10 +213,10 @@ class TestForwardTrace:
         assert np.array_equal(trace.logits, want_logits)
         assert np.array_equal(forward(params, batch), want_logits)
         got = trace.grad(dlogits)
-        assert np.array_equal(got.values, want_grad)
-        assert np.array_equal(backward(params, batch, dlogits).values, want_grad)
+        assert np.array_equal(got, want_grad)
+        assert np.array_equal(backward(params, batch, dlogits), want_grad)
         # the stored activations are not consumed by a gradient
-        assert np.array_equal(trace.grad(dlogits).values, got.values)
+        assert np.array_equal(trace.grad(dlogits), got)
 
     @pytest.mark.parametrize("arch_name", ["small_arch", "lm_arch"])
     def test_large_batch_matches_recompute(self, arch_name, request):
@@ -228,7 +226,7 @@ class TestForwardTrace:
         dlogits = np.random.default_rng(4).standard_normal(trace.logits.shape)
         want_logits, want_grad = recompute_backward(params, batch, dlogits)
         assert np.array_equal(trace.logits, want_logits)
-        assert np.array_equal(trace.grad(dlogits).values, want_grad)
+        assert np.array_equal(trace.grad(dlogits), want_grad)
 
     def test_grad_checks_upstream(self, small_params, small_batch):
         trace = forward_trace(small_params, small_batch)
