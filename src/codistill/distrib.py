@@ -4,17 +4,32 @@ Synchronous data-parallel worker groups, versioned checkpoint stores, one
 training loop over N groups, and logical communication accounting.
 
 Every training mode is that loop with a different teacher source, which
-gives each group nothing or a (loss spec, teacher fn) pair at each step:
+gives the groups nothing or a (loss spec, teacher fn) pair at each step:
 none (``train_baseline``); a frozen teacher, which is classic distillation
 from an ensemble (``offline_distill``) or, from a constant distribution,
 label smoothing; or peers' stale checkpoints from the store, the paper's
 online codistillation. Deep mutual learning is codistillation that reloads
-every step (``reload_interval=1``), every read charged to the ledger. A
-step's gradient is a flat array that goes straight to ``optim.step``.
+every step (``reload_interval=1``), every read charged to the ledger.
+
+The loop trains its N groups as one stack (``_Stack``): their parameters
+and optimizer state are (N, P) arrays, and each global step runs once over
+the leading model axis, with one ``np.matmul`` per layer, one pass over all
+N * (N-1) peer teachers (a stale stack rebuilt only when checkpoints are
+reloaded), one combined loss, one backward, one elementwise optimizer
+update and one finiteness scan. Stacked matmuls make the same BLAS call on
+each model's slice, so every group's numbers are bit-identical to training
+it alone. There is one step implementation: the baseline, label smoothing,
+offline distillation and each concurrent-mode group process run it as a
+stack of one. A ``Parameters`` is built only where one is read: at a
+publish, at an evaluation point and in the result. Stacking needs the
+groups to agree on ``_LOCKSTEP_FIELDS`` (``n_workers``, ``batch_size``,
+``optimizer``, ``loss``).
 
 Lockstep mode (``codistill_train``) makes one loop call over all groups on
-one thread in a fixed round-robin order, which makes whole runs
-bit-reproducible. When at least 2 CPUs are available, each evaluation
+one thread, which makes whole runs bit-reproducible. Validation stays one
+model at a time: a stacked pass over the validation set would hold N
+models' activations at once, which at desk scale adds more to peak memory
+than it saves in time. When at least 2 CPUs are available, each evaluation
 point's validation passes run on one helper thread beside the next training
 steps; they read only that point's immutable ``Parameters``, and numpy
 releases the interpreter lock in their large matmuls and ufuncs. With one
@@ -63,11 +78,11 @@ from . import optim
 from .data import SHARD_MODES, batch_stream
 from .losses import CombinedLossSpec, combined_loss
 from .metrics import MetricRecord, evaluate, format_row, parse_row
-# backward is unused here but stays importable as distrib.backward, the name
-# bench/tracer.py wraps
+# backward and forward are unused here but stay importable as distrib.backward
+# and distrib.forward, names bench/tracer.py wraps
 from .nn import (Architecture, Batch, Parameters, backward, deserialize_checkpoint,  # noqa: F401
-                 forward, forward_trace, init_params, param_count, predict_proba,
-                 serialize_params)
+                 forward, forward_trace, init_params, param_count, serialize_params, softmax,
+                 stack_logits)
 
 # one sync step moves a gradient out and parameters back per worker
 LEDGER_CAUSES = ("gradient_exchange", "parameter_broadcast",
@@ -296,7 +311,9 @@ def worker_streams(shard, group: GroupConfig):
 
 
 class GroupRunner:
-    """Mutable training state for one synchronous worker group.
+    """One synchronous worker group: its config, W batch streams, ledger
+    entity and step count, and its parameters and optimizer state between
+    training loops.
 
     The W replicas stay bit-identical by construction: the worker-averaged
     gradient of synchronous SGD equals a single pass over the worker-order
@@ -320,49 +337,29 @@ class GroupRunner:
         self.step_index = 0
         self._param_bytes = param_count(arch) * 8
 
-    def step_batches(self, batches: list[Batch], loss_spec: CombinedLossSpec | None = None,
-                     teacher_fn=None) -> float:
-        """One synchronous group step over W per-worker batches.
-
-        The network runs forward once: its logits feed the loss and its
-        activations the gradient.
-        """
+    def step_batches(self, batches: list[Batch]) -> Batch:
+        """This group's share of the next lockstep step: its W per-worker
+        batches, checked and concatenated in worker order."""
         if len(batches) != self.group.n_workers:
             raise ValueError(f"expected {self.group.n_workers} batches, got {len(batches)}")
         for b in batches:
             if b.size != self.group.batch_size:
                 raise ValueError(f"per-worker batches must have size {self.group.batch_size}")
         if len(batches) == 1:
-            batch = batches[0]
-        else:
-            batch = Batch(np.concatenate([b.inputs for b in batches], axis=0),
-                          np.concatenate([b.labels for b in batches], axis=0))
-        spec = loss_spec if loss_spec is not None else self.group.loss
-        trace = forward_trace(self.params, batch)
-        teacher = teacher_fn(batch) if teacher_fn is not None else None
-        loss, dlogits = combined_loss(spec, batch.labels, trace.logits, teacher)
-        if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
-            raise DivergenceError(self.step_index, f"loss {loss} at step {self.step_index}")
-        new_values, self.opt_state = optim.step(self.group.optimizer, self.opt_state,
-                                                self.params.values, trace.grad(dlogits))
-        self.params = Parameters(self.arch, new_values)
-        self.ledger.add(self.entity, "gradient_exchange", self.group.n_workers * self._param_bytes)
-        self.ledger.add(self.entity, "parameter_broadcast", self.group.n_workers * self._param_bytes)
-        self.step_index += 1
-        return loss
+            return batches[0]
+        return Batch(np.concatenate([b.inputs for b in batches], axis=0),
+                     np.concatenate([b.labels for b in batches], axis=0))
 
-    def step_stream(self, loss_spec: CombinedLossSpec | None = None, teacher_fn=None) -> float:
-        return self.step_batches([next(s) for s in self.streams], loss_spec, teacher_fn)
-
-    def _snapshot_record(self, run_id: str, validation: Batch, t0: float,
+    def _snapshot_record(self, params: Parameters, run_id: str, validation: Batch, t0: float,
                          train_loss: float | None):
         """This evaluation point's record, deferred.
 
-        The step, ledger totals and (immutable) parameters are read now; the
-        returned function runs the validation pass and builds the
-        ``MetricRecord``, on any thread, stamped with the time it finished.
+        The step and ledger totals are read now, beside the (immutable)
+        parameters given; the returned function runs the validation pass and
+        builds the ``MetricRecord``, on any thread, stamped with the time it
+        finished.
         """
-        params, step = self.params, self.step_index
+        step = self.step_index
         sync = (self.ledger.total("gradient_exchange", self.entity)
                 + self.ledger.total("parameter_broadcast", self.entity))
         ckpt = (self.ledger.total("checkpoint_publish", self.entity)
@@ -379,33 +376,125 @@ class GroupRunner:
         return finish
 
 
+# what the groups of one stack must share: one step runs them all
+_LOCKSTEP_FIELDS = ("n_workers", "batch_size", "optimizer", "loss")
+
+
+def _stacked(arrays) -> np.ndarray:
+    """Equal-shaped arrays along a new leading axis; one is viewed, not copied."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+
+
+class _Stack:
+    """The N groups of one training loop, trained as one.
+
+    Their parameters and optimizer state are (N, P) arrays, row i being
+    runner i's. A step runs once over the leading model axis: one forward,
+    one teacher pass, one combined loss, one backward and one elementwise
+    optimizer update with its one finiteness scan. Each step replaces
+    ``values`` and never writes it, so a row handed out as ``Parameters``
+    stays valid. The stack takes the runners' parameters and optimizer state
+    (theirs are None meanwhile); ``unstack`` hands the final ones back.
+    """
+
+    def __init__(self, runners):
+        first = runners[0].group
+        for k, r in enumerate(runners[1:], 1):
+            for name in _LOCKSTEP_FIELDS:
+                if getattr(r.group, name) != getattr(first, name):
+                    raise ValueError(f"{name} must be equal across lockstep groups "
+                                     f"(group {k} differs from group 0)")
+        self.runners = runners
+        self.arch = runners[0].arch
+        self.group = first
+        self.values = np.stack([r.params.values for r in runners])
+        states = [r.opt_state for r in runners]
+        self.opt_state = optim.OptimizerState(states[0].t, *(
+            None if parts[0] is None else np.stack(parts)
+            for parts in zip(*((st.m, st.v, st.acc) for st in states))))
+        for r in runners:  # held here, not twice, until unstack
+            r.params = r.opt_state = None
+
+    def params(self, row: int) -> Parameters:
+        return Parameters(self.arch, self.values[row])
+
+    def step(self, pair=None) -> list[float]:
+        """One synchronous step of every group; returns their losses.
+
+        ``pair`` is None (hard loss only) or a ``(loss spec, teacher fn)``
+        pair, the fn mapping the groups' step batches to their (N, R, K)
+        teacher signal. A group whose loss is non-finite or past the abort
+        threshold raises ``DivergenceError`` before any group is updated.
+        """
+        batches = [r.step_batches([next(s) for s in r.streams]) for r in self.runners]
+        losses, grad = self._gradient(batches, pair)
+        self.values, self.opt_state = optim.step(self.group.optimizer, self.opt_state,
+                                                 self.values, grad)
+        nbytes = self.group.n_workers * self.runners[0]._param_bytes
+        for r in self.runners:
+            r.ledger.add(r.entity, "gradient_exchange", nbytes)
+            r.ledger.add(r.entity, "parameter_broadcast", nbytes)
+            r.step_index += 1
+        return losses
+
+    def _gradient(self, batches, pair):
+        """The groups' losses and (N, P) gradient; the activations behind them
+        are freed on return, before the optimizer allocates its own."""
+        spec, teacher_fn = pair if pair is not None else (self.group.loss, None)
+        # likewise the teachers' activations, before the students' are made
+        teacher = teacher_fn(batches) if teacher_fn is not None else None
+        trace = forward_trace(self.arch, self.values, _stacked([b.inputs for b in batches]))
+        losses, dlogits = combined_loss(spec, _stacked([b.labels for b in batches]),
+                                        trace.logits, teacher)
+        losses = losses.tolist()
+        for r, loss in zip(self.runners, losses):
+            if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
+                raise DivergenceError(r.step_index, f"loss {loss} at step {r.step_index}")
+        return losses, trace.grad(dlogits)
+
+    def unstack(self) -> None:
+        st = self.opt_state
+        for row, r in enumerate(self.runners):
+            r.params = self.params(row)
+            r.opt_state = optim.OptimizerState(st.t, *(
+                None if a is None else a[row] for a in (st.m, st.v, st.acc)))
+
+
 def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, records: list,
                 teachers=None, *, after_eval=None, stop=None) -> None:
     """The one training loop; each training mode is a different ``teachers``.
 
-    At every global step ``teachers(s)`` gives one entry per runner: None
-    (hard loss only) or a ``(loss spec, teacher fn)`` pair. The runners then
-    step in order. Every runner is evaluated at step 0, every ``eval_every``
-    steps and the final step, and the records are appended to the caller's
-    ``records``, in model order; a record's train loss is the mean objective
-    since the previous one. After each evaluation,
-    ``after_eval(step, new_records, params, t0)`` returns one more record to
-    append, given that point's parameters of every runner. An existing
-    ``stop`` path ends the loop before the next step; a loop given ``stop``
-    runs in a concurrent-mode group process. There is no per-step hook: with
-    ``eval_every=1`` each record's train loss is that one step's loss.
+    The runners train as one ``_Stack``, so they must agree on
+    ``_LOCKSTEP_FIELDS``. At every global step ``teachers(s, stack)`` gives
+    None (hard loss only) or a ``(loss spec, teacher fn)`` pair for the whole
+    stack, which then takes one step. Every runner is evaluated at step 0,
+    every ``eval_every`` steps and the final step, and the records are
+    appended to the caller's ``records``, in model order; a record's train
+    loss is the mean objective since the previous one. After each
+    evaluation, ``after_eval(step, new_records, params, t0)`` returns one
+    more record to append, given that point's parameters of every runner. An
+    existing ``stop`` path ends the loop before the next step; a loop given
+    ``stop`` runs in a concurrent-mode group process. There is no per-step
+    hook: with ``eval_every=1`` each record's train loss is that one step's
+    loss. When the loop ends without an error, each runner holds its final
+    parameters and optimizer state.
 
     An evaluation point snapshots each runner's step, train loss, ledger
     totals and parameters; only the validation passes and the records'
-    construction are deferred. With at least 2 CPUs they run on a one-thread
-    executor while training goes on, at most one point in flight: the loop
-    waits for point k-1 before starting point k, and for the last one before
-    it returns. Group processes, and processes with one CPU, run them inline
-    at the same place. Either way the records are the same, and no thread
-    outlives the call. Any exception, a deferred one included with its own
-    class, leaves with the records made before it attached as
+    construction are deferred. Validation runs one model at a time: a
+    stacked pass would hold every model's activations over the whole
+    validation set at once. With at least 2 CPUs the passes run on a
+    one-thread executor while training goes on, at most one point in flight:
+    the loop waits for point k-1 before starting point k, and for the last
+    one before it returns. Group processes, and processes with one CPU, run
+    them inline at the same place. Either way the records are the same, and
+    no thread outlives the call. Any exception, a deferred one included with
+    its own class, leaves with the records made before it attached as
     ``err.records``.
     """
+    stack = _Stack(runners)
     t0 = time.perf_counter()
     windows: list[list[float]] = [[] for _ in runners]
     # group processes already fill the cores, and a killed one must keep its
@@ -426,10 +515,10 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
 
     def emit(step: int) -> None:
         nonlocal pending
-        members = [r._snapshot_record(r.entity, validation, t0,
+        params = [stack.params(row) for row in range(len(runners))]
+        members = [r._snapshot_record(p, r.entity, validation, t0,
                                       float(np.mean(w)) if w else None)
-                   for r, w in zip(runners, windows)]
-        params = [r.params for r in runners]
+                   for r, p, w in zip(runners, params, windows)]
         for w in windows:
             w.clear()
 
@@ -450,9 +539,9 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
         for s in range(n_steps):
             if stop is not None and stop.exists():
                 break
-            pairs = teachers(s) if teachers is not None else [None] * len(runners)
-            for r, pair, window in zip(runners, pairs, windows):
-                window.append(r.step_stream(*pair) if pair is not None else r.step_stream())
+            losses = stack.step(teachers(s, stack) if teachers is not None else None)
+            for window, loss in zip(windows, losses):
+                window.append(loss)
             if (s + 1) % eval_every == 0 or s + 1 == n_steps:
                 emit(s + 1)
         drain()
@@ -464,55 +553,98 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     finally:
         if helper is not None:  # waits for a point left by a KeyboardInterrupt
             helper.shutdown()
+    stack.unstack()
 
 
 def _static_teachers(teacher_fn, distill: str, distill_weight: float):
-    """Teacher source of a frozen teacher: the same pair at every step, or
-    None when the distillation term is off."""
+    """Teacher source of a frozen teacher, ``teacher_fn(batch)`` giving one
+    batch's signal: the same pair at every step, or None when the
+    distillation term is off."""
     if distill == "none" or distill_weight == 0.0:
         return None
-    pair = [(CombinedLossSpec(distill, distill_weight), teacher_fn)]
-    return lambda s: pair
+    pair = (CombinedLossSpec(distill, distill_weight),
+            lambda batches: _stacked([teacher_fn(b) for b in batches]))
+    return lambda s, stack: pair
+
+
+def _mean_teacher(arch: Architecture, teachers: np.ndarray, per_student: int, distill: str):
+    """Mean prediction of a stale teacher stack, for a stack of students.
+
+    ``teachers`` is (S * per_student, P): rows [s * k, (s + 1) * k) are
+    student s's k = ``per_student`` teachers, in model order. The returned fn
+    maps the S students' step batches to their (S, R, K) teacher signals in
+    one forward over all teachers, then sums each student's k predictions in
+    model order and divides by k: the arithmetic of one teacher at a time.
+    Probabilities for soft_cross_entropy / kl_divergence, logits for
+    logit_mse.
+    """
+    def fn(batches) -> np.ndarray:
+        inputs = _stacked([b.inputs for b in batches for _ in range(per_student)])
+        out = stack_logits(arch, teachers, inputs)
+        if distill != "logit_mse":
+            out = softmax(out)
+        out = out.reshape(len(batches), per_student, *out.shape[1:])
+        acc = out[:, 0]
+        for k in range(1, per_student):
+            acc = acc + out[:, k]
+        return acc / per_student
+
+    return fn
 
 
 class _PeerTeachers:
     """Teacher source of codistillation: after burn-in each group distills
     toward the mean prediction of its N-1 peers.
 
-    On every reload boundary the groups being stepped publish their
-    checkpoints, then load their peers' latest ones from the store. Given a
-    ``stop`` path, a group in its own process first waits for its peers'
-    first checkpoints, for at most ``START_TIMEOUT_S`` and only until
-    ``stop`` exists. ``lags[i]`` is the largest gap between a step of group i
-    and its oldest teacher.
+    ``ids`` are the models the loop steps, row k of its stack being model
+    ``ids[k]`` (all N in lockstep; one in a concurrent-mode group process).
+    On every reload boundary they publish their checkpoints, then load their
+    peers' latest ones from the store, and the stale (len(ids) * (N-1), P)
+    teacher stack is rebuilt. Given a ``stop`` path, a group in its own
+    process first waits for its peers' first checkpoints, for at most
+    ``START_TIMEOUT_S`` and only until ``stop`` exists. ``lags[i]`` is the
+    largest gap between a step of group i and its oldest teacher.
     """
 
-    def __init__(self, cfg: CodistillConfig, runners, store, stop=None):
+    def __init__(self, cfg: CodistillConfig, runners, store, ids=None, stop=None):
         self.cfg = cfg
         self.runners = runners
         self.store = store
+        self.ids = list(range(len(runners))) if ids is None else list(ids)
         self.stop = stop
         self.active = cfg.distill != "none" and cfg.distill_weight > 0.0
         self.spec = CombinedLossSpec(cfg.distill, cfg.distill_weight)
-        # loaded[i] maps peer id -> (Parameters, checkpoint step)
-        self.loaded: list[dict[int, tuple[Parameters, int]]] = [{} for _ in runners]
+        # loaded[i] maps peer id -> the step of group i's loaded checkpoint of it
+        self.loaded: list[dict[int, int]] = [{} for _ in runners]
+        self.oldest = [0] * len(runners)  # min(loaded[i].values())
         self.lags = [0] * len(runners)
+        self.teacher_fn = None
 
-    def __call__(self, ids, s: int):
+    def __call__(self, s: int, stack: _Stack):
         if s % self.cfg.reload_interval == 0:
-            for i in ids:
-                r = self.runners[i]
-                self.store.publish(Checkpoint(i, s, r.params, self.cfg.float32_payload),
-                                   entity=r.entity)
+            for row, i in enumerate(self.ids):
+                self.store.publish(Checkpoint(i, s, stack.params(row), self.cfg.float32_payload),
+                                   entity=self.runners[i].entity)
             if s == 0 and self.stop is not None:
-                self._await_first_checkpoints(ids)
-            for i in ids:
-                self.loaded[i] = {j: self._load(i, j) for j in range(len(self.runners)) if j != i}
-        return [self._pair(i, s) for i in ids]
+                self._await_first_checkpoints()
+            self.teacher_fn = None  # the old stack is freed before the new one is loaded
+            pairs = [(i, j) for i in self.ids for j in range(len(self.runners)) if j != i]
+            teachers = np.empty((len(pairs), param_count(stack.arch)))
+            for row, (i, j) in enumerate(pairs):
+                teachers[row], self.loaded[i][j] = self._load(i, j)
+            for i in self.ids:
+                self.oldest[i] = min(self.loaded[i].values())
+            self.teacher_fn = _mean_teacher(stack.arch, teachers, len(self.runners) - 1,
+                                            self.cfg.distill)
+        if not self.active or s < self.cfg.n_burn_in:
+            return None
+        for i in self.ids:
+            self.lags[i] = max(self.lags[i], s - self.oldest[i])
+        return self.spec, self.teacher_fn
 
-    def _await_first_checkpoints(self, ids) -> None:
+    def _await_first_checkpoints(self) -> None:
         deadline = time.monotonic() + START_TIMEOUT_S
-        missing = [j for j in range(len(self.runners)) if j not in ids]
+        missing = [j for j in range(len(self.runners)) if j not in self.ids]
         while True:
             missing = [j for j in missing if not self.store._path(j).exists()]
             if not missing:
@@ -524,18 +656,11 @@ class _PeerTeachers:
                                    f"within {START_TIMEOUT_S} s")
             time.sleep(0.005)
 
-    def _load(self, i: int, j: int) -> tuple[Parameters, int]:
+    def _load(self, i: int, j: int) -> tuple[np.ndarray, int]:
         ck = self.store.load_latest(j, entity=self.runners[i].entity)
         if ck is None:
             raise RuntimeError(f"missing peer checkpoint for model {j}")
-        return ck.params, ck.step
-
-    def _pair(self, i: int, s: int):
-        if not self.active or s < self.cfg.n_burn_in:
-            return None
-        teachers = self.loaded[i].values()
-        self.lags[i] = max(self.lags[i], s - min(step for _, step in teachers))
-        return self.spec, mean_teacher_fn([p for p, _ in teachers], self.cfg.distill)
+        return ck.params.values, ck.step
 
 
 def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
@@ -557,22 +682,18 @@ def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
 
 
 def mean_teacher_fn(teacher_params, distill: str):
-    """Average prediction of the given models, in the form the loss expects.
+    """Average prediction of the given models on one batch, in the form the
+    loss expects: ``_mean_teacher`` for a stack of one student.
 
     Probabilities for soft_cross_entropy / kl_divergence, logits for
     logit_mse; fixed model order keeps the float reduction deterministic.
     """
     teacher_params = list(teacher_params)
-    predict = forward if distill == "logit_mse" else predict_proba
-
-    def fn(batch: Batch) -> np.ndarray:
-        acc = None
-        for tp in teacher_params:
-            out = predict(tp, batch)
-            acc = out if acc is None else acc + out
-        return acc / len(teacher_params)
-
-    return fn
+    if not teacher_params:
+        raise ValueError("need at least one teacher")
+    fn = _mean_teacher(teacher_params[0].arch, np.stack([p.values for p in teacher_params]),
+                       len(teacher_params), distill)
+    return lambda batch: fn([batch])[0]
 
 
 def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards,
@@ -605,10 +726,8 @@ def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
     """
     runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
     teachers = _PeerTeachers(cfg, runners, store)
-    everyone = range(cfg.n_models)
     records: list[MetricRecord] = []
-    _train_loop(runners, n_steps, validation, eval_every, records,
-                lambda s: teachers(everyone, s))
+    _train_loop(runners, n_steps, validation, eval_every, records, teachers)
     return CodistillResult([r.params for r in runners], records, max(teachers.lags))
 
 
@@ -648,15 +767,14 @@ def _group_process(i: int, runner: GroupRunner, teachers: _PeerTeachers, n_steps
     error = None
     try:
         _train_loop([runner], n_steps, validation, eval_every,
-                    _RecordFile(directory / f"records_{i}.csv"),
-                    lambda s: teachers([i], s), stop=stop)
+                    _RecordFile(directory / f"records_{i}.csv"), teachers, stop=stop)
     except BaseException as err:  # handed to the parent, which re-raises it
         error = err
         try:
             pickle.loads(pickle.dumps(err))
         except Exception:
             error = RuntimeError(f"{type(err).__name__}: {err}")
-    result = {"params": runner.params.values, "lag": teachers.lags[i],
+    result = {"params": runner.params.values if error is None else None, "lag": teachers.lags[i],
               "ledger": ledger.snapshot(), "error": error}
     _write_atomic(directory / f"result_{i}.pkl", pickle.dumps(result))
 
@@ -699,11 +817,10 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
         for path in (store._path(i), directory / f"records_{i}.csv",
                      directory / f"result_{i}.pkl"):
             path.unlink(missing_ok=True)
-    teachers = _PeerTeachers(cfg, runners, store, stop)
     ctx = multiprocessing.get_context("fork")
     procs = [ctx.Process(target=_group_process, name=runners[i].entity, daemon=True,
-                         args=(i, runners[i], teachers, n_steps, validation, eval_every,
-                               directory, stop))
+                         args=(i, runners[i], _PeerTeachers(cfg, runners, store, [i], stop),
+                               n_steps, validation, eval_every, directory, stop))
              for i in range(n)]
     results: list[dict | None] = [None] * n
     failures: list[BaseException] = []  # in the order the parent saw them

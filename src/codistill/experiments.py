@@ -164,9 +164,10 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
         raise ConfigError("seeds: must be distinct")
     if res["data.kind"] == "lm" and not res["data.corpus"]:
         raise ConfigError("data.corpus: required for lm datasets")
-    for key, least in (("steps", 0), ("eval_every", 1), ("offline.phase1_steps", 0),
-                       ("offline.phase2_steps", 0), ("churn.repeats", 2),
-                       ("loss.distill_weight", 0), ("loss.smoothing_weight", 0)):
+    for key, least in (("steps", 0), ("eval_every", 1), ("data.seed", 0),
+                       ("offline.phase1_steps", 0), ("offline.phase2_steps", 0),
+                       ("churn.repeats", 2), ("loss.distill_weight", 0),
+                       ("loss.smoothing_weight", 0)):
         if not least <= res[key] < np.inf:  # a NaN weight too
             raise ConfigError(f"{key}: must be finite and at least {least}")
     try:
@@ -180,6 +181,8 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
             _codistill_cfg(res)
     except ValueError as err:
         raise ConfigError(f"{_FIELD_KEYS[str(err).split()[0]]}: {err}") from None
+    if res["kind"] in ("ensemble_baseline", "offline_distill") and res["codistill.n_models"] < 1:
+        raise ConfigError("codistill.n_models: must be at least 1")
     if mode == "concurrent" and res["codistill.n_models"] > MAX_GROUP_PROCESSES:
         raise ConfigError(f"codistill.n_models: concurrent mode runs one process per "
                           f"model, at most {MAX_GROUP_PROCESSES}")
@@ -238,7 +241,7 @@ def _check_batch(res: dict, n_train: int) -> None:
     split = res["kind"] == "same_data_ablation" or (
         res["kind"] in (*_CODISTILL_KINDS, "offline_distill")
         and res["codistill.data_mode"] == "disjoint")
-    smallest = n_train // max(res["codistill.n_models"], 1) if split else n_train
+    smallest = n_train // res["codistill.n_models"] if split else n_train
     if res["group.batch"] > smallest:
         raise ConfigError(f"group.batch: {res['group.batch']} is more than the {smallest} "
                           f"training examples of the smallest shard")

@@ -1,9 +1,12 @@
 """Training losses.
 
-Every loss returns ``(loss, grad)``: the scalar mean over the batch and the
+Every loss returns ``(loss, grad)``: the mean over the batch and the
 gradient of that mean with respect to the logits, shaped like the logits.
 Gradients therefore already carry the 1/B factor and the network backward
-pass consumes them unchanged.
+pass consumes them unchanged. Logits are (B, K), or a stack (M, B, K) of M
+models' batches with labels (M, B); the loss is then one mean per model, (M,),
+and every expression runs once over the stack, with model m's loss and
+gradient bit-identical to its batch alone.
 
 The hard-label loss is always cross entropy; the one auxiliary term is a
 distillation loss against a teacher signal (soft-target cross entropy, mean
@@ -27,9 +30,9 @@ _LOG_FLOOR = 1e-12
 
 def _softmax_parts(logits: np.ndarray):
     """(probabilities, log-probabilities), both via max subtraction."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    se = e.sum(axis=1, keepdims=True)
+    se = e.sum(axis=-1, keepdims=True)
     return e / se, z - np.log(se)
 
 
@@ -37,19 +40,24 @@ def _check_teacher_probs(t: np.ndarray, logits: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.shape != logits.shape:
         raise ValueError(f"teacher shape {t.shape} does not match logits {logits.shape}")
-    if t.min() < 0.0 or np.abs(t.sum(axis=1) - 1.0).max() > 1e-6:
+    if t.min() < 0.0 or np.abs(t.sum(axis=-1) - 1.0).max() > 1e-6:
         raise ValueError("teacher rows are not probability vectors (normalized within 1e-6)")
     return t
 
 
 def _check_labels(labels: np.ndarray, logits: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    B, K = logits.shape
-    if labels.shape != (B,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch size {B}")
-    if labels.min() < 0 or labels.max() >= K:
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} does not match batch size "
+                         f"{logits.shape[:-1]}")
+    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ValueError("label out of range")
     return labels
+
+
+def _picked(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Flat index of each row's labelled entry in its (..., B, K) array."""
+    return np.arange(0, labels.size * n_classes, n_classes) + labels.ravel()
 
 
 # The _from_parts helpers take _softmax_parts(logits), so one softmax serves
@@ -57,27 +65,29 @@ def _check_labels(labels: np.ndarray, logits: np.ndarray) -> np.ndarray:
 
 def _hard_ce_from_parts(labels: np.ndarray, parts):
     p, log_p = parts
-    B = p.shape[0]
-    rows = np.arange(B)
-    loss = float(-log_p[rows, labels].mean())
+    B, K = p.shape[-2:]
+    picked = _picked(labels, K)
+    loss = -(log_p.take(picked).reshape(labels.shape).sum(axis=-1) / B)
     grad = p.copy()
-    grad[rows, labels] -= 1.0
+    grad.reshape(-1)[picked] -= 1.0
     grad /= B
     return loss, grad
 
 
 def _soft_ce_from_parts(t: np.ndarray, parts):
     p, log_p = parts
-    loss = float(-(t * log_p).sum(axis=1).mean())
-    grad = (p - t) / p.shape[0]
+    B = p.shape[-2]
+    loss = -((t * log_p).sum(axis=-1).sum(axis=-1) / B)
+    grad = (p - t) / B
     return loss, grad
 
 
 def _kl_div_from_parts(t: np.ndarray, parts):
     p, log_p = parts
     t_log_t = np.where(t > 0.0, t * np.log(np.maximum(t, _LOG_FLOOR)), 0.0)
-    loss = max(float((t_log_t - t * log_p).sum(axis=1).mean()), 0.0)
-    grad = (p - t) / p.shape[0]
+    B = p.shape[-2]
+    loss = np.maximum((t_log_t - t * log_p).sum(axis=-1).sum(axis=-1) / B, 0.0)
+    grad = (p - t) / B
     return loss, grad
 
 
@@ -100,7 +110,8 @@ def hard_ce_loss(labels: np.ndarray, logits: np.ndarray) -> float:
     logits = np.asarray(logits, dtype=np.float64)
     labels = _check_labels(labels, logits)
     z = logits - logits.max(axis=1, keepdims=True)
-    picked = z[np.arange(len(labels)), labels] - np.log(np.exp(z).sum(axis=1))
+    picked = z[np.arange(len(labels)), labels]
+    picked -= np.log(np.exp(z, out=z).sum(axis=1))
     return float(-picked.mean())
 
 
@@ -122,8 +133,9 @@ def logit_mse(teacher_logits: np.ndarray, logits: np.ndarray):
     if t.shape != logits.shape:
         raise ValueError(f"teacher shape {t.shape} does not match logits {logits.shape}")
     d = logits - t
-    loss = float((d * d).mean())
-    grad = 2.0 * d / d.size
+    per_model = d.shape[-2] * d.shape[-1]
+    loss = (d * d).reshape(d.shape[:-2] + (per_model,)).sum(axis=-1) / per_model
+    grad = 2.0 * d / per_model
     return loss, grad
 
 

@@ -5,6 +5,16 @@ and a binary checkpoint codec for the flat parameter vector. Two task heads
 share the same machinery: a vector-input classifier and a fixed-context-window
 next-token predictor (embedding lookup feeding an MLP over the concatenated
 context). All arithmetic is float64 and every public function is pure.
+
+The network kernel (``forward_trace`` and ``ForwardTrace.grad``) runs a stack
+of M models over a leading model axis: parameters (M, P), inputs (M, R, ...),
+logits (M, R, K), gradient (M, P). Each layer is one ``np.matmul``, which
+makes the same BLAS call on every model's 2-D slice, and the lm embedding
+gradient is one ``np.bincount``, which adds in the order ``np.add.at`` does,
+so each model's result is bit-identical to running it alone.
+``stack_logits`` is the same pass keeping no activations, for teachers and
+validation. ``forward``, ``predict_proba`` and ``backward`` take one
+``Parameters`` and one ``Batch``: a stack of one.
 """
 
 from __future__ import annotations
@@ -205,101 +215,152 @@ def init_params(arch: Architecture, seed: int) -> Parameters:
 
 
 def _views(arch: Architecture, values: np.ndarray) -> dict[str, np.ndarray]:
-    return {name: values[start:stop].reshape(shape) for name, shape, start, stop in _slices(arch)}
+    """Each parameter tensor as a view; ``values`` is one flat vector or a
+    stack of them, ``(M, P)``, whose leading axis every view keeps."""
+    lead = values.shape[:-1]
+    return {name: values[..., start:stop].reshape(lead + shape)
+            for name, shape, start, stop in _slices(arch)}
 
 
-def _validate_inputs(arch: Architecture, batch: Batch) -> None:
-    x = batch.inputs
+def _validate_inputs(arch: Architecture, x: np.ndarray) -> None:
     if arch.task == TASK_LM:
-        if x.shape[1] != arch.context_window:
-            raise ValueError(f"expected {arch.context_window} context tokens, got {x.shape[1]}")
+        if x.shape[-1] != arch.context_window:
+            raise ValueError(f"expected {arch.context_window} context tokens, got {x.shape[-1]}")
         if not np.issubdtype(x.dtype, np.integer):
             raise ValueError("lm inputs must be integer token ids")
         if x.min() < 0 or x.max() >= arch.vocab_size:
             raise ValueError("token id out of range")
     else:
-        if x.shape[1] != arch.input_dim:
-            raise ValueError(f"expected input_dim {arch.input_dim}, got {x.shape[1]}")
+        if x.shape[-1] != arch.input_dim:
+            raise ValueError(f"expected input_dim {arch.input_dim}, got {x.shape[-1]}")
+
+
+def _embedding_grad(tokens: np.ndarray, dinput: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Scatter-add of each context position's input gradient into its token's
+    embedding row, for M models at once: ``tokens`` (M, R, C) and ``dinput``
+    (M, R, C, E) give (M, vocab_size, E).
+
+    One ``np.bincount`` over the flat index (model * V + token) * E + column
+    adds every cell's contributions in (row, position) order, starting from
+    0.0: the order and arithmetic of ``np.add.at`` on each model, bit for bit.
+    """
+    M, E = tokens.shape[0], dinput.shape[-1]
+    rows = np.arange(M).reshape(M, 1, 1) * vocab_size + tokens
+    flat = (rows[..., None] * E + np.arange(E)).ravel()
+    return np.bincount(flat, weights=dinput.ravel(),
+                       minlength=M * vocab_size * E).reshape(M, vocab_size, E)
 
 
 @dataclass(eq=False, slots=True)
 class ForwardTrace:
-    """One forward pass: its logits plus the activations backward reuses.
+    """One forward pass of M models: their logits plus the activations
+    backward reuses.
 
     ``grad`` backpropagates through the stored activations, so a training
     step that needs both the logits and the gradient runs the network once.
     """
 
-    params: Parameters
-    batch: Batch
+    arch: Architecture
+    inputs: np.ndarray  # (M, R, ...); the lm gradient scatters back to these tokens
     views: dict[str, np.ndarray]
-    acts: list[np.ndarray]  # input of each linear layer
-    logits: np.ndarray  # (B, output_dim)
+    acts: list[np.ndarray]  # input of each linear layer, (M, R, width)
+    logits: np.ndarray  # (M, R, output_dim)
 
     def grad(self, dloss_dlogits: np.ndarray) -> np.ndarray:
-        """Gradient for the loss whose logit gradient is supplied.
+        """Gradient for the loss whose logit gradient is supplied, (M, R, K).
 
-        The loss functions in this package already fold the 1/B batch
-        reduction into their logit gradient, so the result is the gradient of
-        the batch-mean loss: a flat float64 vector in the ``Parameters``
-        layout, whose finiteness ``optim.step`` checks.
+        The loss functions in this package already fold the 1/R batch
+        reduction into their logit gradient, so row m of the result is the
+        gradient of model m's batch-mean loss: an (M, P) float64 stack in the
+        ``Parameters`` layout, whose finiteness ``optim.step`` checks.
         """
-        arch = self.params.arch
-        batch, v, acts = self.batch, self.views, self.acts
+        arch, v, acts = self.arch, self.views, self.acts
         d = np.asarray(dloss_dlogits, dtype=np.float64)
         if d.shape != self.logits.shape:
             raise ValueError(f"logit gradient shape {d.shape} does not match logits {self.logits.shape}")
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise ValueError("non-finite logit gradient")
-        grads: dict[str, np.ndarray] = {}
+        out = np.empty((d.shape[0], param_count(arch)))
+        grads = _views(arch, out)  # each gradient is written in place
         n_layers = len(arch.hidden_dims) + 1
         delta = d
         for i in reversed(range(n_layers)):
-            grads[f"w{i}"] = acts[i].T @ delta
-            grads[f"b{i}"] = delta.sum(axis=0)
+            np.matmul(acts[i].swapaxes(1, 2), delta, out=grads[f"w{i}"])
+            delta.sum(axis=1, out=grads[f"b{i}"])
             if i > 0:
                 # relu(z) > 0 exactly where z > 0
-                delta = (delta @ v[f"w{i}"].T) * (acts[i] > 0.0)
+                delta = (delta @ v[f"w{i}"].swapaxes(1, 2)) * (acts[i] > 0.0)
             elif arch.task == TASK_LM:
-                dinput = (delta @ v["w0"].T).reshape(batch.size, arch.context_window, arch.embedding_dim)
-                g = np.zeros_like(v["embed"])
-                np.add.at(g, batch.inputs, dinput)
-                grads["embed"] = g
-        return np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
+                dinput = (delta @ v["w0"].swapaxes(1, 2)).reshape(
+                    self.inputs.shape + (arch.embedding_dim,))
+                grads["embed"][...] = _embedding_grad(self.inputs, dinput, arch.vocab_size)
+        return out
 
 
-def forward_trace(params: Parameters, batch: Batch) -> ForwardTrace:
-    """Run the net, keeping each layer's input activations for backprop."""
-    arch = params.arch
-    _validate_inputs(arch, batch)
-    v = _views(arch, params.values)
+def _run(arch: Architecture, values: np.ndarray, inputs: np.ndarray, acts: list | None):
+    """The network over a stack of M models; returns (views, logits).
+
+    ``values`` is an (M, P) stack of flat parameter vectors and ``inputs`` an
+    (M, R, d) stack of feature rows, or (M, R, context_window) token ids, with
+    block m fed to model m. Every layer is one ``np.matmul`` over the leading
+    model axis, which runs the same BLAS call on each model's 2-D slice as the
+    model alone would: model m's logits are bit-identical to a stack of one.
+    Each layer's input is appended to ``acts`` when one is given; otherwise
+    it is freed once the next layer has it, so at most two layers' outputs
+    are alive at a time.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != param_count(arch):
+        raise ValueError(f"parameter stack shape {values.shape} does not match architecture "
+                         f"({param_count(arch)} per model)")
+    if inputs.ndim != 3 or inputs.shape[0] != values.shape[0] or inputs.shape[1] < 1:
+        raise ValueError(f"inputs {inputs.shape} must be (M, R, d) with R >= 1 rows for each "
+                         f"of the {values.shape[0]} models")
+    _validate_inputs(arch, inputs)
+    v = _views(arch, values)
+    M, R = inputs.shape[:2]
     if arch.task == TASK_LM:
-        a = v["embed"][batch.inputs].reshape(batch.size, arch.input_dim)
+        a = v["embed"][np.arange(M).reshape(M, 1, 1), inputs].reshape(M, R, arch.input_dim)
     else:
-        a = np.asarray(batch.inputs, dtype=np.float64)
-    acts = [a]
+        a = np.asarray(inputs, dtype=np.float64)
     n_layers = len(arch.hidden_dims) + 1
     # Bias and relu are applied in place: the same values, without the
     # multi-megabyte temporaries that a 5 000-row validation pass would
     # otherwise allocate, free and page-fault in again on every call.
     for i in range(n_layers):
-        z = acts[-1] @ v[f"w{i}"]
-        z += v[f"b{i}"]
+        if acts is not None:
+            acts.append(a)
+        z = a @ v[f"w{i}"]
+        z += v[f"b{i}"][:, None, :]
         if i < n_layers - 1:
-            acts.append(np.maximum(z, 0.0, out=z))
-    return ForwardTrace(params, batch, v, acts, z)
+            a = np.maximum(z, 0.0, out=z)
+    return v, z
+
+
+def forward_trace(arch: Architecture, values: np.ndarray, inputs: np.ndarray) -> ForwardTrace:
+    """Run M models of one architecture at once (see ``_run`` for the
+    shapes), keeping each layer's input activations for backprop."""
+    acts: list[np.ndarray] = []
+    v, logits = _run(arch, values, inputs, acts)
+    return ForwardTrace(arch, inputs, v, acts, logits)
+
+
+def stack_logits(arch: Architecture, values: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The (M, R, K) logits of M models at once, keeping no activations."""
+    return _run(arch, values, inputs, None)[1]
 
 
 def forward(params: Parameters, batch: Batch) -> np.ndarray:
-    """Logits of shape (B, output_dim); pure and deterministic."""
-    return forward_trace(params, batch).logits
+    """Logits of shape (B, output_dim); pure and deterministic. A stack of one."""
+    return stack_logits(params.arch, params.values[None], batch.inputs[None])[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; safe for extreme magnitudes."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis with max subtraction; safe for extreme magnitudes."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def predict_proba(params: Parameters, batch: Batch) -> np.ndarray:
@@ -313,7 +374,8 @@ def backward(params: Parameters, batch: Batch, dloss_dlogits: np.ndarray) -> np.
     Runs the forward pass again for its activations; a caller that already
     holds a ``ForwardTrace`` should call its ``grad`` instead.
     """
-    return forward_trace(params, batch).grad(dloss_dlogits)
+    trace = forward_trace(params.arch, params.values[None], batch.inputs[None])
+    return trace.grad(np.asarray(dloss_dlogits)[None])[0]
 
 
 def serialize_params(params: Parameters, *, step: int = 0, model_id: int = 0,

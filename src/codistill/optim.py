@@ -1,8 +1,11 @@
 """Per-replica optimizers: plain SGD, Adam, Adagrad.
 
 ``step`` is pure: it returns fresh arrays and never mutates its inputs, so
-identical inputs give bit-identical outputs. Optimizer state stays with its
-worker group; checkpoints exchanged between groups carry parameters only.
+identical inputs give bit-identical outputs. Every update is elementwise, so
+the parameters may be one flat vector or an (M, P) stack of M models' vectors
+(with state of the same shape): each row gets exactly the update it would get
+alone. Optimizer state stays with its worker group; checkpoints exchanged
+between groups carry parameters only.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ class OptimizerState:
     acc: np.ndarray | None = None
 
 
-def init_state(config: OptimizerConfig, n_params: int) -> OptimizerState:
+def init_state(config: OptimizerConfig, n_params) -> OptimizerState:
+    """Fresh state for ``n_params`` parameters, or for a stack of that shape."""
     if config.kind == "adam":
         return OptimizerState(t=0, m=np.zeros(n_params), v=np.zeros(n_params))
     if config.kind == "adagrad":
@@ -65,17 +69,29 @@ def step(config: OptimizerConfig, state: OptimizerState, values: np.ndarray,
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != values.shape:
         raise ValueError(f"gradient shape {g.shape} does not match parameters {values.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteGradientError("gradient contains NaN or Inf")
     lr = config.learning_rate
+    # each update below is the textbook expression, evaluated in the same
+    # order, with its temporaries reused in place
     if config.kind == "sgd":
-        return values - lr * g, state
+        update = lr * g
+        return np.subtract(values, update, out=update), state
     if config.kind == "adam":
         t = state.t + 1
-        m = config.beta1 * state.m + (1.0 - config.beta1) * g
-        v = config.beta2 * state.v + (1.0 - config.beta2) * (g * g)
-        m_hat = m / (1.0 - config.beta1 ** t)
-        v_hat = v / (1.0 - config.beta2 ** t)
-        return values - lr * m_hat / (np.sqrt(v_hat) + config.eps), OptimizerState(t=t, m=m, v=v)
-    acc = state.acc + g * g
-    return values - lr * g / (np.sqrt(acc) + config.adagrad_eps), OptimizerState(acc=acc)
+        m = config.beta1 * state.m
+        m += (1.0 - config.beta1) * g
+        v = config.beta2 * state.v
+        v += (1.0 - config.beta2) * (g * g)
+        denom = np.sqrt(v / (1.0 - config.beta2 ** t))
+        denom += config.eps
+        update = lr * (m / (1.0 - config.beta1 ** t))
+        update /= denom
+        return np.subtract(values, update, out=update), OptimizerState(t=t, m=m, v=v)
+    acc = g * g
+    np.add(state.acc, acc, out=acc)
+    denom = np.sqrt(acc)
+    denom += config.adagrad_eps
+    update = lr * g
+    update /= denom
+    return np.subtract(values, update, out=update), OptimizerState(acc=acc)

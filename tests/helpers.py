@@ -102,11 +102,18 @@ def recompute_backward(params, batch, dlogits):
         elif arch.task == TASK_LM:
             dinput = (delta @ v["w0"].T).reshape(batch.size, arch.context_window,
                                                  arch.embedding_dim)
-            g = np.zeros_like(v["embed"])
-            np.add.at(g, batch.inputs, dinput)
-            grads["embed"] = g
+            grads["embed"] = embedding_grad_add_at(batch.inputs, dinput, arch.vocab_size)
     flat = np.concatenate([grads[name].ravel() for name, _ in _layout(arch)])
     return pres[-1], flat
+
+
+def embedding_grad_add_at(tokens, dinput, vocab_size):
+    """One model's embedding gradient the way it was first written: each
+    (row, position)'s input gradient added into its token's row by
+    ``np.add.at``. ``tokens`` is (R, C), ``dinput`` (R, C, E)."""
+    g = np.zeros((vocab_size, dinput.shape[-1]))
+    np.add.at(g, tokens, dinput)
+    return g
 
 
 def interleave(streams):

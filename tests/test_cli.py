@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codistill.cli import main
-from codistill.experiments import (ConfigError, parse_config_file, parse_config_text,
-                                   read_metrics_csv, resolve, run, sweep)
+from codistill.experiments import (EXPERIMENT_KINDS, SCHEMA, ConfigError, parse_config_file,
+                                   parse_config_text, read_metrics_csv, resolve, run, sweep)
 
 TINY = """
 kind=baseline
@@ -23,6 +29,10 @@ opt.lr=0.2
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# One value text for every key type: a number, a list or a name, each at an
+# edge (an empty list is the empty text, "3,3" a duplicate list).
+EDGE_VALUES = ("0", "-1", "1e300", "-1e300", "nan", "inf", "", "3,3")
 
 
 def tiny_cfg(kind="baseline", **overrides):
@@ -120,6 +130,34 @@ class TestConfigParsing:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_configs_resolve(self, path):
         resolve(parse_config_file(path))
+
+    @given(kind=st.sampled_from(EXPERIMENT_KINDS),
+           edits=st.dictionaries(st.sampled_from(sorted(SCHEMA)), st.sampled_from(EDGE_VALUES),
+                                 min_size=1, max_size=2))
+    @settings(derandomize=True, max_examples=160, deadline=None)
+    @example(kind="baseline", edits={"data.seed": "-1"})
+    @example(kind="ensemble_baseline", edits={"codistill.n_models": "-1"})
+    @example(kind="offline_distill", edits={"codistill.n_models": "0"})
+    def test_edge_values_exit_cleanly(self, kind, edits):
+        """The config contract, for one or two keys at an edge value on any
+        kind: exit 0; or exit 1 for a genuine divergence; or exit 2 naming a
+        config key, having written nothing."""
+        text = TINY + f"kind={kind}\n" + "".join(f"{k}={v}\n" for k, v in edits.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "exp.cfg", Path(tmp) / "out"
+            path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(path), "--out", str(out)])
+            message = err.getvalue()
+            if code == 1:
+                assert message.startswith("diverged at step"), message
+            elif code == 2:
+                named = re.match(r"config error: ([\w.]+): ", message)
+                assert named and named.group(1) in SCHEMA, message
+                assert not out.exists()
+            else:
+                assert code == 0, message
 
 
 class TestRun:

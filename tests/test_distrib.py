@@ -48,15 +48,15 @@ def make_store(backing, tmp_path, ledger=None):
 class TestSyncGroupStep:
     def test_two_workers_equal_one_big_worker(self):
         """W=2, B=1 on {e1, e2} matches W=1, B=2 on the concatenated batch."""
-        train, _ = make_task()
+        train, val = make_task()
         e1 = Batch(train.inputs[:1], train.labels[:1])
         e2 = Batch(train.inputs[1:2], train.labels[1:2])
         both = Batch(train.inputs[:2], train.labels[:2])
-        a = GroupRunner(ARCH, sgd_group(3, n_workers=2, batch=1), streams=[iter([e1]), iter([e2])])
-        b = GroupRunner(ARCH, sgd_group(3, n_workers=1, batch=2), streams=[iter([both])])
-        a.step_stream()
-        b.step_stream()
-        assert np.array_equal(a.params.values, b.params.values)
+        a, _ = train_baseline(ARCH, sgd_group(3, n_workers=2, batch=1), None, 1, val,
+                              streams=[iter([e1]), iter([e2])])
+        b, _ = train_baseline(ARCH, sgd_group(3, n_workers=1, batch=2), None, 1, val,
+                              streams=[iter([both])])
+        assert np.array_equal(a.values, b.values)
 
     def test_w1_degenerates_to_single_worker(self):
         train, val = make_task()
@@ -245,6 +245,23 @@ class TestCodistill:
             expect, _ = train_baseline(ARCH, self.groups[i], self.shards[i], 120,
                                        self.val, eval_every=60)
             assert np.array_equal(result.params[i].values, expect.values)
+
+    @pytest.mark.parametrize("field, second", [
+        ("n_workers", sgd_group(101, n_workers=2)),
+        ("batch_size", sgd_group(101, batch=8)),
+        ("batch_size", sgd_group(101, batch=8, lr=0.1)),  # the first of two that differ
+        ("optimizer", sgd_group(101, lr=0.1)),
+    ])
+    def test_lockstep_groups_must_agree(self, field, second):
+        """One stacked step trains every group, so lockstep names the first
+        field that differs and trains nothing. Concurrent mode, a stack of
+        one per process, accepts such groups (see
+        test_concurrent_divergence_stops_peers_and_keeps_records)."""
+        store = InMemoryCheckpointStore(ARCH)
+        with pytest.raises(ValueError, match=f"^{field} must be equal across lockstep groups"):
+            codistill_train(ARCH, CodistillConfig(2, 20, 20), [self.groups[0], second],
+                            self.shards, 40, store, self.val)
+        assert store.load_latest(0) is None
 
     def test_deterministic(self):
         cfg = CodistillConfig(2, 20, 10)

@@ -197,9 +197,9 @@ class TestSmoothing:
 
     @staticmethod
     def teacher_rows(kind, train, batch_size):
-        [(spec, teacher)] = _smoothing_teachers(kind, train, 0.1)(0)
+        spec, teacher = _smoothing_teachers(kind, train, 0.1)(0, None)
         assert spec == CombinedLossSpec("soft_cross_entropy", 0.1)
-        return teacher(Batch(np.zeros((batch_size, 1)), np.zeros(batch_size)))
+        return teacher([Batch(np.zeros((batch_size, 1)), np.zeros(batch_size))])[0]
 
     def test_uniform(self):
         train = Dataset(np.zeros((3, 1)), np.array([0, 1, 4]), "classification", 5)
@@ -286,8 +286,8 @@ class TestCombinedLoss:
         logits, labels, _ = random_case(rng)
         B, K = logits.shape
         train = Dataset(np.zeros((K, 1)), np.arange(K), "classification", K)
-        [(spec, teacher_fn)] = _smoothing_teachers("uniform", train, 0.5)(0)
-        teacher = teacher_fn(Batch(np.zeros((B, 1)), labels))
+        spec, teacher_fn = _smoothing_teachers("uniform", train, 0.5)(0, None)
+        teacher = teacher_fn([Batch(np.zeros((B, 1)), labels)])[0]
         cl, cg = combined_loss(spec, labels, logits, teacher)
         hl, _ = hard_ce(labels, logits)
         sl, _ = soft_ce(np.full(logits.shape, 1.0 / K), logits)

@@ -6,10 +6,12 @@ from hypothesis.extra import numpy as hnp
 
 from codistill.losses import hard_ce
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
-                          Parameters, TruncatedPayloadError, _layout, _slices, _views,
-                          backward, deserialize_checkpoint, forward, forward_trace,
-                          init_params, param_count, predict_proba, serialize_params, softmax)
-from helpers import fd_param_grad, naive_mlp_forward, recompute_backward, rel_err
+                          Parameters, TruncatedPayloadError, _embedding_grad, _layout,
+                          _slices, _views, backward, deserialize_checkpoint, forward, forward_trace,
+                          init_params, param_count, predict_proba, serialize_params, softmax,
+                          stack_logits)
+from helpers import (embedding_grad_add_at, fd_param_grad, naive_mlp_forward,
+                     recompute_backward, rel_err)
 
 
 class TestArchitecture:
@@ -197,6 +199,10 @@ def _trace_case(arch, seed, batch_size):
     return params, Batch(inputs, rng.integers(0, arch.output_dim, size=batch_size))
 
 
+def _stack_of_one(params, batch):
+    return forward_trace(params.arch, params.values[None], batch.inputs[None])
+
+
 class TestForwardTrace:
     """One forward pass serves both the loss and the gradient; both must be
     bit-identical to a fresh forward and a backward that recomputes it."""
@@ -207,39 +213,92 @@ class TestForwardTrace:
     def test_grad_equals_recompute_then_backward(self, arch_name, seed, batch_size, request):
         arch = request.getfixturevalue(arch_name)
         params, batch = _trace_case(arch, seed, batch_size)
-        trace = forward_trace(params, batch)
-        _, dlogits = hard_ce(batch.labels, trace.logits)
+        trace = _stack_of_one(params, batch)
+        _, dlogits = hard_ce(batch.labels, trace.logits[0])
         want_logits, want_grad = recompute_backward(params, batch, dlogits)
-        assert np.array_equal(trace.logits, want_logits)
+        assert np.array_equal(trace.logits[0], want_logits)
         assert np.array_equal(forward(params, batch), want_logits)
-        got = trace.grad(dlogits)
-        assert np.array_equal(got, want_grad)
+        got = trace.grad(dlogits[None])
+        assert got.shape == (1, param_count(arch))
+        assert np.array_equal(got[0], want_grad)
         assert np.array_equal(backward(params, batch, dlogits), want_grad)
         # the stored activations are not consumed by a gradient
-        assert np.array_equal(trace.grad(dlogits), got)
+        assert np.array_equal(trace.grad(dlogits[None]), got)
 
     @pytest.mark.parametrize("arch_name", ["small_arch", "lm_arch"])
     def test_large_batch_matches_recompute(self, arch_name, request):
         arch = request.getfixturevalue(arch_name)
         params, batch = _trace_case(arch, 3, 2000)
-        trace = forward_trace(params, batch)
-        dlogits = np.random.default_rng(4).standard_normal(trace.logits.shape)
+        trace = _stack_of_one(params, batch)
+        dlogits = np.random.default_rng(4).standard_normal(trace.logits.shape[1:])
         want_logits, want_grad = recompute_backward(params, batch, dlogits)
-        assert np.array_equal(trace.logits, want_logits)
-        assert np.array_equal(trace.grad(dlogits), want_grad)
+        assert np.array_equal(trace.logits[0], want_logits)
+        assert np.array_equal(trace.grad(dlogits[None])[0], want_grad)
 
     def test_grad_checks_upstream(self, small_params, small_batch):
-        trace = forward_trace(small_params, small_batch)
+        trace = _stack_of_one(small_params, small_batch)
         with pytest.raises(ValueError, match="shape"):
-            trace.grad(np.zeros((small_batch.size, 3)))
-        bad = np.zeros((small_batch.size, 4))
-        bad[0, 0] = np.nan
+            trace.grad(np.zeros((1, small_batch.size, 3)))
+        bad = np.zeros((1, small_batch.size, 4))
+        bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             trace.grad(bad)
 
     def test_validates_inputs(self, small_params):
         with pytest.raises(ValueError, match="input_dim"):
-            forward_trace(small_params, Batch(np.zeros((2, 5)), np.zeros(2, dtype=int)))
+            _stack_of_one(small_params, Batch(np.zeros((2, 5)), np.zeros(2, dtype=int)))
+
+    def test_validates_stack_shapes(self, small_params, small_batch):
+        two = np.stack([small_params.values] * 2)
+        with pytest.raises(ValueError, match="models"):
+            forward_trace(small_params.arch, two, small_batch.inputs[None])
+        with pytest.raises(ValueError, match="parameter stack"):
+            forward_trace(small_params.arch, small_params.values, small_batch.inputs[None])
+
+
+DESK_ARCH = Architecture(32, (64, 32), 10)
+DESK_LM = Architecture(8 * 16, (64, 32), 40, task="lm_fixed_context", context_window=8,
+                       vocab_size=40, embedding_dim=16)
+
+
+class TestStackedKernel:
+    """M models in one stacked forward and gradient give each model exactly
+    what its own 2-D pass gives: the lockstep step relies on this, and a numpy
+    or BLAS change that broke it fails here by name."""
+
+    @pytest.mark.parametrize("arch", [DESK_ARCH, DESK_LM], ids=["classification", "lm"])
+    @pytest.mark.parametrize("n_models", [1, 2, 4, 12])
+    @pytest.mark.parametrize("rows", [32, 64])
+    def test_stack_equals_each_model_alone(self, arch, n_models, rows):
+        cases = [_trace_case(arch, 100 * n_models + m, rows) for m in range(n_models)]
+        values = np.stack([p.values for p, _ in cases])
+        inputs = np.stack([b.inputs for _, b in cases])
+        trace = forward_trace(arch, values, inputs)
+        dlogits = np.stack([hard_ce(b.labels, trace.logits[m])[1]
+                            for m, (_, b) in enumerate(cases)])
+        grads = trace.grad(dlogits)
+        assert trace.logits.shape == (n_models, rows, arch.output_dim)
+        assert grads.shape == (n_models, param_count(arch))
+        # the pass without activations, as teachers and validation run it
+        assert np.array_equal(stack_logits(arch, values, inputs), trace.logits)
+        for m, (params, batch) in enumerate(cases):
+            want_logits, want_grad = recompute_backward(params, batch, dlogits[m])
+            assert np.array_equal(trace.logits[m], want_logits)
+            assert np.array_equal(grads[m], want_grad)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 5),
+           rows=st.integers(1, 40), window=st.integers(1, 6), vocab=st.integers(1, 12),
+           dim=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_bincount_scatter_equals_add_at(self, seed, n_models, rows, window, vocab, dim):
+        rng = np.random.default_rng(seed)
+        tokens = rng.integers(0, vocab, size=(n_models, rows, window))
+        # magnitudes far apart, so any change of summation order shows
+        dinput = rng.standard_normal((n_models, rows, window, dim)) * 10.0 ** rng.integers(
+            -100, 100, size=(n_models, rows, window, dim))
+        got = _embedding_grad(tokens, dinput, vocab)
+        for m in range(n_models):
+            assert np.array_equal(got[m], embedding_grad_add_at(tokens[m], dinput[m], vocab))
 
 
 class TestSerialization:
