@@ -29,13 +29,14 @@ Lockstep mode (``codistill_train``) makes one loop call over all groups on
 one thread, which makes whole runs bit-reproducible. Validation stays one
 model at a time: a stacked pass over the validation set would hold N
 models' activations at once, which at desk scale adds more to peak memory
-than it saves in time. When at least 2 CPUs are available, each evaluation
-point's validation passes run on one helper thread beside the next training
-steps; they read only that point's immutable ``Parameters``, and numpy
-releases the interpreter lock in their large matmuls and ufuncs. With one
-CPU they run inline, with the same records: there a helper thread only
-takes turns with training on the one core, and its handoffs cost more than
-they save.
+than it saves in time. When at least 2 CPUs are available, the loop forks
+one evaluator process (the ``fork`` start method, so Linux), which
+validates each evaluation point beside the next training steps: it is sent
+that point's (N, P) parameters and counters over a pipe and sends back the
+records, so validation shares neither the training thread's interpreter
+lock nor its CPU time. With one CPU the passes run inline, with the same
+records: there a second process only takes turns with training on the one
+core, and its handoffs cost more than they save.
 
 Concurrent mode (``codistill_train_concurrent``) forks one OS process per
 group (the ``fork`` start method, so Linux), each making one loop call over
@@ -62,13 +63,16 @@ functions in the parent (``bench/tracer.py``) sees the one
 
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
+import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -95,6 +99,10 @@ DIVERGENCE_THRESHOLD = 1e4
 # children to stop after a failure) before giving up on them.
 MAX_GROUP_PROCESSES = 16
 START_TIMEOUT_S = 30.0
+
+# Lockstep: how long a training loop waits for its evaluator process to stop
+# before killing it.
+EVALUATOR_STOP_S = 5.0
 
 
 class DivergenceError(RuntimeError):
@@ -350,30 +358,15 @@ class GroupRunner:
         return Batch(np.concatenate([b.inputs for b in batches], axis=0),
                      np.concatenate([b.labels for b in batches], axis=0))
 
-    def _snapshot_record(self, params: Parameters, run_id: str, validation: Batch, t0: float,
-                         train_loss: float | None):
-        """This evaluation point's record, deferred.
-
-        The step and ledger totals are read now, beside the (immutable)
-        parameters given; the returned function runs the validation pass and
-        builds the ``MetricRecord``, on any thread, stamped with the time it
-        finished.
-        """
-        step = self.step_index
+    def _snapshot(self, train_loss: float | None) -> tuple:
+        """This group's part of an evaluation point, read now: run id, step,
+        train loss and ledger totals, all that ``_point_records`` needs
+        besides the parameters."""
         sync = (self.ledger.total("gradient_exchange", self.entity)
                 + self.ledger.total("parameter_broadcast", self.entity))
         ckpt = (self.ledger.total("checkpoint_publish", self.entity)
                 + self.ledger.total("checkpoint_load", self.entity))
-
-        def finish() -> MetricRecord:
-            val_loss, val_acc = evaluate(params, validation)
-            return MetricRecord(run_id=run_id, step=step,
-                                wall_seconds=time.perf_counter() - t0,
-                                train_loss=train_loss, validation_loss=val_loss,
-                                validation_accuracy=val_acc,
-                                bytes_grad_exchange=sync, bytes_checkpoint=ckpt)
-
-        return finish
+        return self.entity, self.step_index, train_loss, sync, ckpt
 
 
 # what the groups of one stack must share: one step runs them all
@@ -462,6 +455,64 @@ class _Stack:
                 None if a is None else a[row] for a in (st.m, st.v, st.acc)))
 
 
+def _point_records(arch: Architecture, validation: Batch, t0: float, after_eval, step: int,
+                   values: np.ndarray, members) -> list[MetricRecord]:
+    """One evaluation point's records: each group's, from its row of the
+    (N, P) ``values`` and its ``GroupRunner._snapshot``, stamped with the time
+    its validation pass finished, then ``after_eval``'s, if given.
+
+    Runs inline in the training process or in its evaluator process; either
+    way ``evaluate`` is this module's global, so a patch made before the loop
+    reaches it, and ``time.perf_counter`` is the same clock in both.
+    """
+    params = [Parameters(arch, row) for row in values]
+    new = []
+    for p, (run_id, group_step, train_loss, sync, ckpt) in zip(params, members):
+        val_loss, val_acc = evaluate(p, validation)
+        new.append(MetricRecord(run_id=run_id, step=group_step,
+                                wall_seconds=time.perf_counter() - t0,
+                                train_loss=train_loss, validation_loss=val_loss,
+                                validation_accuracy=val_acc,
+                                bytes_grad_exchange=sync, bytes_checkpoint=ckpt))
+    if after_eval is not None:
+        return new + [after_eval(step, new, params, t0)]
+    return new
+
+
+def _portable(err: BaseException) -> BaseException:
+    """``err`` if it crosses ``pickle`` intact, else a ``RuntimeError`` naming
+    its class and message: how an error leaves a forked process."""
+    try:
+        pickle.loads(pickle.dumps(err))
+    except Exception:
+        return RuntimeError(f"{type(err).__name__}: {err}")
+    return err
+
+
+def _evaluator(conn, parent_end, point_records) -> None:
+    """Body of a lockstep training loop's evaluator process.
+
+    Each message is one evaluation point, ``(step, values, members)``, the
+    arguments ``point_records`` (``_point_records`` bound to the loop) takes;
+    the reply is ``(records, None)`` or ``([], error)``. It ends on a None
+    message or at end of file: it holds no copy of the parent's end of the
+    pipe, so the parent's death, even by ``SIGKILL``, ends it too. It
+    ignores ``SIGINT``, which reaches the whole process group on Ctrl-C: the
+    parent decides when it stops.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()
+    try:
+        while (point := conn.recv()) is not None:
+            try:
+                reply = point_records(*point), None
+            except Exception as err:
+                reply = [], _portable(err)
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the parent is gone
+
+
 def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, records: list,
                 teachers=None, *, after_eval=None, stop=None) -> None:
     """The one training loop; each training mode is a different ``teachers``.
@@ -481,58 +532,75 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     loss. When the loop ends without an error, each runner holds its final
     parameters and optimizer state.
 
-    An evaluation point snapshots each runner's step, train loss, ledger
-    totals and parameters; only the validation passes and the records'
-    construction are deferred. Validation runs one model at a time: a
-    stacked pass would hold every model's activations over the whole
-    validation set at once. With at least 2 CPUs the passes run on a
-    one-thread executor while training goes on, at most one point in flight:
-    the loop waits for point k-1 before starting point k, and for the last
-    one before it returns. Group processes, and processes with one CPU, run
-    them inline at the same place. Either way the records are the same, and
-    no thread outlives the call. Any exception, a deferred one included with
-    its own class, leaves with the records made before it attached as
-    ``err.records``.
+    An evaluation point snapshots each runner's step, train loss and ledger
+    totals (``GroupRunner._snapshot``) beside the stack's (N, P) parameters,
+    and ``_point_records`` turns them into records. Validation runs one
+    model at a time: a stacked pass would hold every model's activations
+    over the whole validation set at once. With at least 2 CPUs the loop
+    forks one evaluator process (``_evaluator``) and sends it each point
+    over a pipe while training goes on, at most one point in flight: the
+    loop takes back point k-1's records before sending point k, and the last
+    one's before it returns. Group processes, and processes with one CPU,
+    call ``_point_records`` inline at the same place. Either way the records
+    are the same, and no process outlives the call: the evaluator is told to
+    stop, and killed after ``EVALUATOR_STOP_S``. Any exception leaves with
+    the records made before it attached as ``err.records``: the evaluator's
+    own with its class, or as a ``RuntimeError`` if it does not pickle
+    (``_portable``), and the evaluator's death as a ``RuntimeError`` naming
+    its exit code.
     """
     stack = _Stack(runners)
     t0 = time.perf_counter()
     windows: list[list[float]] = [[] for _ in runners]
     # group processes already fill the cores, and a killed one must keep its
-    # last evaluation's records; on one CPU a helper thread only adds handoffs
+    # last evaluation's records; on one CPU an evaluator only adds handoffs
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    helper = ThreadPoolExecutor(max_workers=1) if stop is None and cpus >= 2 else None
-    pending = None  # the future of the evaluation point in flight
+    point_records = functools.partial(_point_records, stack.arch, validation, t0, after_eval)
+    evaluator = conn = None
+    if stop is None and cpus >= 2:
+        ctx = multiprocessing.get_context("fork")
+        conn, child_end = ctx.Pipe()
+        evaluator = ctx.Process(target=_evaluator, name="evaluator", daemon=True,
+                                args=(child_end, conn, point_records))
+        evaluator.start()
+        child_end.close()
+    in_flight = False  # whether the evaluator holds a point not yet taken back
+
+    def dead() -> RuntimeError:
+        evaluator.join(EVALUATOR_STOP_S)
+        return RuntimeError(f"the evaluator process ended without a result "
+                            f"(exit code {evaluator.exitcode})")
 
     def drain(reraise: bool = True) -> None:
-        """Wait for the evaluation in flight, which appends its records itself,
-        and re-raise its error."""
-        nonlocal pending
-        done, pending = pending, None
-        error = done.exception() if done is not None else None
+        """Take back the point in flight's records, and re-raise its error."""
+        nonlocal in_flight
+        if not in_flight:
+            return
+        in_flight = False
+        try:
+            new, error = conn.recv()
+        except (EOFError, OSError):
+            new, error = [], dead()
+        records.extend(new)
         if error is not None and reraise:
             raise error
 
     def emit(step: int) -> None:
-        nonlocal pending
-        params = [stack.params(row) for row in range(len(runners))]
-        members = [r._snapshot_record(p, r.entity, validation, t0,
-                                      float(np.mean(w)) if w else None)
-                   for r, p, w in zip(runners, params, windows)]
+        nonlocal in_flight
+        members = [r._snapshot(float(np.mean(w)) if w else None)
+                   for r, w in zip(runners, windows)]
         for w in windows:
             w.clear()
-
-        def finish() -> None:
-            new = [m() for m in members]
-            records.extend(new)
-            if after_eval is not None:
-                records.append(after_eval(step, new, params, t0))
-
         drain()
-        if helper is None:
-            finish()
-        else:
-            pending = helper.submit(finish)
+        if evaluator is None:
+            records.extend(point_records(step, stack.values, members))
+            return
+        try:
+            conn.send((step, stack.values, members))
+        except OSError:
+            raise dead() from None
+        in_flight = True
 
     try:
         emit(0)
@@ -551,8 +619,16 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
         err.records = records
         raise
     finally:
-        if helper is not None:  # waits for a point left by a KeyboardInterrupt
-            helper.shutdown()
+        if evaluator is not None:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # already gone
+            evaluator.join(EVALUATOR_STOP_S)
+            if evaluator.is_alive():
+                evaluator.kill()
+                evaluator.join()
+            conn.close()
     stack.unstack()
 
 
@@ -769,11 +845,7 @@ def _group_process(i: int, runner: GroupRunner, teachers: _PeerTeachers, n_steps
         _train_loop([runner], n_steps, validation, eval_every,
                     _RecordFile(directory / f"records_{i}.csv"), teachers, stop=stop)
     except BaseException as err:  # handed to the parent, which re-raises it
-        error = err
-        try:
-            pickle.loads(pickle.dumps(err))
-        except Exception:
-            error = RuntimeError(f"{type(err).__name__}: {err}")
+        error = _portable(err)
     result = {"params": runner.params.values if error is None else None, "lag": teachers.lags[i],
               "ledger": ledger.snapshot(), "error": error}
     _write_atomic(directory / f"result_{i}.pkl", pickle.dumps(result))
@@ -799,9 +871,6 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     class and message, carrying every group's records in model-id order. No
     process outlives the call.
     """
-    # imported here, not at the top: about 20 ms that lockstep runs need not pay
-    import multiprocessing.connection
-
     if not isinstance(store, FileCheckpointStore):
         raise ValueError("concurrent mode needs a FileCheckpointStore: its directory is "
                          "the group processes' only channel")

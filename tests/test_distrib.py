@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,39 @@ def make_task(n=600, seed=1, difficulty=0.3):
 def sgd_group(seed, n_workers=1, batch=16, lr=0.2, loss=None):
     return GroupConfig(n_workers, batch, OptimizerConfig("sgd", lr),
                        loss or CombinedLossSpec(), seed)
+
+
+def run_in_thread(fn, timeout=60.0):
+    """Run ``fn`` on a helper thread; return its result or the exception it
+    raised, and how long it took."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except BaseException as err:  # handed back to the test
+            out["error"] = err
+
+    t0 = time.monotonic()
+    t = threading.Thread(target=target)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "run did not finish"
+    out["seconds"] = time.monotonic() - t0
+    assert multiprocessing.active_children() == []
+    return out
+
+
+class EvaluationFailed(Exception):
+    """An evaluation error that crosses ``pickle``."""
+
+
+class UnpicklableEvaluationError(Exception):
+    """An evaluation error that does not cross ``pickle``: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
 
 
 def make_store(backing, tmp_path, ledger=None):
@@ -360,26 +394,6 @@ class TestDivergenceError:
 
 
 class TestConcurrentGroups:
-    def run_in_thread(self, fn, timeout=60.0):
-        """Run ``fn`` on a helper thread; return its result or the exception it
-        raised, and how long it took."""
-        out = {}
-
-        def target():
-            try:
-                out["result"] = fn()
-            except BaseException as err:  # handed back to the test
-                out["error"] = err
-
-        t0 = time.monotonic()
-        t = threading.Thread(target=target)
-        t.start()
-        t.join(timeout)
-        assert not t.is_alive(), "concurrent run did not finish"
-        out["seconds"] = time.monotonic() - t0
-        assert multiprocessing.active_children() == []
-        return out
-
     def two_groups(self, seed=11):
         train, val = make_task(n=400)
         plan = make_shards(train, "disjoint", 2, seed)
@@ -395,7 +409,7 @@ class TestConcurrentGroups:
         ledger = CommLedger()
         store = FileCheckpointStore(tmp_path, ARCH, ledger)
         cfg = CodistillConfig(4, 10, 5)
-        out = self.run_in_thread(lambda: codistill_train_concurrent(
+        out = run_in_thread(lambda: codistill_train_concurrent(
             ARCH, cfg, groups, shards, 40, store, val, eval_every=20, ledger=ledger))
         result = out["result"]
         report = comm_report(ledger, param_count(ARCH), 40, groups[0], cfg)
@@ -420,7 +434,7 @@ class TestConcurrentGroups:
         groups, shards, val = self.two_groups()
         n_steps = 10**6
         ledger = CommLedger()
-        out = self.run_in_thread(lambda: codistill_train_concurrent(
+        out = run_in_thread(lambda: codistill_train_concurrent(
             ARCH, CodistillConfig(2, 10, 10), groups, shards, n_steps,
             FileCheckpointStore(tmp_path, ARCH), val, eval_every=10, ledger=ledger))
         err = out["error"]
@@ -441,7 +455,7 @@ class TestConcurrentGroups:
         store.publish = lambda ckpt, entity=None: (None if ckpt.model_id == 0
                                                    else publish(ckpt, entity))
         groups, shards, val = self.two_groups()
-        out = self.run_in_thread(lambda: codistill_train_concurrent(
+        out = run_in_thread(lambda: codistill_train_concurrent(
             ARCH, CodistillConfig(2, 10, 10), groups, shards, 10**6, store, val))
         err = out["error"]
         assert isinstance(err, RuntimeError)
@@ -455,7 +469,7 @@ class TestConcurrentGroups:
         (tmp_path / "stop").touch()
         (tmp_path / "records_0.csv").write_text("not a record\n")
         FileCheckpointStore(tmp_path, ARCH).publish(Checkpoint(1, 500, init_params(ARCH, 9)))
-        out = self.run_in_thread(lambda: codistill_train_concurrent(
+        out = run_in_thread(lambda: codistill_train_concurrent(
             ARCH, CodistillConfig(2, 10, 10), groups, shards, 30,
             FileCheckpointStore(tmp_path, ARCH), val, eval_every=10))
         assert [(r.run_id, r.step) for r in out["result"].records] == \
@@ -487,7 +501,7 @@ class TestConcurrentGroups:
 
         monkeypatch.setattr(multiprocessing.connection, "wait", interrupted_wait)
         groups, shards, val = self.two_groups()
-        out = self.run_in_thread(lambda: codistill_train_concurrent(
+        out = run_in_thread(lambda: codistill_train_concurrent(
             ARCH, CodistillConfig(2, 10, 10), groups, shards, 10**6,
             FileCheckpointStore(tmp_path, ARCH), val))
         assert isinstance(out["error"], KeyboardInterrupt)
@@ -520,7 +534,7 @@ class TestConcurrentGroups:
             publish(ckpt, entity)
 
         store.publish = failing_publish
-        out = self.run_in_thread(lambda: codistill_train_concurrent(
+        out = run_in_thread(lambda: codistill_train_concurrent(
             ARCH, CodistillConfig(2, 10, 10), groups, shards, 50, store, val))
         err = out["error"]
         assert isinstance(err, OSError) and "disk full" in str(err)
@@ -696,8 +710,9 @@ class TestLedger:
 
 
 class TestLockstepEvaluation:
-    """Lockstep validation runs on a helper thread when at least 2 CPUs are
-    available and inline otherwise, with the same records either way."""
+    """Lockstep validation runs in one forked evaluator process when at least
+    2 CPUs are available and inline otherwise, with the same records either
+    way."""
 
     TINY = {"seeds": [0], "steps": 30, "eval_every": 10, "data.n": 400, "data.dim": 6,
             "data.classes": 3, "data.difficulty": 0.3, "data.seed": 5,
@@ -709,17 +724,19 @@ class TestLockstepEvaluation:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     @staticmethod
-    def slow_evaluate(monkeypatch, seconds=0.05):
-        """distrib.evaluate that takes at least ``seconds`` and notes its thread."""
-        evaluate, threads = distrib.evaluate, []
+    def slow_evaluate(monkeypatch, seconds=0.05, pids=None):
+        """distrib.evaluate that takes at least ``seconds`` and, given a
+        ``pids`` path, appends the id of the process it ran in."""
+        evaluate = distrib.evaluate
 
         def slow(params, validation):
-            threads.append(threading.get_ident())
+            if pids is not None:
+                with open(pids, "a") as f:
+                    f.write(f"{os.getpid()}\n")
             time.sleep(seconds)
             return evaluate(params, validation)
 
         monkeypatch.setattr(distrib, "evaluate", slow)
-        return threads
 
     @staticmethod
     def outputs(out_dir):
@@ -727,24 +744,42 @@ class TestLockstepEvaluation:
         rows = [",".join(c for i, c in enumerate(line.split(",")) if i != 2) for line in lines]
         return rows, (out_dir / "summary.json").read_text()
 
+    @staticmethod
+    def fail_on_call(monkeypatch, n, fail):
+        """distrib.evaluate whose ``n``-th call (counted in the process that
+        evaluates) runs ``fail()`` instead."""
+        evaluate, calls = distrib.evaluate, []
+
+        def failing(params, validation):
+            calls.append(1)
+            if len(calls) == n:
+                fail()
+            return evaluate(params, validation)
+
+        monkeypatch.setattr(distrib, "evaluate", failing)
+
     @pytest.mark.parametrize("kind", ["baseline", "codistill", "ensemble_baseline"])
-    def test_inline_and_helper_thread_write_identical_outputs(self, kind, tmp_path,
-                                                              monkeypatch):
-        threads = self.slow_evaluate(monkeypatch, 0.0)
+    def test_evaluator_process_matches_inline(self, kind, tmp_path, monkeypatch):
+        """With 2 CPUs every validation pass runs in one other process, forked
+        once for the loop; with one CPU all run in this one."""
+        pids = tmp_path / "pids"
+        self.slow_evaluate(monkeypatch, 0.0, pids)
         self.cpus(monkeypatch, 2)
-        experiments.run({**self.TINY, "kind": kind}, tmp_path / "helper")
-        assert set(threads) - {threading.get_ident()}, "no evaluation ran on a helper thread"
-        threads.clear()
+        experiments.run({**self.TINY, "kind": kind}, tmp_path / "evaluator")
+        forked = set(pids.read_text().split())
+        assert len(forked) == 1 and str(os.getpid()) not in forked, \
+            "an evaluation ran in the training process"
+        pids.unlink()
         self.cpus(monkeypatch, 1)
         experiments.run({**self.TINY, "kind": kind}, tmp_path / "inline")
-        assert set(threads) == {threading.get_ident()}
-        assert self.outputs(tmp_path / "helper") == self.outputs(tmp_path / "inline")
+        assert set(pids.read_text().split()) == {str(os.getpid())}
+        assert self.outputs(tmp_path / "evaluator") == self.outputs(tmp_path / "inline")
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_divergence_after_an_evaluation_keeps_its_records(self, n_cpus, tmp_path,
                                                               monkeypatch):
         """Training fails 3 steps after the step-10 evaluation point, while its
-        slow validation pass is still running on the helper thread."""
+        slow validation pass is still running in the evaluator process."""
         self.cpus(monkeypatch, n_cpus)
         self.slow_evaluate(monkeypatch, 0.2)
         step_batches = GroupRunner.step_batches
@@ -763,17 +798,19 @@ class TestLockstepEvaluation:
 
     @pytest.mark.parametrize("outcome", ["finished", "diverged", "interrupted"])
     def test_no_thread_outlives_the_loop(self, outcome, monkeypatch):
-        """At most one evaluation thread runs beside training, and none is left
-        once the loop returns or raises, also from inside a training step."""
+        """One evaluator process and no thread runs beside training, and
+        neither is left once the loop returns or raises, also from inside a
+        training step."""
         self.cpus(monkeypatch, 2)
         self.slow_evaluate(monkeypatch, 0.2)
         train, val = make_task()
         before = threading.active_count()
-        seen = []
+        seen, children = [], []
         step_batches = GroupRunner.step_batches
 
         def counting(runner, *args):
             seen.append(threading.active_count())
+            children.append(len(multiprocessing.active_children()))
             if outcome == "interrupted" and runner.step_index == 11:
                 raise KeyboardInterrupt
             return step_batches(runner, *args)
@@ -789,24 +826,117 @@ class TestLockstepEvaluation:
                 train_baseline(ARCH, sgd_group(1, lr=lr), train, 40, val, eval_every=10)
         assert threading.active_count() == before
         assert seen and max(seen) <= before + 1
+        assert set(children) == {1}
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_failed_evaluation_surfaces_with_the_records_before_it(self, n_cpus,
                                                                     monkeypatch):
-        class EvaluationFailed(Exception):
-            pass
+        def fail():
+            raise EvaluationFailed("third evaluation")
 
         self.cpus(monkeypatch, n_cpus)
-        evaluate, calls = distrib.evaluate, []
-
-        def third_call_fails(params, validation):
-            calls.append(1)
-            if len(calls) == 3:
-                raise EvaluationFailed("third evaluation")
-            return evaluate(params, validation)
-
-        monkeypatch.setattr(distrib, "evaluate", third_call_fails)
+        self.fail_on_call(monkeypatch, 3, fail)
         train, val = make_task()
         with pytest.raises(EvaluationFailed) as err:
             train_baseline(ARCH, sgd_group(1), train, 50, val, eval_every=10)
         assert [r.step for r in err.value.records] == [0, 10]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_evaluation_error_that_does_not_pickle(self, n_cpus, monkeypatch):
+        """Inline it keeps its class; from the evaluator process it arrives as
+        a RuntimeError naming its class and message. Either way it carries
+        the records before it."""
+        def fail():
+            raise UnpicklableEvaluationError("third evaluation")
+
+        self.cpus(monkeypatch, n_cpus)
+        self.fail_on_call(monkeypatch, 3, fail)
+        train, val = make_task()
+        with pytest.raises(Exception) as err:
+            train_baseline(ARCH, sgd_group(1), train, 50, val, eval_every=10)
+        if n_cpus == 1:
+            assert type(err.value) is UnpicklableEvaluationError
+        else:
+            assert type(err.value) is RuntimeError
+            assert str(err.value) == "UnpicklableEvaluationError: third evaluation"
+        assert [r.step for r in err.value.records] == [0, 10]
+
+    def test_evaluator_ignores_sigint(self, monkeypatch):
+        """A SIGINT sent to the evaluator alone (Ctrl-C sends one to the whole
+        process group) leaves it running: the run ends normally."""
+        self.cpus(monkeypatch, 2)
+        self.slow_evaluate(monkeypatch, 0.05)
+        step_batches = GroupRunner.step_batches
+
+        def interrupting(runner, *args):
+            if runner.step_index == 15:
+                for child in multiprocessing.active_children():
+                    os.kill(child.pid, signal.SIGINT)
+            return step_batches(runner, *args)
+
+        monkeypatch.setattr(GroupRunner, "step_batches", interrupting)
+        train, val = make_task()
+        _, records = train_baseline(ARCH, sgd_group(1), train, 40, val, eval_every=10)
+        assert [r.step for r in records] == [0, 10, 20, 30, 40]
+
+    def test_killed_training_process_leaves_no_evaluator(self, tmp_path, monkeypatch):
+        """The training process dies by SIGKILL mid-run; its evaluator, which
+        holds no copy of the training side of the pipe, reads end of file and
+        exits."""
+        pids = tmp_path / "pids"
+        self.cpus(monkeypatch, 2)
+        self.slow_evaluate(monkeypatch, 0.0, pids)
+        step_batches = GroupRunner.step_batches
+
+        def dying(runner, *args):
+            if runner.step_index == 25:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return step_batches(runner, *args)
+
+        monkeypatch.setattr(GroupRunner, "step_batches", dying)
+        train, val = make_task()
+        trainer = multiprocessing.get_context("fork").Process(
+            target=train_baseline, args=(ARCH, sgd_group(1), train, 40, val),
+            kwargs={"eval_every": 10})
+        trainer.start()
+        trainer.join(30)
+        assert trainer.exitcode == -signal.SIGKILL
+        (evaluator,) = {int(pid) for pid in pids.read_text().split()}
+
+        def ended():  # gone, or a zombie its new parent has not reaped yet
+            try:
+                stat = Path(f"/proc/{evaluator}/stat").read_text()
+            except FileNotFoundError:
+                return True
+            return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+        deadline = time.monotonic() + 10
+        try:
+            while not ended():
+                assert time.monotonic() < deadline, "the evaluator outlived its training process"
+                time.sleep(0.05)
+        finally:
+            if not ended():  # leave no orphan behind a failed assertion
+                os.kill(evaluator, signal.SIGKILL)
+
+    def test_killed_evaluator_fails_the_loop_with_the_records_before_it(self, monkeypatch):
+        """The evaluator dies by SIGKILL in the step-20 validation pass: the
+        loop raises a RuntimeError naming it at the next point, rather than
+        waiting for a reply that never comes."""
+        parent = os.getpid()
+
+        def die():
+            assert os.getpid() != parent, "evaluation ran in the training process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.cpus(monkeypatch, 2)
+        self.fail_on_call(monkeypatch, 3, die)
+        train, val = make_task()
+        out = run_in_thread(lambda: train_baseline(ARCH, sgd_group(1), train, 50, val,
+                                                   eval_every=10), timeout=30.0)
+        err = out["error"]
+        assert type(err) is RuntimeError
+        assert "evaluator process" in str(err) and "exit code -9" in str(err)
+        assert [r.step for r in err.records] == [0, 10]
+        assert out["seconds"] < 10
