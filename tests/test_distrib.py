@@ -22,7 +22,8 @@ from codistill.nn import forward, predict_proba, serialize_params
 from codistill.losses import CombinedLossSpec
 from codistill.metrics import MetricRecord, format_row
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
-                          SerializationError, TruncatedPayloadError, init_params, param_count)
+                          Parameters, SerializationError, TruncatedPayloadError, init_params,
+                          param_count)
 from codistill.optim import OptimizerConfig
 from helpers import interleave
 
@@ -476,6 +477,28 @@ class TestConcurrentGroups:
             [(f"model{i}", step) for i in range(2) for step in (0, 10, 20, 30)]
         assert FileCheckpointStore(tmp_path, ARCH).load_latest(1).step == 20
 
+    def test_start_clears_every_file_of_the_run(self, tmp_path):
+        """Orphan checkpoint files, temp files and stale temp links of the
+        run's models are gone after a new run: each model keeps exactly its
+        link, the one file it names, its records and its result."""
+        groups, shards, val = self.two_groups()
+        for i in range(2):
+            (tmp_path / f"ckpt_{i}.90.orphan.bin").write_bytes(b"old")
+            (tmp_path / f".ckpt_{i}.abc123.tmp").write_bytes(b"torn")
+            (tmp_path / f".result_{i}.def456.tmp").write_bytes(b"torn")
+            os.symlink(f"ckpt_{i}.91.gone.bin", tmp_path / f".ckpt_{i}.91.gone.tmp")
+        (tmp_path / "unrelated.txt").write_text("kept")
+        out = run_in_thread(lambda: codistill_train_concurrent(
+            ARCH, CodistillConfig(2, 10, 10), groups, shards, 20,
+            FileCheckpointStore(tmp_path, ARCH), val, eval_every=10))
+        assert "error" not in out
+        want = ["unrelated.txt"]
+        for i in range(2):
+            target = os.readlink(tmp_path / f"ckpt_{i}.bin")
+            assert target.startswith(f"ckpt_{i}.10.")  # the last publish, at step 10
+            want += [f"ckpt_{i}.bin", target, f"records_{i}.csv", f"result_{i}.pkl"]
+        assert sorted(os.listdir(tmp_path)) == sorted(want)
+
     def test_torn_last_record_row_is_dropped(self, tmp_path):
         """A group killed while appending leaves a last row without its
         newline; reading its record file yields only the complete rows."""
@@ -561,13 +584,24 @@ class TestMeanTeacher:
 
 
 class TestThreeModelCodistill:
-    def test_runs_and_ledger_matches(self):
+    @pytest.mark.parametrize("backing", ["memory", "file"])
+    def test_runs_and_ledger_matches(self, backing, tmp_path, monkeypatch):
+        """Each published version is decoded once, though two peers load it;
+        the ledger still charges every load."""
+        decodes = []
+        decode = distrib.deserialize_checkpoint
+
+        def counting(data, arch):
+            decodes.append(1)
+            return decode(data, arch)
+
+        monkeypatch.setattr(distrib, "deserialize_checkpoint", counting)
         train, val = make_task(n=600)
         plan = make_shards(train, "disjoint", 3, 2)
         shards = [plan.shard(train, i) for i in range(3)]
         groups = [sgd_group(200 + i) for i in range(3)]
         ledger = CommLedger()
-        store = InMemoryCheckpointStore(ARCH, ledger)
+        store = make_store(backing, tmp_path, ledger)
         cfg = CodistillConfig(3, 20, 20)
         result = codistill_train(ARCH, cfg, groups, shards, 90, store, val,
                                  eval_every=45, ledger=ledger)
@@ -576,6 +610,12 @@ class TestThreeModelCodistill:
         # 5 exchange rounds per group: 1 publish + 2 loads each
         assert report.actual_checkpoint_total == report.expected_checkpoint_total
         assert report.actual_checkpoint_total == 3 * 5 * 3 * param_count(ARCH) * 8
+        # 30 loads of 15 published versions (3 models, steps 0, 20, 40, 60, 80)
+        assert len(decodes) == 15
+        assert store.load_latest(0).step == 80 and len(decodes) == 15
+        store.publish(Checkpoint(0, 90, result.params[0]))
+        assert store.load_latest(0).step == 90 and len(decodes) == 16
+        assert store.load_latest(0).step == 90 and len(decodes) == 16
 
 
 class TestStoreCounters:
@@ -630,6 +670,92 @@ class TestStoreFaults:
         ck = store.load_latest(0)
         assert ck.step == 1 and np.array_equal(ck.params.values, p.values)
         assert store.load_latest(1) is None
+
+    def test_failed_swap_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A publish that fails after writing its file but before the link
+        swap re-raises; the previous checkpoint stays the one loaded, and the
+        new file is gone."""
+        store = FileCheckpointStore(tmp_path, ARCH)
+        p = init_params(ARCH, 0)
+        store.publish(Checkpoint(0, 1, p))
+        before = sorted(os.listdir(tmp_path))
+
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space"):
+            store.publish(Checkpoint(0, 2, init_params(ARCH, 1)))
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == before
+        ck = FileCheckpointStore(tmp_path, ARCH).load_latest(0)
+        assert ck.step == 1 and np.array_equal(ck.params.values, p.values)
+        store.publish(Checkpoint(0, 2, init_params(ARCH, 1)))
+        assert store.load_latest(0).step == 2
+
+    def test_dangling_link_raises_a_named_error(self, tmp_path, monkeypatch):
+        """A link whose file is gone is neither "not published yet" nor a
+        reason to retry forever."""
+        os.symlink("ckpt_0.7.gone.bin", tmp_path / "ckpt_0.bin")
+        readlink = os.readlink
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return readlink(path)
+
+        monkeypatch.setattr(os, "readlink", counting)
+        with pytest.raises(SerializationError, match="model 0.*ckpt_0.7.gone.bin"):
+            FileCheckpointStore(tmp_path, ARCH).load_latest(0)
+        assert len(calls) == distrib.LOAD_TRIES
+
+    def test_each_model_keeps_one_file(self, tmp_path):
+        """A publish unlinks the file the replaced link named."""
+        store = FileCheckpointStore(tmp_path, ARCH)
+        for step in range(1, 51):
+            for i in range(2):
+                store.publish(Checkpoint(i, step, init_params(ARCH, i)))
+        for i in range(2):
+            targets = [p.name for p in tmp_path.glob(f"ckpt_{i}.*.bin")]
+            assert targets == [os.readlink(tmp_path / f"ckpt_{i}.bin")]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["ckpt_0.bin", "ckpt_1.bin"] + [os.readlink(tmp_path / f"ckpt_{i}.bin")
+                                            for i in range(2)])
+
+    def test_cross_process_publish_load_never_torn(self, tmp_path):
+        """A forked process publishes while this one loads: every load is a
+        complete checkpoint (its values match its step), steps never go
+        back, and once one load has found a checkpoint none finds nothing."""
+        base = init_params(ARCH, 0).values
+        n = 300
+
+        def publisher():
+            store = FileCheckpointStore(tmp_path, ARCH)
+            for step in range(1, n + 1):
+                store.publish(Checkpoint(0, step, Parameters(ARCH, base + step)))
+
+        store = FileCheckpointStore(tmp_path, ARCH)
+        proc = multiprocessing.get_context("fork").Process(target=publisher, daemon=True)
+        steps = []
+        proc.start()
+        try:
+            deadline = time.monotonic() + 60
+            while proc.is_alive() and time.monotonic() < deadline:
+                ck = store.load_latest(0)
+                if ck is None:
+                    assert not steps, "a load found nothing after one found a checkpoint"
+                    continue
+                assert np.array_equal(ck.params.values, base + ck.step)
+                steps.append(ck.step)
+        finally:
+            proc.join(10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        assert proc.exitcode == 0
+        assert steps and steps == sorted(steps)
+        assert store.load_latest(0).step == n
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("backing", ["memory", "file"])
     def test_missing_peer_names_the_model(self, backing, tmp_path):
