@@ -47,21 +47,15 @@ core, and its handoffs cost more than they save.
 Concurrent mode (``codistill_train_concurrent``) forks one OS process per
 group (the ``fork`` start method, so Linux), each making one loop call over
 its group, with no bit-exactness guarantees. As in the paper's deployment,
-where groups on separate machines share only stale checkpoints, the
-``FileCheckpointStore`` directory is the processes' only channel. Besides
-the link ``ckpt_<i>.bin`` and the file it names, it holds:
-
-  stop             exists once any group has failed; every group checks it
-                   before each step and stops
-  records_<i>.csv  group i's metric records as ``metrics.csv`` rows without
-                   the header, appended at every evaluation, so they outlive
-                   a crashed process
-  result_<i>.pkl   group i's final parameters, teacher lag, ledger counts and
-                   error, written when it ends
-
-A group waits at most ``START_TIMEOUT_S`` for its peers' first checkpoints.
-Group processes validate inline: the groups already fill the cores, and a
-killed group keeps the records of its last evaluation. The parent process
+where groups on separate machines share only stale checkpoints, they share
+only the ``FileCheckpointStore`` directory, which holds only checkpoints.
+Like the evaluator, each group is started by ``_fork`` and reports over its
+pipe: its records at every evaluation, so a killed group keeps those of its
+last one, and its result when it ends. Any message from the parent, or end
+of file, stops a group before its next step, so a peer's failure or the
+parent's death, even by ``SIGKILL``, ends it. A group waits at most
+``START_TIMEOUT_S`` for its peers' first checkpoints. Group processes
+validate inline: the groups already fill the cores. The parent process
 merges the results; it never trains, so a tracer or profiler that patches
 functions in the parent (``bench/tracer.py``) sees the one
 ``codistill_train_concurrent`` call but no span inside the groups.
@@ -88,7 +82,7 @@ import numpy as np
 from . import optim
 from .data import SHARD_MODES, batch_stream
 from .losses import CombinedLossSpec, combined_loss
-from .metrics import MetricRecord, evaluate, format_row, parse_row
+from .metrics import MetricRecord, evaluate
 # backward and forward are unused here but stay importable as distrib.backward
 # and distrib.forward, names bench/tracer.py wraps
 from .nn import (Architecture, Batch, Parameters, SerializationError, backward,  # noqa: F401
@@ -107,8 +101,8 @@ DIVERGENCE_THRESHOLD = 1e4
 MAX_GROUP_PROCESSES = 16
 START_TIMEOUT_S = 30.0
 
-# Lockstep: how long a training loop waits for its evaluator process to stop
-# before killing it.
+# How long a parent waits for a forked process to exit, once it has told its
+# evaluator to stop or read end of file from any child, before killing it.
 EVALUATOR_STOP_S = 5.0
 
 
@@ -241,20 +235,6 @@ class InMemoryCheckpointStore(_CheckpointStore):
         if data is None:
             return None
         return data, (None if data is known else data)
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write a temp file beside ``path`` and rename it into place, so a reader
-    sees the previous complete file or the new one, never a torn one."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # how often a load resolves a checkpoint link again when a publish removed the
@@ -411,8 +391,7 @@ def worker_streams(shard, group: GroupConfig):
 
 class GroupRunner:
     """One synchronous worker group: its config, W batch streams, ledger
-    entity and step count, and its parameters and optimizer state between
-    training loops.
+    entity and step count, and its parameters between training loops.
 
     The W replicas stay bit-identical by construction: the worker-averaged
     gradient of synchronous SGD equals a single pass over the worker-order
@@ -427,7 +406,6 @@ class GroupRunner:
         self.arch = arch
         self.group = group
         self.params = init_params(arch, group.seed)
-        self.opt_state = optim.init_state(group.optimizer, param_count(arch))
         self.streams = list(streams) if streams is not None else worker_streams(shard, group)
         if len(self.streams) != group.n_workers:
             raise ValueError(f"expected {group.n_workers} streams, got {len(self.streams)}")
@@ -479,8 +457,9 @@ class _Stack:
     one teacher pass, one combined loss, one backward and one elementwise
     optimizer update with its one finiteness scan. Each step replaces
     ``values`` and never writes it, so a row handed out as ``Parameters``
-    stays valid. The stack takes the runners' parameters and optimizer state
-    (theirs are None meanwhile); ``unstack`` hands the final ones back.
+    stays valid. The stack takes the runners' parameters (theirs are None
+    meanwhile) and starts fresh optimizer state; ``unstack`` hands the final
+    parameters back.
     """
 
     def __init__(self, runners):
@@ -494,12 +473,9 @@ class _Stack:
         self.arch = runners[0].arch
         self.group = first
         self.values = np.stack([r.params.values for r in runners])
-        states = [r.opt_state for r in runners]
-        self.opt_state = optim.OptimizerState(states[0].t, *(
-            None if parts[0] is None else np.stack(parts)
-            for parts in zip(*((st.m, st.v, st.acc) for st in states))))
+        self.opt_state = optim.init_state(first.optimizer, self.values.shape)
         for r in runners:  # held here, not twice, until unstack
-            r.params = r.opt_state = None
+            r.params = None
 
     def params(self, row: int) -> Parameters:
         return Parameters(self.arch, self.values[row])
@@ -539,11 +515,8 @@ class _Stack:
         return losses, trace.grad(dlogits)
 
     def unstack(self) -> None:
-        st = self.opt_state
         for row, r in enumerate(self.runners):
             r.params = self.params(row)
-            r.opt_state = optim.OptimizerState(st.t, *(
-                None if a is None else a[row] for a in (st.m, st.v, st.acc)))
 
 
 def _point_records(arch: Architecture, validation: Batch, t0: float, after_eval, step: int,
@@ -580,19 +553,47 @@ def _portable(err: BaseException) -> BaseException:
     return err
 
 
-def _evaluator(conn, parent_end, point_records) -> None:
-    """Body of a lockstep training loop's evaluator process.
+def _fork(name: str, target, *args):
+    """Start ``target(conn, *args)`` in a forked process and return it with
+    the parent's end of one pipe, ``conn`` being the child's end.
+
+    The child ignores ``SIGINT``, which reaches the whole process group on
+    Ctrl-C: the parent decides when it stops. Each side closes the other's
+    end (here before any later fork can inherit it), so either's death, even
+    by ``SIGKILL``, reads as end of file on the other.
+    """
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+
+    def child():
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        conn.close()
+        target(child_end, *args)
+
+    proc = ctx.Process(target=child, name=name, daemon=True)
+    proc.start()
+    child_end.close()
+    return proc, conn
+
+
+def _reap(proc, deadline: float) -> RuntimeError:
+    """Join ``proc`` until ``deadline`` (``time.monotonic``), kill it if it is
+    still alive, and return the error naming it for ending without a result."""
+    proc.join(max(0.0, deadline - time.monotonic()))
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    return RuntimeError(f"the {proc.name} ended without a result (exit code {proc.exitcode})")
+
+
+def _evaluator(conn, point_records) -> None:
+    """Body of a lockstep training loop's evaluator process (``_fork``).
 
     Each message is one evaluation point, ``(step, values, members)``, the
     arguments ``point_records`` (``_point_records`` bound to the loop) takes;
     the reply is ``(records, None)`` or ``([], error)``. It ends on a None
-    message or at end of file: it holds no copy of the parent's end of the
-    pipe, so the parent's death, even by ``SIGKILL``, ends it too. It
-    ignores ``SIGINT``, which reaches the whole process group on Ctrl-C: the
-    parent decides when it stops.
+    message or at end of file, so the parent's death ends it too.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent_end.close()
     try:
         while (point := conn.recv()) is not None:
             try:
@@ -616,12 +617,12 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     appended to the caller's ``records``, in model order; a record's train
     loss is the mean objective since the previous one. After each
     evaluation, ``after_eval(step, new_records, params, t0)`` returns one
-    more record to append, given that point's parameters of every runner. An
-    existing ``stop`` path ends the loop before the next step; a loop given
+    more record to append, given that point's parameters of every runner.
+    When ``stop()`` is true the loop ends before the next step; a loop given
     ``stop`` runs in a concurrent-mode group process. There is no per-step
     hook: with ``eval_every=1`` each record's train loss is that one step's
     loss. When the loop ends without an error, each runner holds its final
-    parameters and optimizer state.
+    parameters.
 
     An evaluation point snapshots each runner's step, train loss and ledger
     totals (``GroupRunner._snapshot``) beside the stack's (N, P) parameters,
@@ -629,7 +630,7 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     model at a time: a stacked pass would hold every model's activations
     over the whole validation set at once. With at least 2 CPUs the loop
     forks one evaluator process (``_evaluator``) and sends it each point
-    over a pipe while training goes on, at most one point in flight: the
+    over its pipe while training goes on, at most one point in flight: the
     loop takes back point k-1's records before sending point k, and the last
     one's before it returns. Group processes, and processes with one CPU,
     call ``_point_records`` inline at the same place. Either way the records
@@ -650,18 +651,11 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     point_records = functools.partial(_point_records, stack.arch, validation, t0, after_eval)
     evaluator = conn = None
     if stop is None and cpus >= 2:
-        ctx = multiprocessing.get_context("fork")
-        conn, child_end = ctx.Pipe()
-        evaluator = ctx.Process(target=_evaluator, name="evaluator", daemon=True,
-                                args=(child_end, conn, point_records))
-        evaluator.start()
-        child_end.close()
+        evaluator, conn = _fork("evaluator process", _evaluator, point_records)
     in_flight = False  # whether the evaluator holds a point not yet taken back
 
     def dead() -> RuntimeError:
-        evaluator.join(EVALUATOR_STOP_S)
-        return RuntimeError(f"the evaluator process ended without a result "
-                            f"(exit code {evaluator.exitcode})")
+        return _reap(evaluator, time.monotonic() + EVALUATOR_STOP_S)
 
     def drain(reraise: bool = True) -> None:
         """Take back the point in flight's records, and re-raise its error."""
@@ -696,7 +690,7 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     try:
         emit(0)
         for s in range(n_steps):
-            if stop is not None and stop.exists():
+            if stop is not None and stop():
                 break
             losses = stack.step(teachers(s, stack) if teachers is not None else None)
             for window, loss in zip(windows, losses):
@@ -715,10 +709,7 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
                 conn.send(None)
             except OSError:
                 pass  # already gone
-            evaluator.join(EVALUATOR_STOP_S)
-            if evaluator.is_alive():
-                evaluator.kill()
-                evaluator.join()
+            _reap(evaluator, time.monotonic() + EVALUATOR_STOP_S)
             conn.close()
     stack.unstack()
 
@@ -767,9 +758,9 @@ class _PeerTeachers:
     ``ids[k]`` (all N in lockstep; one in a concurrent-mode group process).
     On every reload boundary they publish their checkpoints, then load their
     peers' latest ones from the store, and the stale (len(ids) * (N-1), P)
-    teacher stack is rebuilt. Given a ``stop`` path, a group in its own
-    process first waits for its peers' first checkpoints, for at most
-    ``START_TIMEOUT_S`` and only until ``stop`` exists. ``lags[i]`` is the
+    teacher stack is rebuilt. Given ``stop`` (``conn.poll``), a group in its
+    own process first waits for its peers' first checkpoints, for at most
+    ``START_TIMEOUT_S`` and only until its parent stops it. ``lags[i]`` is the
     largest gap between a step of group i and its oldest teacher.
     """
 
@@ -816,12 +807,11 @@ class _PeerTeachers:
             missing = [j for j in missing if not self.store._path(j).exists()]
             if not missing:
                 return
-            if self.stop.exists():
+            if self.stop(0.005):  # waits up to 5 ms for the parent's message
                 raise _PeerStopped("stopped while waiting for peer checkpoints")
             if time.monotonic() > deadline:
                 raise RuntimeError(f"model {missing[0]} published no first checkpoint "
                                    f"within {START_TIMEOUT_S} s")
-            time.sleep(0.005)
 
     def _load(self, i: int, j: int) -> tuple[np.ndarray, int]:
         ck = self.store.load_latest(j, entity=self.runners[i].entity)
@@ -902,44 +892,45 @@ class _PeerStopped(RuntimeError):
     """A group stopped because a peer failed; the peer's error is the one to report."""
 
 
-class _RecordFile:
-    """Stands in for a group process's record list: every batch of records is
-    appended to the file as ``metrics.csv`` rows, where the parent reads it."""
+class _Reporter:
+    """Stands in for a group process's record list: each batch of records
+    goes to the parent as one ``(records, None)`` message."""
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, conn):
+        self.conn = conn
 
     def extend(self, records) -> None:
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write("".join(format_row(r) + "\n" for r in records))
+        self.conn.send((records, None))
 
 
-def _read_records(path: Path) -> list[MetricRecord]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return []
-    # a process killed mid-write leaves at most one line without its newline
-    return [parse_row(line) for line in text.split("\n")[:-1]]
+def _group_process(conn, earlier, i: int, cfg: CodistillConfig, runners, store, n_steps: int,
+                   validation: Batch, eval_every: int) -> None:
+    """Body of group i's process (``_fork``): train, sending the parent
+    ``(records, None)`` at each evaluation and ``([], result)`` when it ends.
 
-
-def _group_process(i: int, runner: GroupRunner, teachers: _PeerTeachers, n_steps: int,
-                   validation: Batch, eval_every: int, directory: Path, stop: Path):
-    """Body of group i's process: train, then report through the directory.
-
-    The runner and the store charge one fresh ledger whose counts go back to
-    the parent.
+    A message from the parent, or end of file, stops the group before its
+    next step and while it waits for its peers' first checkpoints. Closing
+    ``earlier``, the parent's ends of earlier groups' pipes, leaves the
+    parent the only holder of each. The runner and the store charge one
+    fresh ledger whose counts go back in the result.
     """
-    ledger = runner.ledger = teachers.store._ledger = CommLedger()
+    for peer_conn in earlier:
+        peer_conn.close()
+    runner, teachers = runners[i], _PeerTeachers(cfg, runners, store, [i], conn.poll)
+    ledger = runner.ledger = store._ledger = CommLedger()
     error = None
     try:
-        _train_loop([runner], n_steps, validation, eval_every,
-                    _RecordFile(directory / f"records_{i}.csv"), teachers, stop=stop)
+        _train_loop([runner], n_steps, validation, eval_every, _Reporter(conn), teachers,
+                    stop=conn.poll)
     except BaseException as err:  # handed to the parent, which re-raises it
+        err.records = []  # the parent attaches them; a _Reporter does not pickle
         error = _portable(err)
     result = {"params": runner.params.values if error is None else None, "lag": teachers.lags[i],
               "ledger": ledger.snapshot(), "error": error}
-    _write_atomic(directory / f"result_{i}.pkl", pickle.dumps(result))
+    try:
+        conn.send(([], result))
+    except OSError:
+        pass  # the parent is gone
 
 
 def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups, shards,
@@ -955,77 +946,84 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     excluded from the bit-exact reproducibility guarantees. Runs at most
     ``MAX_GROUP_PROCESSES`` groups. Forks, so Linux.
 
-    The run's files in the directory are cleared first, with any temp file
-    or link a killed writer left. The ledger counts of
-    every group that finished are added to ``ledger`` and the store's ledger.
-    The first group to fail (raise, or die without a result) stops its peers
-    before their next step, and its error is re-raised, with its original
-    class and message, carrying every group's records in model-id order. No
-    process outlives the call.
+    The run's checkpoint files, the only files a run keeps in the directory,
+    are cleared first; each group reports over a pipe (``_group_process``).
+    The ledger counts of every group that finished are added to ``ledger``
+    and the store's ledger. The first group to fail (raise, or die without a
+    result) stops its peers before their next step, and its error is
+    re-raised, with its original class and message, carrying every group's
+    records in model-id order. No process outlives the call or the caller's
+    process.
     """
     if not isinstance(store, FileCheckpointStore):
         raise ValueError("concurrent mode needs a FileCheckpointStore: its directory is "
-                         "the group processes' only channel")
+                         "the group processes' only shared state")
     if cfg.n_models > MAX_GROUP_PROCESSES:
         raise ValueError(f"concurrent mode runs one process per model, at most "
                          f"{MAX_GROUP_PROCESSES}, not {cfg.n_models}")
     runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
     n = cfg.n_models
-    directory = store._dir
-    stop = directory / "stop"
-    stop.unlink(missing_ok=True)
     for i in range(n):
-        # the link, its targets, temp links and files a killed writer left
-        for pattern in (f"ckpt_{i}.*", f".ckpt_{i}.*", f"records_{i}.csv", f"result_{i}.pkl",
-                        f".result_{i}.*"):
-            for path in directory.glob(pattern):
+        # the link, its targets, and temp files and links a killed writer left
+        for pattern in (f"ckpt_{i}.*", f".ckpt_{i}.*"):
+            for path in store._dir.glob(pattern):
                 path.unlink()
-    ctx = multiprocessing.get_context("fork")
-    procs = [ctx.Process(target=_group_process, name=runners[i].entity, daemon=True,
-                         args=(i, runners[i], _PeerTeachers(cfg, runners, store, [i], stop),
-                               n_steps, validation, eval_every, directory, stop))
-             for i in range(n)]
+    procs = []
+    running = {}  # the parent's end of each pipe still open -> its model id
+    records: list[list[MetricRecord]] = [[] for _ in range(n)]
     results: list[dict | None] = [None] * n
     failures: list[BaseException] = []  # in the order the parent saw them
-    deadline = None  # set by the first failure: the peers' time to stop
+    deadline = None  # set by the first failure or the end: the groups' time to stop
+
+    def stop() -> None:
+        nonlocal deadline
+        deadline = deadline or time.monotonic() + START_TIMEOUT_S
+        for conn in running:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # that group has ended; its end of file is read next
+
     try:
-        for proc in procs:
-            proc.start()
-        running = {proc.sentinel: i for i, proc in enumerate(procs)}
+        for i in range(n):
+            proc, conn = _fork(f"process of model {i}", _group_process, list(running), i, cfg,
+                               runners, store, n_steps, validation, eval_every)
+            procs.append(proc)
+            running[conn] = i
         while running:
             timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
             ready = multiprocessing.connection.wait(list(running), timeout)
             if not ready:
                 break  # the rest are killed below
-            for sentinel in ready:
-                i = running.pop(sentinel)
-                procs[i].join()
-                path = directory / f"result_{i}.pkl"
-                results[i] = pickle.loads(path.read_bytes()) if path.exists() else None
-                error = (results[i]["error"] if results[i] is not None else RuntimeError(
-                    f"the process of model {i} ended without a result "
-                    f"(exit code {procs[i].exitcode})"))
-                if error is not None:
-                    failures.append(error)
-                    stop.touch()
-                    deadline = deadline or time.monotonic() + START_TIMEOUT_S
+            for conn in ready:
+                i = running[conn]
+                try:
+                    new, result = conn.recv()
+                except (EOFError, OSError):
+                    new, result = [], {"ledger": {}, "error": _reap(
+                        procs[i], time.monotonic() + EVALUATOR_STOP_S)}
+                records[i] += new
+                if result is None:
+                    continue
+                del running[conn]
+                conn.close()
+                results[i] = result
+                if result["error"] is not None:
+                    failures.append(result["error"])
+                    stop()
     finally:
-        if any(proc.is_alive() for proc in procs):
-            stop.touch()
-            deadline = deadline or time.monotonic() + START_TIMEOUT_S
+        stop()
         for proc in procs:
-            if proc.pid is not None:
-                proc.join(max(0.0, deadline - time.monotonic()) if deadline else None)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join()
+            _reap(proc, deadline)
+        for conn in running:
+            conn.close()
     for runner, result in zip(runners, results):
         for key, nbytes in (result["ledger"] if result is not None else {}).items():
             entity, cause = key.rsplit("/", 1)
             target = store._ledger if cause.startswith("checkpoint_") else runner.ledger
             if target is not None:
                 target.add(entity, cause, nbytes)
-    records = [rec for i in range(n) for rec in _read_records(directory / f"records_{i}.csv")]
+    records = [rec for group_records in records for rec in group_records]
     if failures:
         error = next((e for e in failures if not isinstance(e, _PeerStopped)), failures[0])
         error.records = records

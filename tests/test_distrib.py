@@ -20,7 +20,6 @@ from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, Divergen
                                offline_distill, train_baseline, worker_streams)
 from codistill.nn import forward, predict_proba, serialize_params
 from codistill.losses import CombinedLossSpec
-from codistill.metrics import MetricRecord, format_row
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
                           Parameters, SerializationError, TruncatedPayloadError, init_params,
                           param_count)
@@ -61,6 +60,29 @@ def run_in_thread(fn, timeout=60.0):
     out["seconds"] = time.monotonic() - t0
     assert multiprocessing.active_children() == []
     return out
+
+
+def process_ended(pid: int) -> bool:
+    """Whether ``pid`` is gone, or a zombie its parent has not reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def await_end(pids, what: str, seconds: float = 10.0) -> None:
+    """Wait up to ``seconds`` for every process in ``pids`` to end; kill any
+    left, so that a failed assertion leaves no orphan behind."""
+    deadline = time.monotonic() + seconds
+    try:
+        while not all(process_ended(pid) for pid in pids):
+            assert time.monotonic() < deadline, what
+            time.sleep(0.05)
+    finally:
+        for pid in pids:
+            if not process_ended(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class EvaluationFailed(Exception):
@@ -421,7 +443,7 @@ class TestConcurrentGroups:
 
     def test_killed_process_stops_peer_and_keeps_its_records(self, tmp_path, monkeypatch):
         """Group 1's process is killed at step 35; the parent names it, stops
-        group 0 long before its n_steps (group 0 ends on the stop file and
+        group 0 long before its n_steps (group 0 ends on the stop message and
         reports its ledger counts, rather than being killed), and keeps
         group 1's records up to its last evaluation."""
         step_batches = GroupRunner.step_batches
@@ -479,13 +501,13 @@ class TestConcurrentGroups:
 
     def test_start_clears_every_file_of_the_run(self, tmp_path):
         """Orphan checkpoint files, temp files and stale temp links of the
-        run's models are gone after a new run: each model keeps exactly its
-        link, the one file it names, its records and its result."""
+        run's models are gone after a new run, and the run leaves nothing
+        but checkpoints: each model keeps exactly its link and the one file
+        it names."""
         groups, shards, val = self.two_groups()
         for i in range(2):
             (tmp_path / f"ckpt_{i}.90.orphan.bin").write_bytes(b"old")
             (tmp_path / f".ckpt_{i}.abc123.tmp").write_bytes(b"torn")
-            (tmp_path / f".result_{i}.def456.tmp").write_bytes(b"torn")
             os.symlink(f"ckpt_{i}.91.gone.bin", tmp_path / f".ckpt_{i}.91.gone.tmp")
         (tmp_path / "unrelated.txt").write_text("kept")
         out = run_in_thread(lambda: codistill_train_concurrent(
@@ -496,20 +518,8 @@ class TestConcurrentGroups:
         for i in range(2):
             target = os.readlink(tmp_path / f"ckpt_{i}.bin")
             assert target.startswith(f"ckpt_{i}.10.")  # the last publish, at step 10
-            want += [f"ckpt_{i}.bin", target, f"records_{i}.csv", f"result_{i}.pkl"]
+            want += [f"ckpt_{i}.bin", target]
         assert sorted(os.listdir(tmp_path)) == sorted(want)
-
-    def test_torn_last_record_row_is_dropped(self, tmp_path):
-        """A group killed while appending leaves a last row without its
-        newline; reading its record file yields only the complete rows."""
-        rows = [MetricRecord("model0", step, 0.25, None if step == 0 else 1.5, 1.0 / 3,
-                             0.75, 10**15, 4096) for step in (0, 10, 20)]
-        path = tmp_path / "records_0.csv"
-        distrib._RecordFile(path).extend(rows[:2])
-        with open(path, "a") as f:
-            f.write(format_row(rows[2])[:20])
-        assert distrib._read_records(path) == rows[:2]
-        assert distrib._read_records(tmp_path / "records_1.csv") == []
 
     def test_interrupted_parent_leaves_no_process(self, tmp_path, monkeypatch):
         """A KeyboardInterrupt in the parent stops and reaps every group."""
@@ -529,6 +539,43 @@ class TestConcurrentGroups:
             FileCheckpointStore(tmp_path, ARCH), val))
         assert isinstance(out["error"], KeyboardInterrupt)
         assert out["seconds"] < distrib.START_TIMEOUT_S + 5
+
+    def test_killed_parent_leaves_no_group_process(self, tmp_path, monkeypatch):
+        """The parent of a concurrent run dies by SIGKILL mid-run: each group
+        reads end of file, stops before its next step and exits quietly,
+        printing no traceback."""
+        pids, log = tmp_path / "pids", tmp_path / "stderr"
+        step_batches = GroupRunner.step_batches
+
+        def recording(runner, *args):
+            if runner.step_index == 1:
+                with open(pids, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+            return step_batches(runner, *args)
+
+        monkeypatch.setattr(GroupRunner, "step_batches", recording)
+        groups, shards, val = self.two_groups()
+
+        def parent():
+            os.dup2(os.open(log, os.O_WRONLY | os.O_CREAT), 2)
+            codistill_train_concurrent(ARCH, CodistillConfig(2, 10, 10), groups, shards, 10**6,
+                                       FileCheckpointStore(tmp_path / "store", ARCH), val,
+                                       eval_every=10)
+
+        proc = multiprocessing.get_context("fork").Process(target=parent)
+        proc.start()
+        deadline = time.monotonic() + 30
+        try:
+            while not pids.exists() or len(pids.read_text().split()) < 2:
+                assert time.monotonic() < deadline and proc.is_alive(), "the groups never trained"
+                time.sleep(0.01)
+            time.sleep(0.2)  # both groups are training
+        finally:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join()
+        await_end([int(pid) for pid in pids.read_text().split()],
+                  "a group process outlived its parent")
+        assert "Traceback" not in log.read_text()
 
     @pytest.mark.parametrize("case", ["memory_store", "over_cap"])
     def test_rejected_before_forking(self, tmp_path, case):
@@ -1029,22 +1076,7 @@ class TestLockstepEvaluation:
         trainer.join(30)
         assert trainer.exitcode == -signal.SIGKILL
         (evaluator,) = {int(pid) for pid in pids.read_text().split()}
-
-        def ended():  # gone, or a zombie its new parent has not reaped yet
-            try:
-                stat = Path(f"/proc/{evaluator}/stat").read_text()
-            except FileNotFoundError:
-                return True
-            return stat.rsplit(")", 1)[1].split()[0] == "Z"
-
-        deadline = time.monotonic() + 10
-        try:
-            while not ended():
-                assert time.monotonic() < deadline, "the evaluator outlived its training process"
-                time.sleep(0.05)
-        finally:
-            if not ended():  # leave no orphan behind a failed assertion
-                os.kill(evaluator, signal.SIGKILL)
+        await_end([evaluator], "the evaluator outlived its training process")
 
     def test_killed_evaluator_fails_the_loop_with_the_records_before_it(self, monkeypatch):
         """The evaluator dies by SIGKILL in the step-20 validation pass: the
