@@ -20,10 +20,18 @@ update and one finiteness scan. Stacked matmuls make the same BLAS call on
 each model's slice, so every group's numbers are bit-identical to training
 it alone. There is one step implementation: the baseline, label smoothing,
 offline distillation and each concurrent-mode group process run it as a
-stack of one. A ``Parameters`` is built only where one is read: at a
-publish, at an evaluation point and in the result. Stacking needs the
-groups to agree on ``_LOCKSTEP_FIELDS`` (``n_workers``, ``batch_size``,
-``optimizer``, ``loss``).
+stack of one. Stacking needs the groups to agree on ``_LOCKSTEP_FIELDS``
+(``n_workers``, ``batch_size``, ``optimizer``, ``loss``).
+
+The students' part of a step allocates none of its large arrays. The stack
+builds its buffers once per loop (an ``nn.Plan`` for its activations,
+masks, deltas and gradient, and two (N, P) parameter buffers that
+``optim.step``'s buffer form fills in turn), and the peer teachers allocate
+their stale teacher stack once. So a ``Parameters`` is
+built only where one is read, as a view of the current buffer: a publish
+and an evaluation point consume theirs at once, and what outlives the step
+is copied (the result's parameters, and those an ``after_eval`` hook is
+given).
 
 Both checkpoint stores decode each published version once: a load of the
 version already decoded returns that ``Checkpoint`` and still charges the
@@ -37,12 +45,14 @@ model at a time: a stacked pass over the validation set would hold N
 models' activations at once, which at desk scale adds more to peak memory
 than it saves in time. When at least 2 CPUs are available, the loop forks
 one evaluator process (the ``fork`` start method, so Linux), which
-validates each evaluation point beside the next training steps: it is sent
-that point's (N, P) parameters and counters over a pipe and sends back the
-records, so validation shares neither the training thread's interpreter
-lock nor its CPU time. With one CPU the passes run inline, with the same
-records: there a second process only takes turns with training on the one
-core, and its handoffs cost more than they save.
+validates each evaluation point beside the next training steps: the loop
+copies that point's (N, P) parameters into one slot of memory the two
+processes share, mapped before the fork, sends only the step and the
+groups' counters over a pipe, and receives the records, so validation
+shares neither the training thread's interpreter lock nor its CPU time.
+With one CPU the passes run inline, with the same records: there a second
+process only takes turns with training on the one core, and its handoffs
+cost more than they save.
 
 Concurrent mode (``codistill_train_concurrent``) forks one OS process per
 group (the ``fork`` start method, so Linux), each making one loop call over
@@ -52,8 +62,9 @@ only the ``FileCheckpointStore`` directory, which holds only checkpoints.
 Like the evaluator, each group is started by ``_fork`` and reports over its
 pipe: its records at every evaluation, so a killed group keeps those of its
 last one, and its result when it ends. Any message from the parent, or end
-of file, stops a group before its next step, so a peer's failure or the
-parent's death, even by ``SIGKILL``, ends it. A group waits at most
+of file, stops a group before its next step (a ``select.poll`` with the
+pipe registered once checks for both), so a peer's failure or the parent's
+death, even by ``SIGKILL``, ends it. A group waits at most
 ``START_TIMEOUT_S`` for its peers' first checkpoints. Group processes
 validate inline: the groups already fill the cores. The parent process
 merges the results; it never trains, so a tracer or profiler that patches
@@ -66,10 +77,12 @@ from __future__ import annotations
 import errno
 import functools
 import math
+import mmap
 import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import select
 import signal
 import tempfile
 import threading
@@ -85,9 +98,9 @@ from .losses import CombinedLossSpec, combined_loss
 from .metrics import MetricRecord, evaluate
 # backward and forward are unused here but stay importable as distrib.backward
 # and distrib.forward, names bench/tracer.py wraps
-from .nn import (Architecture, Batch, Parameters, SerializationError, backward,  # noqa: F401
-                 deserialize_checkpoint, forward, forward_trace, init_params, param_count,
-                 serialize_params, softmax, stack_logits)
+from .nn import (Architecture, Batch, Parameters, Plan, SerializationError,  # noqa: F401
+                 backward, deserialize_checkpoint, forward, forward_trace, init_params,
+                 param_count, serialize_params, softmax, stack_logits)
 
 # one sync step moves a gradient out and parameters back per worker
 LEDGER_CAUSES = ("gradient_exchange", "parameter_broadcast",
@@ -455,11 +468,18 @@ class _Stack:
     Their parameters and optimizer state are (N, P) arrays, row i being
     runner i's. A step runs once over the leading model axis: one forward,
     one teacher pass, one combined loss, one backward and one elementwise
-    optimizer update with its one finiteness scan. Each step replaces
-    ``values`` and never writes it, so a row handed out as ``Parameters``
-    stays valid. The stack takes the runners' parameters (theirs are None
-    meanwhile) and starts fresh optimizer state; ``unstack`` hands the final
-    parameters back.
+    optimizer update with its one finiteness scan. The stack takes the
+    runners' parameters (theirs are None meanwhile) and starts fresh
+    optimizer state; ``unstack`` hands copies of the final parameters back.
+
+    Every step writes into buffers built once, with the stack: an
+    ``nn.Plan`` for its forward and gradient, and two (N, P) parameter
+    buffers used in turn, the optimizer writing the new values into the one
+    not holding the current ones (``optim.step``'s buffer form, which also
+    updates the state in place and uses the gradient as scratch). So a
+    ``Parameters`` from ``params`` is a view that the second step after it
+    overwrites: a publish or an evaluation point consumes it at once, and
+    whatever outlives the step is copied.
     """
 
     def __init__(self, runners):
@@ -472,8 +492,11 @@ class _Stack:
         self.runners = runners
         self.arch = runners[0].arch
         self.group = first
+        self.rows = first.n_workers * first.batch_size  # each group's rows per step
         self.values = np.stack([r.params.values for r in runners])
+        self._spare = np.empty_like(self.values)  # the next step's values
         self.opt_state = optim.init_state(first.optimizer, self.values.shape)
+        self.plan = Plan(self.arch, len(runners), self.rows)
         for r in runners:  # held here, not twice, until unstack
             r.params = None
 
@@ -490,8 +513,10 @@ class _Stack:
         """
         batches = [r.step_batches([next(s) for s in r.streams]) for r in self.runners]
         losses, grad = self._gradient(batches, pair)
-        self.values, self.opt_state = optim.step(self.group.optimizer, self.opt_state,
-                                                 self.values, grad)
+        values = self.values
+        self.values, self.opt_state = optim.step(self.group.optimizer, self.opt_state, values,
+                                                 grad, out=self._spare)
+        self._spare = values
         nbytes = self.group.n_workers * self.runners[0]._param_bytes
         for r in self.runners:
             r.ledger.add(r.entity, "gradient_exchange", nbytes)
@@ -500,12 +525,11 @@ class _Stack:
         return losses
 
     def _gradient(self, batches, pair):
-        """The groups' losses and (N, P) gradient; the activations behind them
-        are freed on return, before the optimizer allocates its own."""
+        """The groups' losses and (N, P) gradient, in the plan's buffer."""
         spec, teacher_fn = pair if pair is not None else (self.group.loss, None)
-        # likewise the teachers' activations, before the students' are made
         teacher = teacher_fn(batches) if teacher_fn is not None else None
-        trace = forward_trace(self.arch, self.values, _stacked([b.inputs for b in batches]))
+        trace = forward_trace(self.arch, self.values, _stacked([b.inputs for b in batches]),
+                              self.plan)
         losses, dlogits = combined_loss(spec, _stacked([b.labels for b in batches]),
                                         trace.logits, teacher)
         losses = losses.tolist()
@@ -516,7 +540,7 @@ class _Stack:
 
     def unstack(self) -> None:
         for row, r in enumerate(self.runners):
-            r.params = self.params(row)
+            r.params = Parameters(self.arch, self.values[row].copy())
 
 
 def _point_records(arch: Architecture, validation: Batch, t0: float, after_eval, step: int,
@@ -528,7 +552,11 @@ def _point_records(arch: Architecture, validation: Batch, t0: float, after_eval,
     Runs inline in the training process or in its evaluator process; either
     way ``evaluate`` is this module's global, so a patch made before the loop
     reaches it, and ``time.perf_counter`` is the same clock in both.
+    ``values`` is a buffer rewritten after the call, so with ``after_eval``,
+    which may keep its parameters, they are built on a copy.
     """
+    if after_eval is not None:
+        values = values.copy()
     params = [Parameters(arch, row) for row in values]
     new = []
     for p, (run_id, group_step, train_loss, sync, ckpt) in zip(params, members):
@@ -586,18 +614,20 @@ def _reap(proc, deadline: float) -> RuntimeError:
     return RuntimeError(f"the {proc.name} ended without a result (exit code {proc.exitcode})")
 
 
-def _evaluator(conn, point_records) -> None:
+def _evaluator(conn, point_records, slot: np.ndarray) -> None:
     """Body of a lockstep training loop's evaluator process (``_fork``).
 
-    Each message is one evaluation point, ``(step, values, members)``, the
-    arguments ``point_records`` (``_point_records`` bound to the loop) takes;
-    the reply is ``(records, None)`` or ``([], error)``. It ends on a None
+    Each message is one evaluation point, ``(step, members)``, whose (N, P)
+    values the parent wrote to ``slot``, memory the two processes share:
+    ``point_records`` (``_point_records`` bound to the loop) turns them into
+    the reply, ``(records, None)`` or ``([], error)``. It ends on a None
     message or at end of file, so the parent's death ends it too.
     """
     try:
         while (point := conn.recv()) is not None:
             try:
-                reply = point_records(*point), None
+                step, members = point
+                reply = point_records(step, slot, members), None
             except Exception as err:
                 reply = [], _portable(err)
             conn.send(reply)
@@ -629,10 +659,13 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     and ``_point_records`` turns them into records. Validation runs one
     model at a time: a stacked pass would hold every model's activations
     over the whole validation set at once. With at least 2 CPUs the loop
-    forks one evaluator process (``_evaluator``) and sends it each point
-    over its pipe while training goes on, at most one point in flight: the
-    loop takes back point k-1's records before sending point k, and the last
-    one's before it returns. Group processes, and processes with one CPU,
+    forks one evaluator process (``_evaluator``) and hands it each point
+    while training goes on, at most one point in flight: the loop takes back
+    point k-1's records before it copies point k's parameters into the
+    (N, P) slot the two processes share, mapped before the fork, and sends
+    the step and snapshots over the pipe; the last point's records come
+    back before it returns. So the slot is never rewritten while the
+    evaluator reads it. Group processes, and processes with one CPU,
     call ``_point_records`` inline at the same place. Either way the records
     are the same, and no process outlives the call: the evaluator is told to
     stop, and killed after ``EVALUATOR_STOP_S``. Any exception leaves with
@@ -651,7 +684,9 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     point_records = functools.partial(_point_records, stack.arch, validation, t0, after_eval)
     evaluator = conn = None
     if stop is None and cpus >= 2:
-        evaluator, conn = _fork("evaluator process", _evaluator, point_records)
+        slot = np.frombuffer(mmap.mmap(-1, stack.values.nbytes),
+                             dtype=np.float64).reshape(stack.values.shape)
+        evaluator, conn = _fork("evaluator process", _evaluator, point_records, slot)
     in_flight = False  # whether the evaluator holds a point not yet taken back
 
     def dead() -> RuntimeError:
@@ -681,8 +716,9 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
         if evaluator is None:
             records.extend(point_records(step, stack.values, members))
             return
+        np.copyto(slot, stack.values)
         try:
-            conn.send((step, stack.values, members))
+            conn.send((step, members))
         except OSError:
             raise dead() from None
         in_flight = True
@@ -734,13 +770,14 @@ def _mean_teacher(arch: Architecture, teachers: np.ndarray, per_student: int, di
     one forward over all teachers, then sums each student's k predictions in
     model order and divides by k: the arithmetic of one teacher at a time.
     Probabilities for soft_cross_entropy / kl_divergence, logits for
-    logit_mse.
+    logit_mse. The pass allocates its activations, unlike the students'
+    (see ``_PeerTeachers``), and the softmax overwrites its logits.
     """
     def fn(batches) -> np.ndarray:
         inputs = _stacked([b.inputs for b in batches for _ in range(per_student)])
         out = stack_logits(arch, teachers, inputs)
         if distill != "logit_mse":
-            out = softmax(out)
+            out = softmax(out, out=out)
         out = out.reshape(len(batches), per_student, *out.shape[1:])
         acc = out[:, 0]
         for k in range(1, per_student):
@@ -757,11 +794,15 @@ class _PeerTeachers:
     ``ids`` are the models the loop steps, row k of its stack being model
     ``ids[k]`` (all N in lockstep; one in a concurrent-mode group process).
     On every reload boundary they publish their checkpoints, then load their
-    peers' latest ones from the store, and the stale (len(ids) * (N-1), P)
-    teacher stack is rebuilt. Given ``stop`` (``conn.poll``), a group in its
-    own process first waits for its peers' first checkpoints, for at most
-    ``START_TIMEOUT_S`` and only until its parent stops it. ``lags[i]`` is the
-    largest gap between a step of group i and its oldest teacher.
+    peers' latest ones from the store into the stale (len(ids) * (N-1), P)
+    teacher stack, which is allocated once, with the teacher fn over it. The
+    teacher pass gets no ``nn.Plan``: on the 4-model lm benchmark workload
+    (12 teachers) buffers of its own made the run slower and its peak memory
+    larger than activations allocated per pass, which reuse the memory the
+    students' pass freed. Given ``stop(timeout)``, a group
+    in its own process first waits for its peers' first checkpoints, for at
+    most ``START_TIMEOUT_S`` and only until its parent stops it. ``lags[i]``
+    is the largest gap between a step of group i and its oldest teacher.
     """
 
     def __init__(self, cfg: CodistillConfig, runners, store, ids=None, stop=None):
@@ -776,7 +817,7 @@ class _PeerTeachers:
         self.loaded: list[dict[int, int]] = [{} for _ in runners]
         self.oldest = [0] * len(runners)  # min(loaded[i].values())
         self.lags = [0] * len(runners)
-        self.teacher_fn = None
+        self.teachers = self.teacher_fn = None
 
     def __call__(self, s: int, stack: _Stack):
         if s % self.cfg.reload_interval == 0:
@@ -785,15 +826,15 @@ class _PeerTeachers:
                                    entity=self.runners[i].entity)
             if s == 0 and self.stop is not None:
                 self._await_first_checkpoints()
-            self.teacher_fn = None  # the old stack is freed before the new one is loaded
             pairs = [(i, j) for i in self.ids for j in range(len(self.runners)) if j != i]
-            teachers = np.empty((len(pairs), param_count(stack.arch)))
+            if self.teacher_fn is None:
+                self.teachers = np.empty((len(pairs), param_count(stack.arch)))
+                self.teacher_fn = _mean_teacher(stack.arch, self.teachers,
+                                                len(self.runners) - 1, self.cfg.distill)
             for row, (i, j) in enumerate(pairs):
-                teachers[row], self.loaded[i][j] = self._load(i, j)
+                self.teachers[row], self.loaded[i][j] = self._load(i, j)
             for i in self.ids:
                 self.oldest[i] = min(self.loaded[i].values())
-            self.teacher_fn = _mean_teacher(stack.arch, teachers, len(self.runners) - 1,
-                                            self.cfg.distill)
         if not self.active or s < self.cfg.n_burn_in:
             return None
         for i in self.ids:
@@ -909,19 +950,28 @@ def _group_process(conn, earlier, i: int, cfg: CodistillConfig, runners, store, 
     ``(records, None)`` at each evaluation and ``([], result)`` when it ends.
 
     A message from the parent, or end of file, stops the group before its
-    next step and while it waits for its peers' first checkpoints. Closing
-    ``earlier``, the parent's ends of earlier groups' pipes, leaves the
-    parent the only holder of each. The runner and the store charge one
-    fresh ledger whose counts go back in the result.
+    next step and while it waits for its peers' first checkpoints: both
+    checks ask one ``select.poll`` with the pipe registered, which, unlike
+    ``conn.poll``, builds no selector per call. Closing ``earlier``, the
+    parent's ends of earlier groups' pipes, leaves the parent the only
+    holder of each. The runner and the store charge one fresh ledger whose
+    counts go back in the result.
     """
     for peer_conn in earlier:
         peer_conn.close()
-    runner, teachers = runners[i], _PeerTeachers(cfg, runners, store, [i], conn.poll)
+    poller = select.poll()
+    poller.register(conn.fileno(), select.POLLIN)
+
+    def stop(timeout: float = 0.0) -> bool:
+        """Whether the parent sent a message or is gone, waiting up to ``timeout`` s."""
+        return bool(poller.poll(timeout * 1000.0))
+
+    runner, teachers = runners[i], _PeerTeachers(cfg, runners, store, [i], stop)
     ledger = runner.ledger = store._ledger = CommLedger()
     error = None
     try:
         _train_loop([runner], n_steps, validation, eval_every, _Reporter(conn), teachers,
-                    stop=conn.poll)
+                    stop=stop)
     except BaseException as err:  # handed to the parent, which re-raises it
         err.records = []  # the parent attaches them; a _Reporter does not pickle
         error = _portable(err)

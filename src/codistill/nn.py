@@ -4,7 +4,7 @@ Deterministic parameter initialization, forward pass, analytic backward pass,
 and a binary checkpoint codec for the flat parameter vector. Two task heads
 share the same machinery: a vector-input classifier and a fixed-context-window
 next-token predictor (embedding lookup feeding an MLP over the concatenated
-context). All arithmetic is float64 and every public function is pure.
+context). All arithmetic is float64.
 
 The network kernel (``forward_trace`` and ``ForwardTrace.grad``) runs a stack
 of M models over a leading model axis: parameters (M, P), inputs (M, R, ...),
@@ -15,6 +15,16 @@ so each model's result is bit-identical to running it alone.
 ``stack_logits`` is the same pass keeping no activations, for teachers and
 validation. ``forward``, ``predict_proba`` and ``backward`` take one
 ``Parameters`` and one ``Batch``: a stack of one.
+
+The training pass has two forms and one body. Given a ``Plan``, the
+buffers for one shape of pass built once, ``forward_trace`` and
+``ForwardTrace.grad`` write every activation, mask, delta, gradient and the
+logits into it, so a training loop allocates nothing per pass for them, and
+each result holds until the plan's next pass. Without one (the pure form,
+and ``stack_logits`` always) each numpy call allocates its result, as a
+plan with no buffers; the float operations, their operands and their order
+are the same either way, so both forms give the same bits. Every other function here is pure, and
+``softmax`` writes to an ``out`` only when given one.
 """
 
 from __future__ import annotations
@@ -235,7 +245,8 @@ def _validate_inputs(arch: Architecture, x: np.ndarray) -> None:
             raise ValueError(f"expected input_dim {arch.input_dim}, got {x.shape[-1]}")
 
 
-def _embedding_grad(tokens: np.ndarray, dinput: np.ndarray, vocab_size: int) -> np.ndarray:
+def _embedding_grad(tokens: np.ndarray, dinput: np.ndarray, vocab_size: int,
+                    flat: np.ndarray | None = None) -> np.ndarray:
     """Scatter-add of each context position's input gradient into its token's
     embedding row, for M models at once: ``tokens`` (M, R, C) and ``dinput``
     (M, R, C, E) give (M, vocab_size, E).
@@ -243,12 +254,73 @@ def _embedding_grad(tokens: np.ndarray, dinput: np.ndarray, vocab_size: int) -> 
     One ``np.bincount`` over the flat index (model * V + token) * E + column
     adds every cell's contributions in (row, position) order, starting from
     0.0: the order and arithmetic of ``np.add.at`` on each model, bit for bit.
+    ``flat`` is an (M * R * C, E) buffer for that index.
     """
     M, E = tokens.shape[0], dinput.shape[-1]
     rows = np.arange(M).reshape(M, 1, 1) * vocab_size + tokens
-    flat = (rows[..., None] * E + np.arange(E)).ravel()
-    return np.bincount(flat, weights=dinput.ravel(),
+    flat = np.add(rows.reshape(-1, 1) * E, np.arange(E), out=flat)
+    return np.bincount(flat.ravel(), weights=dinput.ravel(),
                        minlength=M * vocab_size * E).reshape(M, vocab_size, E)
+
+
+class Plan:
+    """Buffers for passes of M models of one architecture over R rows each.
+
+    Built once, a plan is reused by every training pass of that shape: each
+    layer's output (the last is the logits), each hidden layer's relu mask
+    and backpropagated delta and the (M, P) gradient with its views; for the
+    lm head a flat (M * V, E) embedding table, the token-index buffers and
+    the gathered and backpropagated inputs. Each pass overwrites what the
+    last one left, so its results hold until the plan's next pass. ``views``
+    keeps the per-layer views of the last two parameter stacks it was given,
+    as a training stack alternating two buffers needs: the views of a buffer
+    stay valid while it is rewritten.
+
+    ``Plan(..., buffered=False)`` holds no buffers: every slot is None, so
+    each numpy call of a pass allocates its result and frees it when the
+    pass lets go, as the pure forms (``forward_trace`` without a plan, and
+    ``stack_logits``) want.
+    """
+
+    def __init__(self, arch: Architecture, n_models: int, n_rows: int, *,
+                 buffered: bool = True):
+        M, R = n_models, n_rows
+
+        def new(shape, dtype=np.float64):
+            return np.empty(shape, dtype) if buffered else None
+
+        hidden = arch.hidden_dims
+        self.arch, self.n_models, self.n_rows = arch, M, R
+        self.outputs = [new((M, R, w)) for w in hidden + (arch.output_dim,)]
+        self.masks = [new((M, R, w), bool) for w in hidden]
+        self.deltas = [new((M, R, w)) for w in hidden]
+        self.grad = new((M, param_count(arch)))
+        self.grad_views = None if self.grad is None else _views(arch, self.grad)
+        self._views: list[tuple[np.ndarray, dict]] = []
+        self.table = self.index = self.embedded = self.dinput = self.flat = None
+        if arch.task == TASK_LM:
+            C, V, E = arch.context_window, arch.vocab_size, arch.embedding_dim
+            self.offsets = (np.arange(M) * V).reshape(M, 1, 1)
+            self.table = new((M * V, E))
+            self.index = new((M, R, C), np.intp)
+            self.embedded = new((M * R * C, E))
+            self.dinput = new((M, R, arch.input_dim))
+            self.flat = new((M * R * C, E), np.intp)
+
+    def views(self, values: np.ndarray) -> dict[str, np.ndarray]:
+        for held, views in self._views:
+            if held is values:
+                return views
+        views = _views(self.arch, values)
+        self._views = [(values, views)] + self._views[:1]
+        return views
+
+    def gradient(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The (M, P) gradient array to fill and its per-layer views."""
+        if self.grad is None:
+            out = np.empty((self.n_models, param_count(self.arch)))
+            return out, _views(self.arch, out)
+        return self.grad, self.grad_views
 
 
 @dataclass(eq=False, slots=True)
@@ -258,9 +330,12 @@ class ForwardTrace:
 
     ``grad`` backpropagates through the stored activations, so a training
     step that needs both the logits and the gradient runs the network once.
+    It writes into the plan the pass ran with: a buffered plan's gradient
+    holds until the plan's next pass.
     """
 
     arch: Architecture
+    plan: Plan
     inputs: np.ndarray  # (M, R, ...); the lm gradient scatters back to these tokens
     views: dict[str, np.ndarray]
     acts: list[np.ndarray]  # input of each linear layer, (M, R, width)
@@ -274,14 +349,13 @@ class ForwardTrace:
         gradient of model m's batch-mean loss: an (M, P) float64 stack in the
         ``Parameters`` layout, whose finiteness ``optim.step`` checks.
         """
-        arch, v, acts = self.arch, self.views, self.acts
+        arch, v, acts, plan = self.arch, self.views, self.acts, self.plan
         d = np.asarray(dloss_dlogits, dtype=np.float64)
         if d.shape != self.logits.shape:
             raise ValueError(f"logit gradient shape {d.shape} does not match logits {self.logits.shape}")
         if not np.isfinite(d).all():
             raise ValueError("non-finite logit gradient")
-        out = np.empty((d.shape[0], param_count(arch)))
-        grads = _views(arch, out)  # each gradient is written in place
+        out, grads = plan.gradient()  # each gradient is written in place
         n_layers = len(arch.hidden_dims) + 1
         delta = d
         for i in reversed(range(n_layers)):
@@ -289,25 +363,30 @@ class ForwardTrace:
             delta.sum(axis=1, out=grads[f"b{i}"])
             if i > 0:
                 # relu(z) > 0 exactly where z > 0
-                delta = (delta @ v[f"w{i}"].swapaxes(1, 2)) * (acts[i] > 0.0)
+                mask = np.greater(acts[i], 0.0, out=plan.masks[i - 1])
+                delta = np.matmul(delta, v[f"w{i}"].swapaxes(1, 2), out=plan.deltas[i - 1])
+                delta *= mask
             elif arch.task == TASK_LM:
-                dinput = (delta @ v["w0"].swapaxes(1, 2)).reshape(
-                    self.inputs.shape + (arch.embedding_dim,))
-                grads["embed"][...] = _embedding_grad(self.inputs, dinput, arch.vocab_size)
+                dinput = np.matmul(delta, v["w0"].swapaxes(1, 2), out=plan.dinput)
+                grads["embed"][...] = _embedding_grad(
+                    self.inputs, dinput.reshape(self.inputs.shape + (-1,)), arch.vocab_size,
+                    plan.flat)
         return out
 
 
-def _run(arch: Architecture, values: np.ndarray, inputs: np.ndarray, acts: list | None):
-    """The network over a stack of M models; returns (views, logits).
+def _run(arch: Architecture, values: np.ndarray, inputs: np.ndarray, plan: Plan | None,
+         acts: list | None):
+    """The network over a stack of M models; returns (plan, views, logits).
 
     ``values`` is an (M, P) stack of flat parameter vectors and ``inputs`` an
     (M, R, d) stack of feature rows, or (M, R, context_window) token ids, with
     block m fed to model m. Every layer is one ``np.matmul`` over the leading
     model axis, which runs the same BLAS call on each model's 2-D slice as the
     model alone would: model m's logits are bit-identical to a stack of one.
-    Each layer's input is appended to ``acts`` when one is given; otherwise
-    it is freed once the next layer has it, so at most two layers' outputs
-    are alive at a time.
+    Each result is written into ``plan``'s buffers, or, without a plan, into
+    fresh arrays: then a layer's output is freed once the next layer has it,
+    so at most two are alive at a time, unless ``acts`` keeps each layer's
+    input for the gradient.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != param_count(arch):
@@ -317,10 +396,25 @@ def _run(arch: Architecture, values: np.ndarray, inputs: np.ndarray, acts: list 
         raise ValueError(f"inputs {inputs.shape} must be (M, R, d) with R >= 1 rows for each "
                          f"of the {values.shape[0]} models")
     _validate_inputs(arch, inputs)
-    v = _views(arch, values)
     M, R = inputs.shape[:2]
+    if plan is None:
+        plan = Plan(arch, M, R, buffered=False)
+    elif (plan.arch, plan.n_models, plan.n_rows) != (arch, M, R):
+        raise ValueError(f"plan for {plan.n_models} models of {plan.n_rows} rows cannot run "
+                         f"inputs {inputs.shape}")
+    v = plan.views(values)
     if arch.task == TASK_LM:
-        a = v["embed"][np.arange(M).reshape(M, 1, 1), inputs].reshape(M, R, arch.input_dim)
+        # one flat table, so the gather is one unbuffered take (the inputs
+        # were range-checked above)
+        index = np.add(plan.offsets, inputs, out=plan.index)
+        embed = v["embed"]
+        if plan.table is None:
+            table = embed.reshape(-1, arch.embedding_dim)
+        else:
+            table = plan.table
+            np.copyto(table.reshape(embed.shape), embed)
+        a = np.take(table, index.reshape(-1), axis=0, out=plan.embedded,
+                    mode="clip").reshape(M, R, arch.input_dim)
     else:
         a = np.asarray(inputs, dtype=np.float64)
     n_layers = len(arch.hidden_dims) + 1
@@ -330,24 +424,26 @@ def _run(arch: Architecture, values: np.ndarray, inputs: np.ndarray, acts: list 
     for i in range(n_layers):
         if acts is not None:
             acts.append(a)
-        z = a @ v[f"w{i}"]
+        z = np.matmul(a, v[f"w{i}"], out=plan.outputs[i])
         z += v[f"b{i}"][:, None, :]
         if i < n_layers - 1:
             a = np.maximum(z, 0.0, out=z)
-    return v, z
+    return plan, v, z
 
 
-def forward_trace(arch: Architecture, values: np.ndarray, inputs: np.ndarray) -> ForwardTrace:
+def forward_trace(arch: Architecture, values: np.ndarray, inputs: np.ndarray,
+                  plan: Plan | None = None) -> ForwardTrace:
     """Run M models of one architecture at once (see ``_run`` for the
-    shapes), keeping each layer's input activations for backprop."""
+    shapes), keeping each layer's input activations for backprop; given a
+    ``plan``, in its buffers."""
     acts: list[np.ndarray] = []
-    v, logits = _run(arch, values, inputs, acts)
-    return ForwardTrace(arch, inputs, v, acts, logits)
+    plan, v, logits = _run(arch, values, inputs, plan, acts)
+    return ForwardTrace(arch, plan, inputs, v, acts, logits)
 
 
 def stack_logits(arch: Architecture, values: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """The (M, R, K) logits of M models at once, keeping no activations."""
-    return _run(arch, values, inputs, None)[1]
+    return _run(arch, values, inputs, None, None)[2]
 
 
 def forward(params: Parameters, batch: Batch) -> np.ndarray:
@@ -355,9 +451,10 @@ def forward(params: Parameters, batch: Batch) -> np.ndarray:
     return stack_logits(params.arch, params.values[None], batch.inputs[None])[0]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max subtraction; safe for extreme magnitudes."""
-    e = logits - logits.max(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis with max subtraction; safe for extreme
+    magnitudes. Written to ``out`` if given, which may be ``logits``."""
+    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -1,11 +1,15 @@
 """Per-replica optimizers: plain SGD, Adam, Adagrad.
 
-``step`` is pure: it returns fresh arrays and never mutates its inputs, so
-identical inputs give bit-identical outputs. Every update is elementwise, so
-the parameters may be one flat vector or an (M, P) stack of M models' vectors
-(with state of the same shape): each row gets exactly the update it would get
-alone. Optimizer state stays with its worker group; checkpoints exchanged
-between groups carry parameters only.
+``step`` is pure by default: it returns fresh arrays and never mutates its
+inputs, so identical inputs give bit-identical outputs. Its buffer form,
+``step(..., out=buffer)``, writes the new parameters to ``out``, updates the
+state's arrays in place and uses the gradient as scratch, so a training loop
+that owns all three allocates nothing per step; the pure form copies the
+gradient and the state and runs the same update on the copies. Every update
+is elementwise, so the parameters may be one flat vector or an (M, P) stack
+of M models' vectors (with state of the same shape): each row gets exactly
+the update it would get alone. Optimizer state stays with its worker group;
+checkpoints exchanged between groups carry parameters only.
 """
 
 from __future__ import annotations
@@ -64,34 +68,44 @@ def init_state(config: OptimizerConfig, n_params) -> OptimizerState:
 
 
 def step(config: OptimizerConfig, state: OptimizerState, values: np.ndarray,
-         grad: np.ndarray):
-    """Apply one update; returns (new_values, new_state)."""
+         grad: np.ndarray, *, out: np.ndarray | None = None):
+    """Apply one update; returns (new_values, new_state).
+
+    Given ``out``, an array of ``values``' shape that overlaps neither it nor
+    ``grad``, the new values are written there, and ``grad`` and ``state``'s
+    arrays are overwritten: the returned state holds those arrays.
+    """
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != values.shape:
         raise ValueError(f"gradient shape {g.shape} does not match parameters {values.shape}")
     if not np.isfinite(g).all():
         raise NonFiniteGradientError("gradient contains NaN or Inf")
+    if out is None:
+        out, g = np.empty(values.shape), g.copy()
+        state = OptimizerState(state.t, *(None if a is None else a.copy()
+                                          for a in (state.m, state.v, state.acc)))
     lr = config.learning_rate
     # each update below is the textbook expression, evaluated in the same
-    # order, with its temporaries reused in place
+    # order, with ``out`` and ``g`` holding its temporaries
     if config.kind == "sgd":
-        update = lr * g
-        return np.subtract(values, update, out=update), state
+        update = np.multiply(lr, g, out=out)
+        return np.subtract(values, update, out=out), state
     if config.kind == "adam":
         t = state.t + 1
-        m = config.beta1 * state.m
-        m += (1.0 - config.beta1) * g
-        v = config.beta2 * state.v
-        v += (1.0 - config.beta2) * (g * g)
-        denom = np.sqrt(v / (1.0 - config.beta2 ** t))
+        m, v = state.m, state.v
+        m *= config.beta1
+        m += np.multiply(1.0 - config.beta1, g, out=out)
+        v *= config.beta2
+        v += np.multiply(1.0 - config.beta2, np.multiply(g, g, out=out), out=out)
+        denom = np.sqrt(np.divide(v, 1.0 - config.beta2 ** t, out=out), out=out)
         denom += config.eps
-        update = lr * (m / (1.0 - config.beta1 ** t))
+        update = np.multiply(lr, np.divide(m, 1.0 - config.beta1 ** t, out=g), out=g)
         update /= denom
-        return np.subtract(values, update, out=update), OptimizerState(t=t, m=m, v=v)
-    acc = g * g
-    np.add(state.acc, acc, out=acc)
-    denom = np.sqrt(acc)
+        return np.subtract(values, update, out=out), OptimizerState(t=t, m=m, v=v)
+    acc = state.acc
+    acc += np.multiply(g, g, out=out)
+    denom = np.sqrt(acc, out=out)
     denom += config.adagrad_eps
-    update = lr * g
+    update = np.multiply(lr, g, out=g)
     update /= denom
-    return np.subtract(values, update, out=update), OptimizerState(acc=acc)
+    return np.subtract(values, update, out=out), OptimizerState(acc=acc)

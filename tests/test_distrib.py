@@ -611,6 +611,97 @@ class TestConcurrentGroups:
         assert [(r.run_id, r.step) for r in err.records] == [("model0", 0), ("model1", 0)]
 
 
+def token_stream(arch, rows, seed):
+    """An endless stream of random lm batches of ``rows`` windows."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield Batch(rng.integers(0, arch.vocab_size, size=(rows, arch.context_window)),
+                    rng.integers(0, arch.vocab_size, size=rows))
+
+
+LM_ARCH = Architecture(3 * 4, (10, 6), 9, task="lm_fixed_context", context_window=3,
+                       vocab_size=9, embedding_dim=4)
+
+
+class TestStackBuffers:
+    """The stacked step writes into buffers it reuses: two (N, P) parameter
+    buffers in turn, a plan for its pass, the optimizer's buffer form. Its
+    numbers stay those of each group alone, with or without a teacher, and
+    what it hands out stays valid."""
+
+    @staticmethod
+    def runners(arch, kind, seeds, rows=8):
+        group = lambda seed: GroupConfig(1, rows, OptimizerConfig(kind, 0.05),  # noqa: E731
+                                         CombinedLossSpec(), seed)
+        if arch.task == "lm_fixed_context":
+            return [GroupRunner(arch, group(s), streams=[token_stream(arch, rows, s)])
+                    for s in seeds]
+        train, _ = make_task()
+        return [GroupRunner(arch, group(s), train) for s in seeds]
+
+    @staticmethod
+    def teacher(arch, values):
+        fn = distrib._mean_teacher(arch, values, 1, "soft_cross_entropy")
+        return CombinedLossSpec("soft_cross_entropy", 0.5), fn
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+    @pytest.mark.parametrize("arch", [ARCH, LM_ARCH], ids=["classification", "lm"])
+    def test_stack_of_n_equals_n_stacks_of_one(self, kind, arch):
+        seeds = [3, 4, 5]
+        teachers = np.stack([init_params(arch, 50 + s).values for s in seeds])
+        stack = distrib._Stack(self.runners(arch, kind, seeds))
+        alone = [distrib._Stack(self.runners(arch, kind, [s])) for s in seeds]
+        for k in range(4):
+            pair = self.teacher(arch, teachers) if k % 2 else None
+            losses = stack.step(pair)
+            for row, one in enumerate(alone):
+                pair = self.teacher(arch, teachers[row:row + 1]) if k % 2 else None
+                assert one.step(pair) == [losses[row]]
+                assert np.array_equal(one.values[0], stack.values[row])
+                for name in ("m", "v", "acc"):
+                    mine = getattr(stack.opt_state, name)
+                    if mine is not None:
+                        assert np.array_equal(getattr(one.opt_state, name)[0], mine[row])
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_handed_out_parameters_stay_valid(self, n_cpus, monkeypatch):
+        """A published checkpoint, an ``after_eval`` member (checked where
+        after_eval runs, which may be the evaluator process) and a runner's
+        parameters after the loop are bit-unchanged 3 or more steps later."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        train, val = make_task()
+        shards = [make_shards(train, "disjoint", 2, 11).shard(train, i) for i in range(2)]
+        groups = [sgd_group(100 + i) for i in range(2)]
+        published = []
+
+        class KeepingStore(InMemoryCheckpointStore):
+            def publish(self, ckpt, entity=None):
+                super().publish(ckpt, entity)
+                published.append((self.load_latest(ckpt.model_id), ckpt.params.values.copy()))
+
+        kept = []
+
+        def after_eval(step, members, params, t0):
+            """Keeps each point's params; 1.0 while every kept one is unchanged."""
+            kept.extend((p, p.values.copy()) for p in params)
+            same = all(np.array_equal(p.values, copy) for p, copy in kept)
+            return distrib.MetricRecord("kept", step, 0.0, None, float(same), 0.0)
+
+        runners = distrib._peer_runners(ARCH, CodistillConfig(2, 2, 2), groups, shards,
+                                        None, "m")
+        records = []
+        distrib._train_loop(runners, 12, val, 1, records,
+                            distrib._PeerTeachers(CodistillConfig(2, 2, 2), runners,
+                                                  KeepingStore(ARCH)),
+                            after_eval=after_eval)
+        assert [r.validation_loss for r in records if r.run_id == "kept"] == [1.0] * 13
+        assert len(published) == 12 and all(np.array_equal(ck.params.values, copy)
+                                            for ck, copy in published)
+        final = [(r.params, r.params.values.copy()) for r in runners]
+        distrib._train_loop(runners, 4, val, 2, [])
+        assert all(np.array_equal(p.values, copy) for p, copy in final)
+
+
 class TestMeanTeacher:
     def test_probability_form_is_member_mean(self):
         train, _ = make_task()
@@ -946,6 +1037,19 @@ class TestLockstepEvaluation:
         self.cpus(monkeypatch, 1)
         experiments.run({**self.TINY, "kind": kind}, tmp_path / "inline")
         assert set(pids.read_text().split()) == {str(os.getpid())}
+        assert self.outputs(tmp_path / "evaluator") == self.outputs(tmp_path / "inline")
+
+    @pytest.mark.parametrize("kind", ["baseline", "codistill"])
+    def test_slow_evaluator_sees_each_point_unchanged(self, kind, tmp_path, monkeypatch):
+        """With every validation pass slower than the training steps between
+        two points, the evaluator still reads each point's own parameters
+        from the shared slot: the records equal the inline path's."""
+        self.slow_evaluate(monkeypatch, 0.05)
+        cfg = {**self.TINY, "kind": kind, "eval_every": 3}
+        self.cpus(monkeypatch, 2)
+        experiments.run(cfg, tmp_path / "evaluator")
+        self.cpus(monkeypatch, 1)
+        experiments.run(cfg, tmp_path / "inline")
         assert self.outputs(tmp_path / "evaluator") == self.outputs(tmp_path / "inline")
 
     @pytest.mark.parametrize("n_cpus", [1, 2])

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from codistill.losses import hard_ce
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
-                          Parameters, TruncatedPayloadError, _embedding_grad, _layout,
+                          Parameters, Plan, TruncatedPayloadError, _embedding_grad, _layout,
                           _slices, _views, backward, deserialize_checkpoint, forward, forward_trace,
                           init_params, param_count, predict_proba, serialize_params, softmax,
                           stack_logits)
@@ -342,3 +342,35 @@ class TestSerialization:
     def test_short_header(self, small_arch):
         with pytest.raises(CorruptHeaderError):
             deserialize_checkpoint(b"CODL", small_arch)
+
+
+class TestPlan:
+    """A plan's buffers give the pure forms' numbers bit for bit, pass after
+    pass, with the parameter stack alternating between two buffers as a
+    training stack's does."""
+
+    @pytest.mark.parametrize("arch", [DESK_ARCH, DESK_LM], ids=["classification", "lm"])
+    def test_buffered_passes_equal_pure_forms(self, arch):
+        M, R = 3, 16
+        plan = Plan(arch, M, R)
+        buffers = [np.empty((M, param_count(arch))) for _ in range(2)]
+        rng = np.random.default_rng(6)
+        for k in range(4):
+            cases = [_trace_case(arch, 10 * k + m, R) for m in range(M)]
+            values = buffers[k % 2]
+            values[...] = np.stack([p.values for p, _ in cases])
+            inputs = np.stack([b.inputs for _, b in cases])
+            dlogits = rng.standard_normal((M, R, arch.output_dim))
+            want = forward_trace(arch, values.copy(), inputs)
+            got = forward_trace(arch, values, inputs, plan)
+            assert got.logits is plan.outputs[-1]
+            assert np.array_equal(got.logits, want.logits)
+            grad = got.grad(dlogits)
+            assert grad is plan.grad
+            assert np.array_equal(grad, want.grad(dlogits))
+
+    def test_shape_must_match(self, small_params, small_batch):
+        plan = Plan(small_params.arch, 1, small_batch.size + 1)
+        with pytest.raises(ValueError, match="plan"):
+            forward_trace(small_params.arch, small_params.values[None], small_batch.inputs[None],
+                          plan)

@@ -118,3 +118,29 @@ class TestCommon:
                     OptimizerConfig("adagrad", 0.9)):
             x = run_steps(cfg, np.array([4.0, 4.0]), grad, 10_000)
             assert f(x) < 1e-6, cfg.kind
+
+
+class TestBufferForm:
+    """``step(..., out=)`` writes the new values to ``out`` and updates the
+    state in place; over several steps it gives the pure form's numbers bit
+    for bit, on a flat vector and on an (M, P) stack."""
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_matches_pure_form(self, kind, shape):
+        cfg = OptimizerConfig(kind, 0.05)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(shape)
+        pure_x, pure_state = x, init_state(cfg, shape)
+        bufs, state = [x.copy(), np.empty(shape)], init_state(cfg, shape)
+        for _ in range(4):
+            g = rng.standard_normal(shape)
+            pure_x, pure_state = step(cfg, pure_state, pure_x, g)
+            new, state = step(cfg, state, bufs[0], g.copy(), out=bufs[1])
+            assert new is bufs[1]
+            bufs.reverse()
+            assert np.array_equal(bufs[0], pure_x)
+            assert state.t == pure_state.t
+            for name in ("m", "v", "acc"):
+                a, b = getattr(state, name), getattr(pure_state, name)
+                assert (a is None and b is None) or np.array_equal(a, b)
