@@ -4,6 +4,15 @@ Synthetic Gaussian-cluster classification stands in for large production
 corpora; small text files feed the fixed-context character-level LM task.
 Everything is reproducible: (seed, generation spec) fully determines the
 dataset, the shard plan, and every batch a stream ever yields.
+
+Each example is held once. ``gen_classification`` builds its inputs in place
+and ``ingest_text`` keeps its windows as a strided view of the token ids; both
+return read-only arrays. A train/validation split and a shard are row views:
+they hold their source's arrays, read-only, and an int64 index of the rows
+they contain, and splitting or sharding a view composes the indices. A batch
+stream gathers each batch straight from the source arrays. Two places copy
+examples: ``take``, which materializes a subset on purpose, and
+``Dataset.as_batch``, which the experiments call once, for the validation set.
 """
 
 from __future__ import annotations
@@ -23,39 +32,74 @@ SHARD_MODES = ("disjoint", "shared")
 class Dataset:
     """Ordered example collection with label-space metadata.
 
-    ``inputs`` is (n, input_dim) float64 for classification or (n, window)
-    int64 token ids for lm; ``labels`` is (n,) int64 class/token ids.
+    ``source_inputs`` is (N, input_dim) float64 for classification or
+    (N, window) int64 token ids for lm; ``source_labels`` is (N,) int64
+    class/token ids. ``rows`` is None when the dataset is its whole source,
+    else it is a row view: the int64 source rows it holds, in order. ``n``,
+    ``inputs`` and ``labels`` read the dataset's own examples either way; on a
+    view, each read of ``inputs`` or ``labels`` gathers a fresh copy.
     """
 
-    inputs: np.ndarray
-    labels: np.ndarray
+    source_inputs: np.ndarray
+    source_labels: np.ndarray
     kind: str
     n_classes: int
     vocab: str | None = None
     provenance: dict = field(default_factory=dict)
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.labels) == 0:
+        self.source_labels = labels = np.asarray(self.source_labels, dtype=np.int64)
+        n = len(labels)
+        if n == 0 or (self.rows is not None and len(self.rows) == 0):
             raise ValueError("dataset must be non-empty")
-        if self.inputs.shape[0] != len(self.labels):
+        if self.source_inputs.shape[0] != n:
             raise ValueError("inputs and labels disagree on example count")
-        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
+        if labels.min() < 0 or labels.max() >= self.n_classes:
             raise ValueError("label out of range")
+        if self.rows is not None and not -n <= self.rows.min() <= self.rows.max() < n:
+            raise IndexError("row index out of range")
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.source_labels if self.rows is None else self.rows)
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return self.source_inputs if self.rows is None else self.source_inputs[self.rows]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.source_labels if self.rows is None else self.source_labels[self.rows]
 
     def as_batch(self) -> Batch:
         return Batch(self.inputs, self.labels)
 
 
-def take(dataset: Dataset, indices: np.ndarray) -> Dataset:
-    """Materialize a subset (fancy indexing copies; metadata is preserved)."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    if not array.flags.writeable:
+        return array
+    out = array.view()
+    out.flags.writeable = False
+    return out
+
+
+def _view(dataset: Dataset, indices) -> Dataset:
+    """The examples at ``indices`` as a row view of ``dataset``'s source:
+    only the row index is new memory, and it is read-only like the source."""
     idx = np.asarray(indices, dtype=np.int64)
-    return Dataset(dataset.inputs[idx], dataset.labels[idx], dataset.kind,
-                   dataset.n_classes, dataset.vocab, dict(dataset.provenance))
+    rows = idx.copy() if dataset.rows is None else dataset.rows[idx]
+    rows.flags.writeable = False
+    return Dataset(_read_only(dataset.source_inputs), _read_only(dataset.source_labels),
+                   dataset.kind, dataset.n_classes, dataset.vocab, dict(dataset.provenance),
+                   rows)
+
+
+def take(dataset: Dataset, indices: np.ndarray) -> Dataset:
+    """Materialize a subset: the row view's examples copied into writable
+    arrays of their own (metadata is preserved)."""
+    sub = _view(dataset, indices)
+    return Dataset(sub.inputs, sub.labels, sub.kind, sub.n_classes, sub.vocab, sub.provenance)
 
 
 def check_classification(n_examples: int, input_dim: int, n_classes: int,
@@ -72,6 +116,10 @@ def check_classification(n_examples: int, input_dim: int, n_classes: int,
         raise ValueError("difficulty must be finite and nonnegative")
 
 
+# elements of the centroid rows gen_classification gathers at a time (1 MiB)
+_CHUNK_ELEMENTS = 1 << 17
+
+
 def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: int,
                        difficulty: float) -> Dataset:
     """Balanced Gaussian class-cluster mixture.
@@ -79,6 +127,11 @@ def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: in
     ``difficulty`` is the ratio of within-cluster std to the mean
     nearest-neighbor centroid distance; 0 collapses every example onto its
     centroid. Class counts differ by at most one.
+
+    The inputs are built in place: the noise is drawn, scaled by the std and
+    then added to the centroid rows in chunks of ``_CHUNK_ELEMENTS``. Each
+    element is the same float operation as ``centroids[labels] + std * noise``
+    (product and sum commute exactly), so no full-size temporary is made.
     """
     check_classification(n_examples, input_dim, n_classes, difficulty)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
@@ -91,7 +144,13 @@ def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: in
     counts[: n_examples % n_classes] += 1
     labels = np.repeat(np.arange(n_classes), counts)
     labels = labels[rng.permutation(n_examples)]
-    inputs = centroids[labels] + std * rng.standard_normal((n_examples, input_dim))
+    inputs = rng.standard_normal((n_examples, input_dim))
+    inputs *= std
+    chunk = max(1, _CHUNK_ELEMENTS // input_dim)
+    for start in range(0, n_examples, chunk):
+        inputs[start:start + chunk] += centroids[labels[start:start + chunk]]
+    inputs.flags.writeable = False
+    labels.flags.writeable = False
     return Dataset(inputs, labels, "classification", n_classes, provenance={
         "generator": "classification", "seed": int(seed), "n": int(n_examples),
         "dim": int(input_dim), "classes": int(n_classes), "difficulty": float(difficulty),
@@ -108,18 +167,25 @@ def _read_corpus(path, context_window: int) -> str:
     return text
 
 
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+
+
 def ingest_text(path, context_window: int) -> Dataset:
     """Character-level sliding-window dataset from a UTF-8 text file.
 
     Each example maps ``context_window`` consecutive characters to the next
-    one; the vocabulary is the sorted set of characters in the corpus.
+    one; the vocabulary is the sorted set of characters in the corpus. A
+    character's id is its code point's rank among the vocabulary's code
+    points. The token ids are held once, read-only: the windows are their
+    strided view and the labels a slice of them.
     """
     text = _read_corpus(path, context_window)
     vocab = "".join(sorted(set(text)))
-    index = {c: i for i, c in enumerate(vocab)}
-    ids = np.fromiter((index[c] for c in text), dtype=np.int64, count=len(text))
-    contexts = np.lib.stride_tricks.sliding_window_view(ids, context_window)[:-1].copy()
-    labels = ids[context_window:].copy()
+    ids = np.searchsorted(_code_points(vocab), _code_points(text)).astype(np.int64, copy=False)
+    ids.flags.writeable = False
+    contexts = np.lib.stride_tricks.sliding_window_view(ids, context_window)[:-1]
+    labels = ids[context_window:]
     return Dataset(contexts, labels, "lm", len(vocab), vocab=vocab, provenance={
         "generator": "text", "source": str(path), "window": int(context_window),
         "vocab_size": len(vocab), "chars": len(text),
@@ -140,12 +206,13 @@ def _validation_size(n_examples: int, val_fraction: float) -> int:
 def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
     """Seeded held-out split, applied before any sharding.
 
-    Returns (train, validation); validation data is never sharded.
+    Returns (train, validation) as row views of ``dataset``; validation data
+    is never sharded.
     """
     check_split(val_fraction)
     n_val = _validation_size(dataset.n, val_fraction)
     perm = np.random.default_rng(np.random.SeedSequence([int(seed), 1])).permutation(dataset.n)
-    return take(dataset, perm[n_val:]), take(dataset, perm[:n_val])
+    return _view(dataset, perm[n_val:]), _view(dataset, perm[:n_val])
 
 
 @dataclass
@@ -155,7 +222,8 @@ class ShardPlan:
     assignment: tuple[np.ndarray, ...]
 
     def shard(self, dataset: Dataset, i: int) -> Dataset:
-        return take(dataset, self.assignment[i])
+        """Shard ``i`` as a row view of ``dataset``'s source."""
+        return _view(dataset, self.assignment[i])
 
 
 def make_shards(dataset: Dataset, mode: str, n_shards: int, seed: int) -> ShardPlan:
@@ -175,15 +243,22 @@ def make_shards(dataset: Dataset, mode: str, n_shards: int, seed: int) -> ShardP
 
 def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[Batch]:
     """Infinite deterministic stream: seeded reshuffle each epoch, ragged tail
-    dropped so every batch has exactly ``batch_size`` examples."""
-    if batch_size < 1 or batch_size > dataset.n:
-        raise ValueError(f"batch_size must lie in [1, {dataset.n}]")
+    dropped so every batch has exactly ``batch_size`` examples.
+
+    Each batch is gathered from the source arrays: a row view's epoch order is
+    its rows in the epoch's permutation, composed once per epoch."""
+    n = dataset.n
+    if batch_size < 1 or batch_size > n:
+        raise ValueError(f"batch_size must lie in [1, {n}]")
+    inputs, labels, rows = dataset.source_inputs, dataset.source_labels, dataset.rows
     rng = np.random.default_rng(seed)
     while True:
-        perm = rng.permutation(dataset.n)
-        for start in range(0, dataset.n - batch_size + 1, batch_size):
-            idx = perm[start:start + batch_size]
-            yield Batch(dataset.inputs[idx], dataset.labels[idx])
+        order = rng.permutation(n)
+        if rows is not None:
+            order = rows[order]  # frees the permutation: one index per epoch
+        for start in range(0, n - batch_size + 1, batch_size):
+            idx = order[start:start + batch_size]
+            yield Batch(inputs[idx], labels[idx])
 
 
 def unigram(dataset: Dataset) -> np.ndarray:

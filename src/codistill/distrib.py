@@ -263,7 +263,12 @@ class FileCheckpointStore(_CheckpointStore):
     reach yet (``mkstemp``, so an existing file is never overwritten), points
     a temporary link ``.ckpt_<model_id>.<step>.<random>.tmp`` at it,
     ``os.replace``s the link over ``ckpt_<model_id>.bin`` and unlinks the file
-    the old link named. A concurrent reader sees the previous complete
+    the old link named. A store remembers the target it last published for
+    each model, so only its first publish of a model resolves the old link
+    (and so removes what an earlier store or run left there). That assumes
+    one publishing store per model id per directory, which lockstep (one
+    store) and concurrent mode (each group publishes only its own model)
+    both guarantee. A concurrent reader sees the previous complete
     checkpoint or the new one, never a torn payload. No regular file is ever
     renamed over another: on ext4, renaming over an existing file forces
     writeback of the new one (``auto_da_alloc``). On the ext4 disk of a
@@ -284,6 +289,7 @@ class FileCheckpointStore(_CheckpointStore):
         super().__init__(arch, ledger)
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
+        self._published: dict[int, str] = {}  # model id -> the link's target
 
     def _path(self, model_id: int) -> Path:
         return self._dir / f"ckpt_{model_id}.bin"
@@ -296,12 +302,13 @@ class FileCheckpointStore(_CheckpointStore):
         try:
             with os.fdopen(fd, "wb") as f:
                 f.write(data)
-            try:
-                old = os.readlink(link)
-            except OSError as err:  # nothing published yet, or a regular file
-                if err.errno not in (errno.ENOENT, errno.EINVAL):
-                    raise
-                old = None
+            old = self._published.get(model_id)
+            if old is None:
+                try:
+                    old = os.readlink(link)
+                except OSError as err:  # nothing published yet, or a regular file
+                    if err.errno not in (errno.ENOENT, errno.EINVAL):
+                        raise
             tmp = target.with_name(f".{target.stem}.tmp")
             os.symlink(target.name, tmp)
             try:
@@ -312,6 +319,7 @@ class FileCheckpointStore(_CheckpointStore):
         except BaseException:
             os.unlink(target)
             raise
+        self._published[model_id] = target.name
         if old is not None and old != target.name:
             (self._dir / old).unlink(missing_ok=True)
 

@@ -1,11 +1,17 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codistill import experiments
 from codistill.data import (Dataset, batch_stream, gen_classification, ingest_text,
                             make_shards, split_train_val, take, unigram)
 from helpers import interleave
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "codistill.cfg"
 
 
 class TestGenClassification:
@@ -65,6 +71,20 @@ class TestIngestText:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
             ingest_text(tmp_path / "missing.txt", 2)
+
+    def test_ids_match_dict_mapping_beyond_ascii(self, tmp_path):
+        # two-byte, three-byte and four-byte UTF-8 characters, a newline and a tab
+        text = "naïve café\tüber 東京 ➜ 𝔘𝔫𝔦 😀\nabc ñandú 東 😀 ẞ" * 7
+        path = tmp_path / "u.txt"
+        path.write_text(text, encoding="utf-8")
+        ds = ingest_text(path, 3)
+        vocab = "".join(sorted(set(text)))
+        index = {c: i for i, c in enumerate(vocab)}
+        ids = np.array([index[c] for c in text], dtype=np.int64)
+        assert ds.vocab == vocab and ds.n_classes == len(vocab)
+        assert ds.inputs.dtype == np.int64 and ds.labels.dtype == np.int64
+        assert np.array_equal(ds.inputs, [ids[i:i + 3] for i in range(len(text) - 3)])
+        assert np.array_equal(ds.labels, ids[3:])
 
     def test_constant_corpus(self, tmp_path):
         path = tmp_path / "a.txt"
@@ -158,6 +178,12 @@ class TestSplit:
         train, val = split_train_val(ds, 0.1, 9)
         assert train.n == 90 and val.n == 10
         assert train.n + val.n == ds.n
+        assert set(train.rows.tolist()).isdisjoint(val.rows.tolist())
+        assert np.array_equal(np.sort(np.concatenate([train.rows, val.rows])), np.arange(ds.n))
+        # the rows are the dataset's examples: every example once, none twice
+        both = np.concatenate([train.inputs, val.inputs])
+        assert np.array_equal(np.unique(both, axis=0), np.unique(ds.inputs, axis=0))
+        assert len(np.unique(both, axis=0)) == ds.n
 
     def test_deterministic(self):
         ds = gen_classification(1, 100, 3, 2, 0.1)
@@ -194,3 +220,124 @@ class TestTake:
         assert sub.n == 3
         sub.inputs[0, 0] = 999.0
         assert ds.inputs[3, 0] != 999.0
+
+
+def _lm_dataset(tmp_path):
+    path = tmp_path / "lm.txt"
+    path.write_text("the quick brown fox jumps over the lazy dog; " * 20, encoding="utf-8")
+    return ingest_text(path, 4)
+
+
+def _same_examples(view, copy):
+    assert view.n == copy.n
+    assert np.array_equal(view.inputs, copy.inputs)
+    assert np.array_equal(view.labels, copy.labels)
+    assert view.inputs.dtype == copy.inputs.dtype and view.labels.dtype == np.int64
+
+
+class TestRowViews:
+    """Splits and shards are row views of one source; they read as copies do."""
+
+    @pytest.mark.parametrize("kind", ["classification", "lm"])
+    def test_views_read_as_take(self, kind, tmp_path):
+        ds = gen_classification(4, 90, 3, 3, 0.2) if kind == "classification" \
+            else _lm_dataset(tmp_path)
+        train, val = split_train_val(ds, 0.2, 3)
+        _same_examples(train, take(ds, train.rows))
+        _same_examples(val, take(ds, val.rows))
+        for mode in ("disjoint", "shared"):
+            plan = make_shards(train, mode, 3, 5)
+            for i, idx in enumerate(plan.assignment):
+                shard = plan.shard(train, i)
+                _same_examples(shard, take(train, idx))
+                assert np.array_equal(shard.rows, train.rows[idx])  # composed, not nested
+                _same_examples(shard, take(ds, shard.rows))
+
+    def test_lm_windows_are_the_corpus(self, tmp_path):
+        ds = _lm_dataset(tmp_path)
+        train, _ = split_train_val(ds, 0.1, 0)
+        ids = np.concatenate([ds.inputs[0], ds.labels])
+        for row, window, label in zip(train.rows, train.inputs, train.labels):
+            assert np.array_equal(window, ids[row:row + 4]) and label == ids[row + 4]
+
+    @pytest.mark.parametrize("kind", ["classification", "lm"])
+    def test_stream_over_view_equals_stream_over_copy(self, kind, tmp_path):
+        ds = gen_classification(2, 60, 3, 2, 0.3) if kind == "classification" \
+            else _lm_dataset(tmp_path)
+        train, _ = split_train_val(ds, 0.25, 1)
+        shard = make_shards(train, "disjoint", 2, 4).shard(train, 1)
+        copy = take(shard, np.arange(shard.n))
+        a, b = batch_stream(shard, 4, 11), batch_stream(copy, 4, 11)
+        for _ in range(3 * (shard.n // 4)):  # three epochs
+            x, y = next(a), next(b)
+            assert np.array_equal(x.inputs, y.inputs) and np.array_equal(x.labels, y.labels)
+            assert x.inputs.dtype == y.inputs.dtype and x.labels.dtype == y.labels.dtype
+
+    def test_shared_shards_share_the_training_set(self):
+        train, _ = split_train_val(gen_classification(1, 200, 4, 3, 0.2), 0.1, 0)
+        plan = make_shards(train, "shared", 3, 0)
+        for i in range(3):
+            shard = plan.shard(train, i)
+            assert np.shares_memory(shard.source_inputs, train.source_inputs)
+            assert np.shares_memory(shard.source_labels, train.source_labels)
+
+    @pytest.mark.parametrize("kind", ["classification", "lm"])
+    def test_sources_are_read_only(self, kind, tmp_path):
+        ds = gen_classification(1, 40, 3, 2, 0.1) if kind == "classification" \
+            else _lm_dataset(tmp_path)
+        train, val = split_train_val(ds, 0.2, 0)
+        shard = make_shards(train, "disjoint", 2, 0).shard(train, 0)
+        for view in (ds, train, val, shard):
+            with pytest.raises(ValueError):
+                view.source_inputs[0, 0] = 1
+            with pytest.raises(ValueError):
+                view.source_labels[0] = 0
+        with pytest.raises(ValueError):
+            shard.rows[0] = 0
+
+    def test_views_of_a_writable_dataset_are_read_only(self):
+        ds = Dataset(np.zeros((6, 2)), np.arange(6) % 2, "classification", 2)
+        train, _ = split_train_val(ds, 0.5, 0)
+        with pytest.raises(ValueError):
+            train.source_inputs[0, 0] = 1.0
+        ds.inputs[0, 0] = 1.0  # the caller's own arrays keep their flags
+
+    def test_out_of_range_rows(self):
+        ds = gen_classification(1, 10, 2, 2, 0.1)
+        with pytest.raises(IndexError):
+            take(ds, [10])
+        with pytest.raises(ValueError, match="non-empty"):
+            take(ds, np.array([], dtype=np.int64))
+
+
+class TestMemory:
+    """Each example is held once: a copy that creeps back fails here, not only
+    in the benchmark's peak resident memory."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        return experiments.resolve(experiments.parse_config_file(DESK_CONFIG))
+
+    def test_build_env_peak(self, desk):
+        tracemalloc.start()
+        try:
+            env = experiments.build_env(desk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data_bytes = env.train.source_inputs.nbytes + env.train.source_labels.nbytes
+        assert data_bytes == desk["data.n"] * (desk["data.dim"] + 1) * 8
+        assert peak <= 1.35 * data_bytes, f"peak {peak / data_bytes:.2f}x the data"
+
+    def test_shared_shards_cost_indices_only(self, desk):
+        env = experiments.build_env(desk)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            plan = make_shards(env.train, "shared", 4, 0)
+            shards = [plan.shard(env.train, i) for i in range(4)]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(shards) == 4 and all(s.n == env.train.n for s in shards)
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB for four shared shards"

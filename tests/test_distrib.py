@@ -860,6 +860,31 @@ class TestStoreFaults:
             ["ckpt_0.bin", "ckpt_1.bin"] + [os.readlink(tmp_path / f"ckpt_{i}.bin")
                                             for i in range(2)])
 
+    def test_publish_resolves_the_link_once_per_store(self, tmp_path, monkeypatch):
+        """A store remembers the target it last published, so only its first
+        publish of a model reads the link, and that one still removes what an
+        earlier store left."""
+        readlink = os.readlink
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return readlink(path)
+
+        monkeypatch.setattr(os, "readlink", counting)
+        first = FileCheckpointStore(tmp_path, ARCH)
+        for step in range(1, 4):
+            first.publish(Checkpoint(0, step, init_params(ARCH, step)))
+        assert len(calls) == 1
+        second = FileCheckpointStore(tmp_path, ARCH)
+        for step in range(4, 7):
+            second.publish(Checkpoint(0, step, init_params(ARCH, step)))
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.glob("ckpt_0.*.bin")] == [
+            os.readlink(tmp_path / "ckpt_0.bin")]
+        assert second.load_latest(0).step == 6
+
     def test_cross_process_publish_load_never_torn(self, tmp_path):
         """A forked process publishes while this one loads: every load is a
         complete checkpoint (its values match its step), steps never go
