@@ -1,21 +1,32 @@
 """Per-part timing of the lockstep training step.
 
-    PYTHONPATH=src python3 scripts/step_split.py --workload baseline --seed 0
+    PYTHONPATH=src python3 scripts/step_split.py --workload codistill2 --seed 0
 
 Trains one benchmark workload (its config from ``bench/workload.py``, driven
 as the benchmark drives it) with timers wrapped around the parts of a step
 and around the training process's pipe traffic with its evaluator:
 
 - ``step``: ``distrib._Stack.step``, one whole stacked step;
-- ``teacher``: each call of the teacher fn ``distrib._mean_teacher`` returns;
+- ``batch``: the batch copy, ``distrib._Stack._feed`` (each group's
+  ``step_batches``, copied into the step's input and label buffers), or,
+  in a tree without it, ``GroupRunner.step_batches``;
+- ``pass``: the forward, ``nn.Pass.forward`` (over the teacher rows too,
+  in the teacher phase), or ``distrib.forward_trace`` in a tree without it;
+- ``teacher``: the teacher mean, ``distrib._teacher_mean``, or each call of
+  the teacher fn ``distrib._mean_teacher`` returns (which runs the teachers'
+  own forward) in a tree with that instead;
+- ``loss``: ``distrib.combined_loss``;
+- ``gradient``: ``nn.Pass.backward``, or ``nn.ForwardTrace.grad``;
 - ``update``: ``optim.step``, the optimizer update;
 - ``eval_recv``/``eval_send``: ``Connection.recv``/``send`` in the training
   process, i.e. the wait for an evaluation point's records and the handoff.
 
-Prints one JSON object: per part its calls, minimum and median in us, and
-total in ms. Point ``PYTHONPATH`` at another tree's ``src`` to time that
-tree; the script only patches names both sides of a comparison share. Run it
-with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
+Only calls made inside a step count towards its parts, so an inline
+validation pass (one CPU) adds nothing to ``pass``. Prints one JSON object:
+per part its calls, minimum and median in us, and total in ms, and which
+name each part timed. Point ``PYTHONPATH`` at another tree's ``src`` to time
+that tree: each part patches the first of its names the tree has. Run it with
+one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
 """
 
 from __future__ import annotations
@@ -36,14 +47,27 @@ sys.path.insert(0, str(BENCH))
 
 from workload import RUN_VIA, spec_for  # noqa: E402
 
-from codistill import distrib, optim  # noqa: E402
+from codistill import distrib, nn, optim  # noqa: E402
 
 TIMES: dict[str, list[float]] = defaultdict(list)
+IN_STEP = [False]
+
+# part -> the (module or class, attribute) names it may time, first found wins
+PARTS = {
+    "batch": [(distrib._Stack, "_feed"), (distrib.GroupRunner, "step_batches")],
+    "pass": [(getattr(nn, "Pass", None), "forward"), (distrib, "forward_trace")],
+    "teacher": [(distrib, "_teacher_mean")],
+    "loss": [(distrib, "combined_loss")],
+    "gradient": [(getattr(nn, "Pass", None), "backward"), (nn.ForwardTrace, "grad")],
+    "update": [(optim, "step")],
+}
 
 
-def timed(name: str, fn):
+def timed(name: str, fn, in_step: bool = True):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        if in_step and not IN_STEP[0]:
+            return fn(*args, **kwargs)
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -53,14 +77,34 @@ def timed(name: str, fn):
     return wrapper
 
 
-def instrument() -> None:
-    distrib._Stack.step = timed("step", distrib._Stack.step)
-    optim.step = timed("update", optim.step)
-    make_teacher = distrib._mean_teacher
-    distrib._mean_teacher = lambda *a, **k: timed("teacher", make_teacher(*a, **k))
+def instrument() -> dict[str, str]:
+    """Patch each part's first name present; returns part -> the name."""
+    step = distrib._Stack.step
+
+    @functools.wraps(step)
+    def stepping(*args, **kwargs):
+        IN_STEP[0] = True
+        try:
+            return step(*args, **kwargs)
+        finally:
+            IN_STEP[0] = False
+
+    distrib._Stack.step = timed("step", stepping, in_step=False)
+    patched = {}
+    for part, names in PARTS.items():
+        for owner, attr in names:
+            if owner is not None and attr in vars(owner):
+                setattr(owner, attr, timed(part, getattr(owner, attr)))
+                patched[part] = f"{getattr(owner, '__name__', owner)}.{attr}"
+                break
+    if "teacher" not in patched and hasattr(distrib, "_mean_teacher"):
+        make_teacher = distrib._mean_teacher
+        distrib._mean_teacher = lambda *a, **k: timed("teacher", make_teacher(*a, **k))
+        patched["teacher"] = "distrib._mean_teacher's fn (with the teachers' forward)"
     conn = multiprocessing.connection.Connection
-    conn.recv = timed("eval_recv", conn.recv)
-    conn.send = timed("eval_send", conn.send)
+    conn.recv = timed("eval_recv", conn.recv, in_step=False)
+    conn.send = timed("eval_send", conn.send, in_step=False)
+    return patched
 
 
 def main() -> None:
@@ -70,7 +114,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     spec = spec_for(args.workload)
-    instrument()
+    patched = instrument()
     with tempfile.TemporaryDirectory() as out_dir:
         t0 = time.perf_counter()
         RUN_VIA[spec["via"]](spec, args.seed, out_dir)
@@ -80,7 +124,7 @@ def main() -> None:
                     "total_ms": round(sum(ts) * 1e3, 2)}
              for name, ts in sorted(TIMES.items()) if ts}
     print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "wall_s": round(wall, 3), "parts": parts}))
+                      "wall_s": round(wall, 3), "parts": parts, "timed": patched}))
 
 
 if __name__ == "__main__":

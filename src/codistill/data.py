@@ -9,7 +9,8 @@ Each example is held once. ``gen_classification`` builds its inputs in place
 and ``ingest_text`` keeps its windows as a strided view of the token ids; both
 return read-only arrays. A train/validation split and a shard are row views:
 they hold their source's arrays, read-only, and an int64 index of the rows
-they contain, and splitting or sharding a view composes the indices. A batch
+they contain, and splitting or sharding a view composes the indices (a
+shared shard, which holds every example, shares its view's index). A batch
 stream gathers each batch straight from the source arrays. Two places copy
 examples: ``take``, which materializes a subset on purpose, and
 ``Dataset.as_batch``, which the experiments call once, for the validation set.
@@ -84,12 +85,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return out
 
 
-def _view(dataset: Dataset, indices) -> Dataset:
+def _view(dataset: Dataset, indices=None) -> Dataset:
     """The examples at ``indices`` as a row view of ``dataset``'s source:
-    only the row index is new memory, and it is read-only like the source."""
-    idx = np.asarray(indices, dtype=np.int64)
-    rows = idx.copy() if dataset.rows is None else dataset.rows[idx]
-    rows.flags.writeable = False
+    only the row index is new memory, and it is read-only like the source.
+    Without ``indices``, all of ``dataset``'s examples in order: the view
+    shares its row index, read-only, and so costs no memory."""
+    if indices is None:
+        rows = None if dataset.rows is None else _read_only(dataset.rows)
+    else:
+        idx = np.asarray(indices, dtype=np.int64)
+        rows = idx.copy() if dataset.rows is None else dataset.rows[idx]
+        rows.flags.writeable = False
     return Dataset(_read_only(dataset.source_inputs), _read_only(dataset.source_labels),
                    dataset.kind, dataset.n_classes, dataset.vocab, dict(dataset.provenance),
                    rows)
@@ -217,28 +223,31 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
 
 @dataclass
 class ShardPlan:
-    """Assignment of example indices to worker groups."""
+    """Assignment of example indices to worker groups. A ``shared`` plan's
+    shards each hold every example, in order."""
 
     assignment: tuple[np.ndarray, ...]
+    shared: bool = False
 
     def shard(self, dataset: Dataset, i: int) -> Dataset:
-        """Shard ``i`` as a row view of ``dataset``'s source."""
-        return _view(dataset, self.assignment[i])
+        """Shard ``i`` as a row view of ``dataset``'s source; a shared shard
+        shares ``dataset``'s own row index, so it costs no memory."""
+        return _view(dataset, None if self.shared else self.assignment[i])
 
 
 def make_shards(dataset: Dataset, mode: str, n_shards: int, seed: int) -> ShardPlan:
     """Disjoint: seeded permutation split round-robin (sizes differ by <= 1).
-    Shared: every shard is the full index set."""
+    Shared: every shard is the full index set, one read-only index."""
     if mode not in SHARD_MODES:
         raise ValueError(f"unknown shard mode {mode!r}")
     if n_shards < 1 or n_shards > dataset.n:
         raise ValueError("need 1 <= n_shards <= n_examples")
     if mode == "shared":
-        assignment = tuple(np.arange(dataset.n, dtype=np.int64) for _ in range(n_shards))
-    else:
-        perm = np.random.default_rng(np.random.SeedSequence([int(seed), 2])).permutation(dataset.n)
-        assignment = tuple(perm[i::n_shards].astype(np.int64) for i in range(n_shards))
-    return ShardPlan(assignment)
+        everything = np.arange(dataset.n, dtype=np.int64)
+        everything.flags.writeable = False
+        return ShardPlan((everything,) * n_shards, shared=True)
+    perm = np.random.default_rng(np.random.SeedSequence([int(seed), 2])).permutation(dataset.n)
+    return ShardPlan(tuple(perm[i::n_shards].astype(np.int64) for i in range(n_shards)))
 
 
 def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[Batch]:

@@ -4,33 +4,40 @@ Synchronous data-parallel worker groups, versioned checkpoint stores, one
 training loop over N groups, and logical communication accounting.
 
 Every training mode is that loop with a different teacher source, which
-gives the groups nothing or a (loss spec, teacher fn) pair at each step:
+gives the groups nothing or a (loss spec, signal fn) pair at each step:
 none (``train_baseline``); a frozen teacher, which is classic distillation
 from an ensemble (``offline_distill``) or, from a constant distribution,
 label smoothing; or peers' stale checkpoints from the store, the paper's
 online codistillation. Deep mutual learning is codistillation that reloads
-every step (``reload_interval=1``), every read charged to the ledger.
+every step (``reload_interval=1``), every read charged to the ledger. The
+ensemble's and the peers' teachers are rows the stack holds (the signal fn
+is None): peer checkpoints written at each reload, the ensemble once. The
+constant teacher of label smoothing stays a signal fn of the step's
+batches.
 
 The loop trains its N groups as one stack (``_Stack``): their parameters
 and optimizer state are (N, P) arrays, and each global step runs once over
-the leading model axis, with one ``np.matmul`` per layer, one pass over all
-N * (N-1) peer teachers (a stale stack rebuilt only when checkpoints are
-reloaded), one combined loss, one backward, one elementwise optimizer
-update and one finiteness scan. Stacked matmuls make the same BLAS call on
-each model's slice, so every group's numbers are bit-identical to training
-it alone. There is one step implementation: the baseline, label smoothing,
-offline distillation and each concurrent-mode group process run it as a
-stack of one. Stacking needs the groups to agree on ``_LOCKSTEP_FIELDS``
-(``n_workers``, ``batch_size``, ``optimizer``, ``loss``).
+the leading model axis. After burn-in the stack's T = N * k teacher rows
+(k per student) follow its N student rows in one (N + T, P) parameter
+stack, so a step is one forward over all N + T rows (the N students' in
+burn-in), with one ``np.matmul`` per layer; each student's mean teacher
+prediction, made in place from its k rows' logits; one combined loss; one
+backward over the N students; and one elementwise optimizer update with one
+finiteness scan. Stacked matmuls make the same BLAS call on each model's
+slice, so every group's numbers are bit-identical to training it alone.
+There is one step implementation: the baseline, label smoothing, offline
+distillation and each concurrent-mode group process run it as a stack of
+one (with its k teacher rows). Stacking needs the groups to agree on
+``_LOCKSTEP_FIELDS`` (``n_workers``, ``batch_size``, ``optimizer``,
+``loss``).
 
-The students' part of a step allocates none of its large arrays. The stack
-builds its buffers once per loop (an ``nn.Plan`` for its activations,
-masks, deltas and gradient, and two (N, P) parameter buffers that
-``optim.step``'s buffer form fills in turn), and the peer teachers allocate
-their stale teacher stack once. So a ``Parameters`` is
-built only where one is read, as a view of the current buffer: a publish
-and an evaluation point consume theirs at once, and what outlives the step
-is copied (the result's parameters, and those an ``after_eval`` hook is
+A step allocates none of its large arrays: the stack binds everything it
+touches once per loop (see ``_Stack``), and each part is a call of the same
+body the pure forms run (``nn.Pass``, ``losses.combined_loss`` with a
+``LossPlan``, ``optim.step``'s buffer form). So a ``Parameters`` is built
+only where one is read, as a view of the current buffer: a publish and an
+evaluation point consume theirs at once, and what outlives the step is
+copied (the result's parameters, and those an ``after_eval`` hook is
 given).
 
 Both checkpoint stores decode each published version once: a load of the
@@ -94,12 +101,12 @@ import numpy as np
 
 from . import optim
 from .data import SHARD_MODES, batch_stream
-from .losses import CombinedLossSpec, combined_loss
+from .losses import CombinedLossSpec, LossPlan, combined_loss
 from .metrics import MetricRecord, evaluate
 # backward and forward are unused here but stay importable as distrib.backward
 # and distrib.forward, names bench/tracer.py wraps
-from .nn import (Architecture, Batch, Parameters, Plan, SerializationError,  # noqa: F401
-                 backward, deserialize_checkpoint, forward, forward_trace, init_params,
+from .nn import (TASK_LM, Architecture, Batch, Parameters, Pass, Plan,  # noqa: F401
+                 SerializationError, backward, deserialize_checkpoint, forward, init_params,
                  param_count, serialize_params, softmax, stack_logits)
 
 # one sync step moves a gradient out and parameters back per worker
@@ -140,13 +147,20 @@ class CommLedger:
         self._lock = threading.Lock()
 
     def add(self, entity: str, cause: str, nbytes: int) -> None:
-        if cause not in LEDGER_CAUSES:
-            raise ValueError(f"unknown ledger cause {cause!r}")
+        self.add_each(((entity, cause),), nbytes)
+
+    def add_each(self, keys, nbytes: int) -> None:
+        """``nbytes`` to each (entity, cause) in ``keys``, under one lock: a
+        training step charges all its groups' exchanges in one call."""
+        for _, cause in keys:
+            if cause not in LEDGER_CAUSES:
+                raise ValueError(f"unknown ledger cause {cause!r}")
         if nbytes < 0:
             raise ValueError("ledger bytes must be nonnegative")
+        nbytes = int(nbytes)
         with self._lock:
-            key = (entity, cause)
-            self._counts[key] = self._counts.get(key, 0) + int(nbytes)
+            for key in keys:
+                self._counts[key] = self._counts.get(key, 0) + nbytes
 
     def total(self, cause: str | None = None, entity: str | None = None) -> int:
         with self._lock:
@@ -434,6 +448,10 @@ class GroupRunner:
         self.entity = entity
         self.step_index = 0
         self._param_bytes = param_count(arch) * 8
+        # what step_batches checks of each batch's inputs: columns, dtype kinds
+        lm = arch.task == TASK_LM
+        self._width = arch.context_window if lm else arch.input_dim
+        self._kinds = "iu" if lm else "iuf"
 
     def step_batches(self, batches: list[Batch]) -> Batch:
         """This group's share of the next lockstep step: its W per-worker
@@ -441,8 +459,12 @@ class GroupRunner:
         if len(batches) != self.group.n_workers:
             raise ValueError(f"expected {self.group.n_workers} batches, got {len(batches)}")
         for b in batches:
-            if b.size != self.group.batch_size:
+            if b.inputs.shape[0] != self.group.batch_size:
                 raise ValueError(f"per-worker batches must have size {self.group.batch_size}")
+            if b.inputs.shape[1] != self._width:
+                raise ValueError(f"per-worker batches must have {self._width} input columns")
+            if b.labels.dtype.kind not in "iu" or b.inputs.dtype.kind not in self._kinds:
+                raise ValueError("labels must be integer ids, and lm inputs integer token ids")
         if len(batches) == 1:
             return batches[0]
         return Batch(np.concatenate([b.inputs for b in batches], axis=0),
@@ -475,76 +497,136 @@ class _Stack:
 
     Their parameters and optimizer state are (N, P) arrays, row i being
     runner i's. A step runs once over the leading model axis: one forward,
-    one teacher pass, one combined loss, one backward and one elementwise
+    one combined loss, one backward over the N students and one elementwise
     optimizer update with its one finiteness scan. The stack takes the
     runners' parameters (theirs are None meanwhile) and starts fresh
     optimizer state; ``unstack`` hands copies of the final parameters back.
 
-    Every step writes into buffers built once, with the stack: an
-    ``nn.Plan`` for its forward and gradient, and two (N, P) parameter
-    buffers used in turn, the optimizer writing the new values into the one
-    not holding the current ones (``optim.step``'s buffer form, which also
-    updates the state in place and uses the gradient as scratch). So a
-    ``Parameters`` from ``params`` is a view that the second step after it
-    overwrites: a publish or an evaluation point consumes it at once, and
-    whatever outlives the step is copied.
+    With ``per_student`` k > 0 the stack also holds T = N * k teacher rows,
+    set by ``set_teachers``: rows [i * k, (i + 1) * k) are student i's
+    teachers in model order (peers' stale checkpoints, or a frozen
+    ensemble). A step whose pair has no signal fn runs them in the students'
+    forward, over M = N + T rows, each teacher row fed its student's batch;
+    ``_teacher_mean`` then turns their logits into each student's mean
+    prediction in place.
+
+    Everything a step touches is built once, with the stack: two (M, P)
+    parameter buffers, each holding the teacher rows, used in turn (the
+    optimizer writes the new student rows into the one not holding the
+    current ones: ``optim.step``'s buffer form, which also updates the state
+    in place and uses the gradient as scratch); an ``nn.Plan`` for the M-row
+    pass, whose input buffer each group's ``step_batches`` is copied into,
+    with the gradient over the N students; one ``nn.Pass`` per parameter
+    buffer and pass length, holding every per-layer view; the (N, R) label
+    buffer and a ``losses.LossPlan``. So a ``Parameters`` from ``params`` is
+    a view that the second step after it overwrites: a publish or an
+    evaluation point consumes it at once, and whatever outlives the step is
+    copied.
     """
 
-    def __init__(self, runners):
+    def __init__(self, runners, per_student: int = 0):
         first = runners[0].group
         for k, r in enumerate(runners[1:], 1):
             for name in _LOCKSTEP_FIELDS:
                 if getattr(r.group, name) != getattr(first, name):
                     raise ValueError(f"{name} must be equal across lockstep groups "
                                      f"(group {k} differs from group 0)")
+        N, R = len(runners), first.n_workers * first.batch_size  # R: each group's rows
+        M = N * (1 + per_student)
         self.runners = runners
-        self.arch = runners[0].arch
+        self.arch = arch = runners[0].arch
         self.group = first
-        self.rows = first.n_workers * first.batch_size  # each group's rows per step
-        self.values = np.stack([r.params.values for r in runners])
-        self._spare = np.empty_like(self.values)  # the next step's values
+        self._buffers = [np.empty((M, param_count(arch))) for _ in range(2)]
+        self._students = [b[:N] for b in self._buffers]
+        self.values = np.stack([r.params.values for r in runners], out=self._students[0])
+        self._current = 0  # the buffer holding the current values
         self.opt_state = optim.init_state(first.optimizer, self.values.shape)
-        self.plan = Plan(self.arch, len(runners), self.rows)
+        plan = Plan(arch, M, R, n_grad=N)
+        # per parameter buffer: the students' pass and the whole M-row pass
+        self._passes = [(Pass(plan, b, N), Pass(plan, b) if per_student else None)
+                        for b in self._buffers]
+        self._inputs = plan.inputs
+        self._x = plan.inputs[:N]
+        self._labels = np.empty((N, R), np.int64)
+        self._feeds = [(r, self._x[i], self._labels[i]) for i, r in enumerate(runners)]
+        self._acts = self._passes[0][0].acts  # the plan's, whichever buffer ran
+        self._logits = plan.outputs[-1][:N]
+        if per_student:
+            self._teacher_inputs = plan.inputs[N:].reshape((N, per_student) + plan.inputs.shape[1:])
+            self._student_inputs = self._x[:, None]
+            self._teacher_logits = plan.outputs[-1][N:].reshape(N, per_student, R,
+                                                               arch.output_dim)
+            self._signal = np.empty((N, R, arch.output_dim))
+        self._loss_plan = LossPlan((N, R, arch.output_dim))
+        charges: dict[CommLedger, list] = {}
+        for r in runners:
+            charges.setdefault(r.ledger, []).extend(
+                (r.entity, cause) for cause in ("gradient_exchange", "parameter_broadcast"))
+        self._charges = list(charges.items())
+        self._sync_bytes = first.n_workers * runners[0]._param_bytes
         for r in runners:  # held here, not twice, until unstack
             r.params = None
 
     def params(self, row: int) -> Parameters:
         return Parameters(self.arch, self.values[row])
 
+    def set_teachers(self, rows) -> None:
+        """Write the (T, P) teacher rows into both parameter buffers."""
+        n = len(self.runners)
+        np.stack(rows, out=self._buffers[0][n:])
+        np.copyto(self._buffers[1][n:], self._buffers[0][n:])
+
     def step(self, pair=None) -> list[float]:
         """One synchronous step of every group; returns their losses.
 
-        ``pair`` is None (hard loss only) or a ``(loss spec, teacher fn)``
+        ``pair`` is None (hard loss only) or a ``(loss spec, signal fn)``
         pair, the fn mapping the groups' step batches to their (N, R, K)
-        teacher signal. A group whose loss is non-finite or past the abort
-        threshold raises ``DivergenceError`` before any group is updated.
+        teacher signal, or None for the mean prediction of the stack's
+        teacher rows. Label, token and teacher-probability ranges, the logit
+        gradient's and the gradient's finiteness are checked every step. A
+        group whose loss is non-finite or past the abort threshold raises
+        ``DivergenceError`` before any group is updated.
         """
-        batches = [r.step_batches([next(s) for s in r.streams]) for r in self.runners]
-        losses, grad = self._gradient(batches, pair)
-        values = self.values
-        self.values, self.opt_state = optim.step(self.group.optimizer, self.opt_state, values,
-                                                 grad, out=self._spare)
-        self._spare = values
-        nbytes = self.group.n_workers * self.runners[0]._param_bytes
-        for r in self.runners:
-            r.ledger.add(r.entity, "gradient_exchange", nbytes)
-            r.ledger.add(r.entity, "parameter_broadcast", nbytes)
-            r.step_index += 1
-        return losses
-
-    def _gradient(self, batches, pair):
-        """The groups' losses and (N, P) gradient, in the plan's buffer."""
-        spec, teacher_fn = pair if pair is not None else (self.group.loss, None)
-        teacher = teacher_fn(batches) if teacher_fn is not None else None
-        trace = forward_trace(self.arch, self.values, _stacked([b.inputs for b in batches]),
-                              self.plan)
-        losses, dlogits = combined_loss(spec, _stacked([b.labels for b in batches]),
-                                        trace.logits, teacher)
+        batches = self._feed()
+        k = self._current
+        students, whole = self._passes[k]
+        if pair is None:
+            spec, teacher = self.group.loss, None
+            students.forward(self._x)
+        elif pair[1] is None:
+            spec = pair[0]
+            self._teacher_inputs[...] = self._student_inputs
+            whole.forward(self._inputs)
+            teacher = _teacher_mean(self._teacher_logits, spec.distill, self._signal)
+        else:
+            spec, teacher = pair[0], pair[1](batches)
+            students.forward(self._x)
+        losses, dlogits = combined_loss(spec, self._labels, self._logits, teacher,
+                                        self._loss_plan)
         losses = losses.tolist()
         for r, loss in zip(self.runners, losses):
             if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
                 raise DivergenceError(r.step_index, f"loss {loss} at step {r.step_index}")
-        return losses, trace.grad(dlogits)
+        grad = students.backward(self._x, self._acts, dlogits)
+        self.values, self.opt_state = optim.step(self.group.optimizer, self.opt_state,
+                                                 self.values, grad, out=self._students[1 - k])
+        self._current = 1 - k
+        for ledger, keys in self._charges:
+            ledger.add_each(keys, self._sync_bytes)
+        for r in self.runners:
+            r.step_index += 1
+        return losses
+
+    def _feed(self) -> list[Batch]:
+        """Each group's ``step_batches``, copied into its rows of the input
+        and label buffers."""
+        batches = []
+        for r, x, y in self._feeds:
+            b = r.step_batches(list(map(next, r.streams)))
+            x[...] = b.inputs
+            y[...] = b.labels
+            batches.append(b)
+        return batches
 
     def unstack(self) -> None:
         for row, r in enumerate(self.runners):
@@ -648,8 +730,9 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     """The one training loop; each training mode is a different ``teachers``.
 
     The runners train as one ``_Stack``, so they must agree on
-    ``_LOCKSTEP_FIELDS``. At every global step ``teachers(s, stack)`` gives
-    None (hard loss only) or a ``(loss spec, teacher fn)`` pair for the whole
+    ``_LOCKSTEP_FIELDS``; the stack holds ``teachers.per_student`` teacher
+    rows per runner. At every global step ``teachers(s, stack)`` gives None
+    (hard loss only) or a ``(loss spec, signal fn)`` pair for the whole
     stack, which then takes one step. Every runner is evaluated at step 0,
     every ``eval_every`` steps and the final step, and the records are
     appended to the caller's ``records``, in model order; a record's train
@@ -682,7 +765,7 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     (``_portable``), and the evaluator's death as a ``RuntimeError`` naming
     its exit code.
     """
-    stack = _Stack(runners)
+    stack = _Stack(runners, 0 if teachers is None else teachers.per_student)
     t0 = time.perf_counter()
     windows: list[list[float]] = [[] for _ in runners]
     # group processes already fill the cores, and a killed one must keep its
@@ -758,41 +841,48 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     stack.unstack()
 
 
-def _static_teachers(teacher_fn, distill: str, distill_weight: float):
-    """Teacher source of a frozen teacher, ``teacher_fn(batch)`` giving one
-    batch's signal: the same pair at every step, or None when the
-    distillation term is off."""
+class _StaticTeachers:
+    """Teacher source of a frozen teacher: the same pair at every step. The
+    teacher is a signal fn, or the frozen (k, P) ``rows`` of an ensemble that
+    the stack holds from step 0, k per student."""
+
+    def __init__(self, pair, rows=None):
+        self.pair, self.rows = pair, rows
+        self.per_student = 0 if rows is None else len(rows)
+
+    def __call__(self, s: int, stack: _Stack):
+        if s == 0 and self.rows is not None:
+            stack.set_teachers(self.rows)
+        return self.pair
+
+
+def _static_teachers(teacher, distill: str, distill_weight: float):
+    """Teacher source of a frozen teacher, or None when the distillation term
+    is off. ``teacher`` is a fn giving one batch's signal (label smoothing's
+    constant teacher), or the ``Parameters`` of a frozen ensemble, whose mean
+    prediction runs in the student's forward (a stack of one)."""
     if distill == "none" or distill_weight == 0.0:
         return None
-    pair = (CombinedLossSpec(distill, distill_weight),
-            lambda batches: _stacked([teacher_fn(b) for b in batches]))
-    return lambda s, stack: pair
+    spec = CombinedLossSpec(distill, distill_weight)
+    if callable(teacher):
+        return _StaticTeachers((spec, lambda batches: _stacked([teacher(b) for b in batches])))
+    return _StaticTeachers((spec, None), np.stack([p.values for p in teacher]))
 
 
-def _mean_teacher(arch: Architecture, teachers: np.ndarray, per_student: int, distill: str):
-    """Mean prediction of a stale teacher stack, for a stack of students.
-
-    ``teachers`` is (S * per_student, P): rows [s * k, (s + 1) * k) are
-    student s's k = ``per_student`` teachers, in model order. The returned fn
-    maps the S students' step batches to their (S, R, K) teacher signals in
-    one forward over all teachers, then sums each student's k predictions in
-    model order and divides by k: the arithmetic of one teacher at a time.
-    Probabilities for soft_cross_entropy / kl_divergence, logits for
-    logit_mse. The pass allocates its activations, unlike the students'
-    (see ``_PeerTeachers``), and the softmax overwrites its logits.
-    """
-    def fn(batches) -> np.ndarray:
-        inputs = _stacked([b.inputs for b in batches for _ in range(per_student)])
-        out = stack_logits(arch, teachers, inputs)
-        if distill != "logit_mse":
-            out = softmax(out, out=out)
-        out = out.reshape(len(batches), per_student, *out.shape[1:])
-        acc = out[:, 0]
-        for k in range(1, per_student):
-            acc = acc + out[:, k]
-        return acc / per_student
-
-    return fn
+def _teacher_mean(logits: np.ndarray, distill: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Each of S students' mean teacher prediction, (S, R, K), from its k
+    teachers' (S, k, R, K) logits, in model order: probabilities for
+    soft_cross_entropy / kl_divergence (the softmax overwrites the logits),
+    logits for logit_mse. The k predictions are summed in model order and
+    divided by k, the arithmetic of one teacher at a time; into ``out`` if
+    given."""
+    if distill != "logit_mse":
+        softmax(logits, out=logits)
+    k = logits.shape[1]
+    acc = logits[:, 0]
+    for j in range(1, k):
+        acc = np.add(acc, logits[:, j], out=out)
+    return np.divide(acc, k, out=out)
 
 
 class _PeerTeachers:
@@ -802,15 +892,12 @@ class _PeerTeachers:
     ``ids`` are the models the loop steps, row k of its stack being model
     ``ids[k]`` (all N in lockstep; one in a concurrent-mode group process).
     On every reload boundary they publish their checkpoints, then load their
-    peers' latest ones from the store into the stale (len(ids) * (N-1), P)
-    teacher stack, which is allocated once, with the teacher fn over it. The
-    teacher pass gets no ``nn.Plan``: on the 4-model lm benchmark workload
-    (12 teachers) buffers of its own made the run slower and its peak memory
-    larger than activations allocated per pass, which reuse the memory the
-    students' pass freed. Given ``stop(timeout)``, a group
-    in its own process first waits for its peers' first checkpoints, for at
-    most ``START_TIMEOUT_S`` and only until its parent stops it. ``lags[i]``
-    is the largest gap between a step of group i and its oldest teacher.
+    peers' latest ones from the store into the stack's teacher rows
+    (``per_student`` = N-1 per model it steps), which then run in the
+    students' forward. Given ``stop(timeout)``, a group in its own process
+    first waits for its peers' first checkpoints, for at most
+    ``START_TIMEOUT_S`` and only until its parent stops it. ``lags[i]`` is
+    the largest gap between a step of group i and its oldest teacher.
     """
 
     def __init__(self, cfg: CodistillConfig, runners, store, ids=None, stop=None):
@@ -820,12 +907,12 @@ class _PeerTeachers:
         self.ids = list(range(len(runners))) if ids is None else list(ids)
         self.stop = stop
         self.active = cfg.distill != "none" and cfg.distill_weight > 0.0
-        self.spec = CombinedLossSpec(cfg.distill, cfg.distill_weight)
+        self.per_student = len(runners) - 1 if self.active else 0
+        self.pair = (CombinedLossSpec(cfg.distill, cfg.distill_weight), None)
         # loaded[i] maps peer id -> the step of group i's loaded checkpoint of it
         self.loaded: list[dict[int, int]] = [{} for _ in runners]
         self.oldest = [0] * len(runners)  # min(loaded[i].values())
         self.lags = [0] * len(runners)
-        self.teachers = self.teacher_fn = None
 
     def __call__(self, s: int, stack: _Stack):
         if s % self.cfg.reload_interval == 0:
@@ -834,20 +921,20 @@ class _PeerTeachers:
                                    entity=self.runners[i].entity)
             if s == 0 and self.stop is not None:
                 self._await_first_checkpoints()
-            pairs = [(i, j) for i in self.ids for j in range(len(self.runners)) if j != i]
-            if self.teacher_fn is None:
-                self.teachers = np.empty((len(pairs), param_count(stack.arch)))
-                self.teacher_fn = _mean_teacher(stack.arch, self.teachers,
-                                                len(self.runners) - 1, self.cfg.distill)
-            for row, (i, j) in enumerate(pairs):
-                self.teachers[row], self.loaded[i][j] = self._load(i, j)
+            rows = []
             for i in self.ids:
+                for j in range(len(self.runners)):
+                    if j != i:
+                        values, self.loaded[i][j] = self._load(i, j)
+                        rows.append(values)
                 self.oldest[i] = min(self.loaded[i].values())
+            if self.active:
+                stack.set_teachers(rows)
         if not self.active or s < self.cfg.n_burn_in:
             return None
         for i in self.ids:
             self.lags[i] = max(self.lags[i], s - self.oldest[i])
-        return self.spec, self.teacher_fn
+        return self.pair
 
     def _await_first_checkpoints(self) -> None:
         deadline = time.monotonic() + START_TIMEOUT_S
@@ -889,7 +976,8 @@ def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
 
 def mean_teacher_fn(teacher_params, distill: str):
     """Average prediction of the given models on one batch, in the form the
-    loss expects: ``_mean_teacher`` for a stack of one student.
+    loss expects: one forward over all of them, then ``_teacher_mean``, as a
+    stack of one student with these teacher rows computes it in its step.
 
     Probabilities for soft_cross_entropy / kl_divergence, logits for
     logit_mse; fixed model order keeps the float reduction deterministic.
@@ -897,9 +985,14 @@ def mean_teacher_fn(teacher_params, distill: str):
     teacher_params = list(teacher_params)
     if not teacher_params:
         raise ValueError("need at least one teacher")
-    fn = _mean_teacher(teacher_params[0].arch, np.stack([p.values for p in teacher_params]),
-                       len(teacher_params), distill)
-    return lambda batch: fn([batch])[0]
+    arch, k = teacher_params[0].arch, len(teacher_params)
+    values = np.stack([p.values for p in teacher_params])
+
+    def fn(batch: Batch) -> np.ndarray:
+        logits = stack_logits(arch, values, _stacked([batch.inputs] * k))
+        return _teacher_mean(logits[None], distill)[0]
+
+    return fn
 
 
 def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards,
@@ -1110,8 +1203,7 @@ def offline_distill(arch: Architecture, teacher_groups, student_group: GroupConf
     student = GroupRunner(arch, student_group, student_shard,
                           entity=f"{run_id_prefix}phase2.student")
     _train_loop([student], phase2_steps, validation, eval_every, records,
-                _static_teachers(mean_teacher_fn(teacher_params, distill), distill,
-                                 distill_weight))
+                _static_teachers(teacher_params, distill, distill_weight))
     return OfflineResult(student.params, records)
 
 

@@ -14,10 +14,18 @@ squared logit error, or KL divergence). Label smoothing is that term with
 soft-target cross entropy toward a constant teacher, the uniform or the
 unigram distribution (Yuan et al., "Revisiting Knowledge Distillation via
 Label Smoothing Regularization", CVPR 2020).
+
+Each loss has one body and two forms, as the network's pass has: given a
+``LossPlan``, the buffers for one shape of logits, built once, every array a
+loss computes is written into it, as a training step wants; the pure form
+runs the same body over a plan with no buffers, each numpy call allocating
+its result. The float operations, their operands and their order are the
+same either way, so both forms give the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +36,57 @@ DISTILL_KINDS = ("soft_cross_entropy", "logit_mse", "kl_divergence", "none")
 _LOG_FLOOR = 1e-12
 
 
-def _softmax_parts(logits: np.ndarray):
+class LossPlan:
+    """Buffers for the losses of logits of one shape, (..., B, K), built once:
+    the softmax's parts, the picked-index base, the per-row and per-model
+    sums and each term's loss and logit gradient. A loss given a plan writes
+    every array into it, so its results hold until the plan's next use.
+
+    ``LossPlan(shape, buffered=False)`` holds no buffers: every slot is None,
+    so each numpy call allocates its result, as the pure forms want. The
+    float operations, their operands and their order are the same either way.
+    """
+
+    def __init__(self, shape, *, buffered: bool = True):
+        shape = tuple(shape)
+        lead, K = shape[:-1], shape[-1]
+
+        def new(s, dtype=np.float64):
+            return np.empty(s, dtype) if buffered else None
+
+        # flat index of each row's first entry; plus its label, of its labelled one
+        self.base = np.arange(0, math.prod(lead) * K, K)
+        self.picked = new(math.prod(lead), np.intp)
+        self.taken = new(math.prod(lead))
+        self.row_max = new(lead + (1,))
+        self.row_sum = new(lead + (1,))
+        self.z = new(shape)  # the shifted logits, then the log-probabilities
+        self.p = new(shape)  # exp of the shifted logits, then the probabilities
+        self.rows = new(lead)
+        self.loss = new(lead[:-1])
+        self.grad = new(shape)
+        self.dloss = new(lead[:-1])
+        self.dgrad = new(shape)
+        self.prod = new(shape)
+
+
+def _softmax_parts(logits: np.ndarray, plan: LossPlan):
     """(probabilities, log-probabilities), both via max subtraction."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    se = e.sum(axis=-1, keepdims=True)
-    return e / se, z - np.log(se)
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True, out=plan.row_max),
+                    out=plan.z)
+    e = np.exp(z, out=plan.p)
+    se = np.add.reduce(e, axis=-1, keepdims=True, out=plan.row_sum)
+    p = np.divide(e, se, out=plan.p)
+    return p, np.subtract(z, np.log(se, out=plan.row_sum), out=plan.z)
 
 
-def _check_teacher_probs(t: np.ndarray, logits: np.ndarray) -> np.ndarray:
+def _check_teacher_probs(t: np.ndarray, logits: np.ndarray, plan: LossPlan) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.shape != logits.shape:
         raise ValueError(f"teacher shape {t.shape} does not match logits {logits.shape}")
-    if t.min() < 0.0 or np.abs(t.sum(axis=-1) - 1.0).max() > 1e-6:
+    if np.minimum.reduce(t, axis=None) < 0.0 or np.maximum.reduce(np.abs(np.subtract(
+            np.add.reduce(t, axis=-1, out=plan.rows), 1.0, out=plan.rows), out=plan.rows),
+            axis=None) > 1e-6:
         raise ValueError("teacher rows are not probability vectors (normalized within 1e-6)")
     return t
 
@@ -50,45 +96,69 @@ def _check_labels(labels: np.ndarray, logits: np.ndarray) -> np.ndarray:
     if labels.shape != logits.shape[:-1]:
         raise ValueError(f"labels shape {labels.shape} does not match batch size "
                          f"{logits.shape[:-1]}")
-    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
+    if (np.minimum.reduce(labels, axis=None) < 0
+            or np.maximum.reduce(labels, axis=None) >= logits.shape[-1]):
         raise ValueError("label out of range")
     return labels
 
 
-def _picked(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Flat index of each row's labelled entry in its (..., B, K) array."""
-    return np.arange(0, labels.size * n_classes, n_classes) + labels.ravel()
-
-
 # The _from_parts helpers take _softmax_parts(logits), so one softmax serves
-# the hard and the auxiliary term of a combined loss.
+# the hard and the auxiliary term of a combined loss. Each writes its results
+# to its own slots of the plan; np.positive is a copy (the identity, written
+# to a buffer).
 
-def _hard_ce_from_parts(labels: np.ndarray, parts):
-    p, log_p = parts
-    B, K = p.shape[-2:]
-    picked = _picked(labels, K)
-    loss = -(log_p.take(picked).reshape(labels.shape).sum(axis=-1) / B)
-    grad = p.copy()
+def _hard_ce_from_parts(labels: np.ndarray, p: np.ndarray, log_p: np.ndarray, plan: LossPlan):
+    B = p.shape[-2]
+    picked = np.add(plan.base, labels.reshape(-1), out=plan.picked)
+    loss = np.add.reduce(log_p.take(picked, out=plan.taken).reshape(labels.shape), axis=-1,
+                         out=plan.loss)
+    loss = np.negative(np.divide(loss, B, out=plan.loss), out=plan.loss)
+    grad = np.positive(p, out=plan.grad)
     grad.reshape(-1)[picked] -= 1.0
     grad /= B
     return loss, grad
 
 
-def _soft_ce_from_parts(t: np.ndarray, parts):
-    p, log_p = parts
+def _per_model(terms: np.ndarray, B: int, plan: LossPlan) -> np.ndarray:
+    """``terms.sum(axis=-1).sum(axis=-1) / B``: each model's batch mean of its
+    rows' sums, in the plan's ``dloss``."""
+    rows = np.add.reduce(terms, axis=-1, out=plan.rows)
+    return np.divide(np.add.reduce(rows, axis=-1, out=plan.dloss), B, out=plan.dloss)
+
+
+def _soft_ce_from_parts(t: np.ndarray, p: np.ndarray, log_p: np.ndarray, plan: LossPlan):
     B = p.shape[-2]
-    loss = -((t * log_p).sum(axis=-1).sum(axis=-1) / B)
-    grad = (p - t) / B
+    loss = np.negative(_per_model(np.multiply(t, log_p, out=plan.prod), B, plan),
+                       out=plan.dloss)
+    grad = np.subtract(p, t, out=plan.dgrad)
+    grad /= B
     return loss, grad
 
 
-def _kl_div_from_parts(t: np.ndarray, parts):
-    p, log_p = parts
+def _kl_div_from_parts(t: np.ndarray, p: np.ndarray, log_p: np.ndarray, plan: LossPlan):
     t_log_t = np.where(t > 0.0, t * np.log(np.maximum(t, _LOG_FLOOR)), 0.0)
     B = p.shape[-2]
-    loss = np.maximum((t_log_t - t * log_p).sum(axis=-1).sum(axis=-1) / B, 0.0)
-    grad = (p - t) / B
+    terms = np.subtract(t_log_t, np.multiply(t, log_p, out=plan.prod), out=plan.prod)
+    loss = np.maximum(_per_model(terms, B, plan), 0.0, out=plan.dloss)
+    grad = np.subtract(p, t, out=plan.dgrad)
+    grad /= B
     return loss, grad
+
+
+def _logit_mse(t: np.ndarray, logits: np.ndarray, plan: LossPlan):
+    d = np.subtract(logits, t, out=plan.dgrad)
+    per_model = d.shape[-2] * d.shape[-1]
+    squares = np.multiply(d, d, out=plan.prod).reshape(d.shape[:-2] + (per_model,))
+    loss = np.divide(np.add.reduce(squares, axis=-1, out=plan.dloss), per_model,
+                     out=plan.dloss)
+    grad = np.multiply(2.0, d, out=plan.dgrad)
+    grad /= per_model
+    return loss, grad
+
+
+def _unbuffered(logits) -> tuple[np.ndarray, LossPlan]:
+    logits = np.asarray(logits, dtype=np.float64)
+    return logits, LossPlan(logits.shape, buffered=False)
 
 
 def hard_ce(labels: np.ndarray, logits: np.ndarray):
@@ -96,9 +166,9 @@ def hard_ce(labels: np.ndarray, logits: np.ndarray):
 
     loss = mean_b -log softmax(z_b)[y_b], grad = (softmax(z) - onehot(y)) / B.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits, plan = _unbuffered(logits)
     labels = _check_labels(labels, logits)
-    return _hard_ce_from_parts(labels, _softmax_parts(logits))
+    return _hard_ce_from_parts(labels, *_softmax_parts(logits, plan), plan)
 
 
 def hard_ce_loss(labels: np.ndarray, logits: np.ndarray) -> float:
@@ -121,22 +191,15 @@ def soft_ce(teacher_probs: np.ndarray, logits: np.ndarray):
     loss = mean_b -sum_k t_k log softmax(z)_k, grad = (softmax(z) - t) / B.
     With a one-hot teacher this coincides exactly with hard_ce.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    t = _check_teacher_probs(teacher_probs, logits)
-    return _soft_ce_from_parts(t, _softmax_parts(logits))
+    logits, plan = _unbuffered(logits)
+    t = _check_teacher_probs(teacher_probs, logits, plan)
+    return _soft_ce_from_parts(t, *_softmax_parts(logits, plan), plan)
 
 
 def logit_mse(teacher_logits: np.ndarray, logits: np.ndarray):
     """Mean over batch and classes of the squared logit difference."""
-    logits = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(teacher_logits, dtype=np.float64)
-    if t.shape != logits.shape:
-        raise ValueError(f"teacher shape {t.shape} does not match logits {logits.shape}")
-    d = logits - t
-    per_model = d.shape[-2] * d.shape[-1]
-    loss = (d * d).reshape(d.shape[:-2] + (per_model,)).sum(axis=-1) / per_model
-    grad = 2.0 * d / per_model
-    return loss, grad
+    logits, plan = _unbuffered(logits)
+    return _logit_mse(_check_teacher_logits(teacher_logits, logits), logits, plan)
 
 
 def kl_div(teacher_probs: np.ndarray, logits: np.ndarray):
@@ -146,9 +209,9 @@ def kl_div(teacher_probs: np.ndarray, logits: np.ndarray):
     teacher entropy. Rounding can push the exact-zero case a hair negative,
     so the loss is clamped at 0.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    t = _check_teacher_probs(teacher_probs, logits)
-    return _kl_div_from_parts(t, _softmax_parts(logits))
+    logits, plan = _unbuffered(logits)
+    t = _check_teacher_probs(teacher_probs, logits, plan)
+    return _kl_div_from_parts(t, *_softmax_parts(logits, plan), plan)
 
 
 @dataclass(frozen=True)
@@ -166,17 +229,25 @@ class CombinedLossSpec:
             raise ValueError("distill_weight must be nonnegative")
 
 
-def _distill_term(kind: str, teacher_signal: np.ndarray, logits: np.ndarray, parts):
+def _check_teacher_logits(t: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != logits.shape:
+        raise ValueError(f"teacher shape {t.shape} does not match logits {logits.shape}")
+    return t
+
+
+def _distill_term(kind: str, teacher_signal: np.ndarray, logits: np.ndarray, p: np.ndarray,
+                  log_p: np.ndarray, plan: LossPlan):
     if kind == "logit_mse":
-        return logit_mse(teacher_signal, logits)
-    t = _check_teacher_probs(teacher_signal, logits)
+        return _logit_mse(_check_teacher_logits(teacher_signal, logits), logits, plan)
+    t = _check_teacher_probs(teacher_signal, logits, plan)
     if kind == "kl_divergence":
-        return _kl_div_from_parts(t, parts)
-    return _soft_ce_from_parts(t, parts)
+        return _kl_div_from_parts(t, p, log_p, plan)
+    return _soft_ce_from_parts(t, p, log_p, plan)
 
 
 def combined_loss(spec: CombinedLossSpec, labels: np.ndarray, logits: np.ndarray,
-                  teacher_signal: np.ndarray | None = None):
+                  teacher_signal: np.ndarray | None = None, plan: LossPlan | None = None):
     """Full training objective for one batch.
 
     ``teacher_signal`` must be supplied exactly when ``spec.distill`` is
@@ -184,19 +255,26 @@ def combined_loss(spec: CombinedLossSpec, labels: np.ndarray, logits: np.ndarray
     mean teacher logits for logit_mse. With weight 0 (or no auxiliary term at
     all) the result is bit-identical to hard_ce. The softmax of the logits is
     computed once and shared by the hard and the auxiliary term; the result
-    is bit-identical to adding the separately computed terms.
+    is bit-identical to adding the separately computed terms. Given a
+    ``LossPlan`` for the logits' shape, as a training step is, the loss and
+    its gradient are written into the plan's buffers; without one, into
+    fresh arrays.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = _check_labels(labels, logits)
-    parts = _softmax_parts(logits)
-    loss, grad = _hard_ce_from_parts(labels, parts)
+    if plan is None:
+        plan = LossPlan(logits.shape, buffered=False)
+    p, log_p = _softmax_parts(logits, plan)
+    loss, grad = _hard_ce_from_parts(labels, p, log_p, plan)
     if spec.distill != "none":
         if teacher_signal is None:
             raise ValueError("missing teacher signal for distillation loss")
-        if spec.distill_weight == 0.0:
+        w = spec.distill_weight
+        if w == 0.0:
             return loss, grad
-        dloss, dgrad = _distill_term(spec.distill, teacher_signal, logits, parts)
-        return loss + spec.distill_weight * dloss, grad + spec.distill_weight * dgrad
+        dloss, dgrad = _distill_term(spec.distill, teacher_signal, logits, p, log_p, plan)
+        return (np.add(loss, np.multiply(w, dloss, out=plan.dloss), out=plan.loss),
+                np.add(grad, np.multiply(w, dgrad, out=plan.dgrad), out=plan.grad))
     if teacher_signal is not None:
         raise ValueError("teacher signal supplied but distillation is disabled")
     return loss, grad

@@ -6,25 +6,29 @@ share the same machinery: a vector-input classifier and a fixed-context-window
 next-token predictor (embedding lookup feeding an MLP over the concatenated
 context). All arithmetic is float64.
 
-The network kernel (``forward_trace`` and ``ForwardTrace.grad``) runs a stack
-of M models over a leading model axis: parameters (M, P), inputs (M, R, ...),
+The network kernel (``Pass.forward`` and ``Pass.backward``) runs a stack of
+M models over a leading model axis: parameters (M, P), inputs (M, R, ...),
 logits (M, R, K), gradient (M, P). Each layer is one ``np.matmul``, which
 makes the same BLAS call on every model's 2-D slice, and the lm embedding
 gradient is one ``np.bincount``, which adds in the order ``np.add.at`` does,
 so each model's result is bit-identical to running it alone.
-``stack_logits`` is the same pass keeping no activations, for teachers and
-validation. ``forward``, ``predict_proba`` and ``backward`` take one
-``Parameters`` and one ``Batch``: a stack of one.
+``forward_trace`` runs it keeping the activations for ``ForwardTrace.grad``;
+``stack_logits`` keeps none, for teachers and validation. ``forward``,
+``predict_proba`` and ``backward`` take one ``Parameters`` and one ``Batch``:
+a stack of one.
 
-The training pass has two forms and one body. Given a ``Plan``, the
-buffers for one shape of pass built once, ``forward_trace`` and
-``ForwardTrace.grad`` write every activation, mask, delta, gradient and the
-logits into it, so a training loop allocates nothing per pass for them, and
-each result holds until the plan's next pass. Without one (the pure form,
-and ``stack_logits`` always) each numpy call allocates its result, as a
-plan with no buffers; the float operations, their operands and their order
-are the same either way, so both forms give the same bits. Every other function here is pure, and
-``softmax`` writes to an ``out`` only when given one.
+The pass has one body and two forms. A ``Plan`` holds the buffers for one
+shape of pass, built once, and a ``Pass`` binds the buffers of a plan's
+first n models to one parameter stack, with every per-layer view of the
+parameters and the gradient: a training step that keeps a Pass per
+parameter buffer writes every activation, mask, delta, gradient and the
+logits into the plan, allocating nothing per pass for them, and each result
+holds until the plan's next pass. The pure form (``forward_trace`` without a
+plan, and ``stack_logits`` always) binds a Pass per call over a plan with no
+buffers, so each numpy call allocates its result; the float operations,
+their operands and their order are the same either way, so both forms give
+the same bits. Every other function here is pure, and ``softmax`` writes to
+an ``out`` only when given one.
 """
 
 from __future__ import annotations
@@ -181,18 +185,24 @@ class Parameters:
         object.__setattr__(self, "values", v)
 
 
-@dataclass
+@dataclass(init=False)
 class Batch:
-    """One minibatch: float features for classification, int token ids for lm."""
+    """One minibatch: float features for classification, int token ids for lm.
+
+    ``__init__`` checks the shapes itself, one Python call per batch drawn
+    rather than a generated ``__init__`` calling ``__post_init__``.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self):
-        if self.inputs.ndim != 2 or len(self.labels) != self.inputs.shape[0]:
+    def __init__(self, inputs: np.ndarray, labels: np.ndarray):
+        if inputs.ndim != 2 or len(labels) != inputs.shape[0]:
             raise ValueError("inputs must be (B, d) with one label per row")
-        if self.inputs.shape[0] < 1:
+        if inputs.shape[0] < 1:
             raise ValueError("batch must contain at least one example")
+        self.inputs = inputs
+        self.labels = labels
 
     @property
     def size(self) -> int:
@@ -233,13 +243,13 @@ def _views(arch: Architecture, values: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _validate_inputs(arch: Architecture, x: np.ndarray) -> None:
+    """Width and dtype of a stack of input rows; ``Pass.forward`` checks the
+    token range, at every pass."""
     if arch.task == TASK_LM:
         if x.shape[-1] != arch.context_window:
             raise ValueError(f"expected {arch.context_window} context tokens, got {x.shape[-1]}")
         if not np.issubdtype(x.dtype, np.integer):
             raise ValueError("lm inputs must be integer token ids")
-        if x.min() < 0 or x.max() >= arch.vocab_size:
-            raise ValueError("token id out of range")
     else:
         if x.shape[-1] != arch.input_dim:
             raise ValueError(f"expected input_dim {arch.input_dim}, got {x.shape[-1]}")
@@ -266,15 +276,16 @@ def _embedding_grad(tokens: np.ndarray, dinput: np.ndarray, vocab_size: int,
 class Plan:
     """Buffers for passes of M models of one architecture over R rows each.
 
-    Built once, a plan is reused by every training pass of that shape: each
-    layer's output (the last is the logits), each hidden layer's relu mask
-    and backpropagated delta and the (M, P) gradient with its views; for the
-    lm head a flat (M * V, E) embedding table, the token-index buffers and
-    the gathered and backpropagated inputs. Each pass overwrites what the
-    last one left, so its results hold until the plan's next pass. ``views``
-    keeps the per-layer views of the last two parameter stacks it was given,
-    as a training stack alternating two buffers needs: the views of a buffer
-    stay valid while it is rewritten.
+    Built once, a plan is reused by every training pass of that shape: an
+    (M, R, ...) input buffer a caller may copy each pass's inputs into, each
+    layer's output (the last is the logits), and for the first G =
+    ``n_grad`` models (all, by default) each hidden layer's relu mask and
+    backpropagated delta and the (G, P) gradient; for the lm head also a
+    flat (M * V, E) embedding table, the token-index buffers, the gathered
+    inputs and the G models' input gradient and bincount index. Each pass
+    overwrites what the last one left, so its results hold until the plan's
+    next pass. A ``Pass`` binds the buffers of the plan's first n models to
+    one parameter stack.
 
     ``Plan(..., buffered=False)`` holds no buffers: every slot is None, so
     each numpy call of a pass allocates its result and frees it when the
@@ -283,44 +294,164 @@ class Plan:
     """
 
     def __init__(self, arch: Architecture, n_models: int, n_rows: int, *,
-                 buffered: bool = True):
+                 n_grad: int | None = None, buffered: bool = True):
         M, R = n_models, n_rows
+        G = M if n_grad is None else n_grad
+        if not 1 <= G <= M:
+            raise ValueError(f"n_grad must lie in [1, {M}], got {G}")
 
         def new(shape, dtype=np.float64):
             return np.empty(shape, dtype) if buffered else None
 
         hidden = arch.hidden_dims
-        self.arch, self.n_models, self.n_rows = arch, M, R
+        lm = arch.task == TASK_LM
+        self.arch, self.n_models, self.n_rows, self.n_grad = arch, M, R, G
+        self.inputs = (new((M, R, arch.context_window), np.int64) if lm
+                       else new((M, R, arch.input_dim)))
         self.outputs = [new((M, R, w)) for w in hidden + (arch.output_dim,)]
-        self.masks = [new((M, R, w), bool) for w in hidden]
-        self.deltas = [new((M, R, w)) for w in hidden]
-        self.grad = new((M, param_count(arch)))
-        self.grad_views = None if self.grad is None else _views(arch, self.grad)
-        self._views: list[tuple[np.ndarray, dict]] = []
-        self.table = self.index = self.embedded = self.dinput = self.flat = None
-        if arch.task == TASK_LM:
+        self.masks = [new((G, R, w), bool) for w in hidden]
+        self.deltas = [new((G, R, w)) for w in hidden]
+        self.grad = new((G, param_count(arch)))
+        self.offsets = self.table = self.index = self.embedded = self.dinput = self.flat = None
+        if lm:
             C, V, E = arch.context_window, arch.vocab_size, arch.embedding_dim
             self.offsets = (np.arange(M) * V).reshape(M, 1, 1)
             self.table = new((M * V, E))
             self.index = new((M, R, C), np.intp)
             self.embedded = new((M * R * C, E))
-            self.dinput = new((M, R, arch.input_dim))
-            self.flat = new((M * R * C, E), np.intp)
+            self.dinput = new((G, R, arch.input_dim))
+            self.flat = new((G * R * C, E), np.intp)
 
-    def views(self, values: np.ndarray) -> dict[str, np.ndarray]:
-        for held, views in self._views:
-            if held is values:
-                return views
-        views = _views(self.arch, values)
-        self._views = [(values, views)] + self._views[:1]
-        return views
 
-    def gradient(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The (M, P) gradient array to fill and its per-layer views."""
-        if self.grad is None:
-            out = np.empty((self.n_models, param_count(self.arch)))
-            return out, _views(self.arch, out)
-        return self.grad, self.grad_views
+def _head(buffer: np.ndarray | None, rows: int) -> np.ndarray | None:
+    """The first ``rows`` rows of a plan's buffer (the buffer itself if that
+    is all of it); None for a slot that holds none."""
+    if buffer is None or len(buffer) == rows:
+        return buffer
+    return buffer[:rows]
+
+
+def _grad_views(arch: Architecture, out: np.ndarray):
+    """Per-layer views of an (M, P) gradient: weights, biases, the embedding
+    table (None for classification)."""
+    g = _views(arch, out)
+    n_layers = len(arch.hidden_dims) + 1
+    return ([g[f"w{i}"] for i in range(n_layers)], [g[f"b{i}"] for i in range(n_layers)],
+            g.get("embed"))
+
+
+class Pass:
+    """The network over the first ``n`` models of a plan, bound to one
+    parameter stack ``values`` ((n, P) or more rows): each layer's weights,
+    transposed weights and broadcast bias as views of ``values``, and the
+    plan's buffers cut to n models, built once.
+
+    ``forward`` and ``backward`` are the network's one body. A training stack
+    binds one Pass per parameter buffer and pass length and calls them every
+    step; ``forward_trace`` binds one per call, over the caller's plan or an
+    unbuffered one. ``acts`` are the layer inputs a buffered pass leaves in
+    its plan, which ``backward`` reads (the gathered embeddings or the input
+    buffer, then each hidden layer's relu output); backward needs n <= the
+    plan's ``n_grad``.
+    """
+
+    __slots__ = ("arch", "n", "layers", "weights_t", "outputs", "lm", "masks", "deltas",
+                 "grad", "grad_views", "dinput", "flat", "acts")
+
+    def __init__(self, plan: Plan, values: np.ndarray, n: int | None = None):
+        arch = plan.arch
+        n = plan.n_models if n is None else n
+        v = _views(arch, values if len(values) == n else values[:n])
+        n_layers = len(arch.hidden_dims) + 1
+        self.arch, self.n = arch, n
+        self.layers = [(v[f"w{i}"], v[f"b{i}"][:, None, :]) for i in range(n_layers)]
+        self.weights_t = [w.swapaxes(1, 2) for w, _ in self.layers]
+        self.outputs = [_head(o, n) for o in plan.outputs]
+        self.lm = None
+        first = _head(plan.inputs, n)
+        lm_rows = 0  # gathered embeddings, n * R * C
+        if arch.task == TASK_LM:
+            lm_rows = n * plan.n_rows * arch.context_window
+            table = _head(plan.table, n * arch.vocab_size)
+            embedded = _head(plan.embedded, lm_rows)
+            self.lm = (v["embed"], table, None if table is None else table.reshape(v["embed"].shape),
+                       plan.offsets[:n], _head(plan.index, n), embedded)
+            first = None if embedded is None else embedded.reshape(n, plan.n_rows, arch.input_dim)
+        self.acts = None if first is None else [first] + self.outputs[:-1]
+        self.masks = self.deltas = self.grad = self.grad_views = self.dinput = self.flat = None
+        if n <= plan.n_grad:
+            self.masks = [_head(m, n) for m in plan.masks]
+            self.deltas = [_head(d, n) for d in plan.deltas]
+            self.grad = _head(plan.grad, n)
+            self.grad_views = None if self.grad is None else _grad_views(arch, self.grad)
+            self.dinput = _head(plan.dinput, n)
+            self.flat = _head(plan.flat, lm_rows)
+
+    def forward(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """The (n, R, K) logits of inputs ``x``, (n, R, d) features or
+        (n, R, C) token ids, block m fed to model m. Every layer is one
+        ``np.matmul`` over the leading model axis, which runs the same BLAS
+        call on each model's 2-D slice as the model alone would: model m's
+        logits are bit-identical to a stack of one. Each result is written
+        into the plan's buffers or, unbuffered, into fresh arrays: then a
+        layer's output is freed once the next layer has it, unless ``acts``
+        keeps each layer's input for the gradient. Token ids are
+        range-checked before the gather."""
+        if self.lm is not None:
+            embed, table, table_view, offsets, index, embedded = self.lm
+            if (np.minimum.reduce(x, axis=None) < 0
+                    or np.maximum.reduce(x, axis=None) >= self.arch.vocab_size):
+                raise ValueError("token id out of range")
+            # one flat table, so the gather is one take ("clip": already checked)
+            index = np.add(offsets, x, out=index)
+            if table is None:
+                table = embed.reshape(-1, self.arch.embedding_dim)
+            else:
+                table_view[...] = embed
+            a = table.take(index.reshape(-1), axis=0, out=embedded,
+                           mode="clip").reshape(x.shape[0], x.shape[1], self.arch.input_dim)
+        else:
+            a = np.asarray(x, dtype=np.float64)
+        # Bias and relu are applied in place: the same values, without the
+        # multi-megabyte temporaries that a 5 000-row validation pass would
+        # otherwise allocate, free and page-fault in again on every call.
+        last = len(self.layers) - 1
+        for i, (w, b) in enumerate(self.layers):
+            if acts is not None:
+                acts.append(a)
+            z = np.matmul(a, w, out=self.outputs[i])
+            z += b
+            if i < last:
+                a = np.maximum(z, 0.0, out=z)
+        return z
+
+    def backward(self, x: np.ndarray, acts: list, d: np.ndarray) -> np.ndarray:
+        """The (n, P) gradient for the logit gradient ``d`` (n, R, K) of a
+        forward of ``x`` that left its layer inputs in ``acts``; row m is
+        model m's, in the ``Parameters`` layout. Raises on a non-finite
+        ``d``. Written into the plan's gradient buffer, or a fresh array."""
+        if not np.logical_and.reduce(np.isfinite(d), axis=None):
+            raise ValueError("non-finite logit gradient")
+        out = self.grad
+        if out is None:
+            out = np.empty((self.n, param_count(self.arch)))
+            grad_w, grad_b, grad_embed = _grad_views(self.arch, out)
+        else:
+            grad_w, grad_b, grad_embed = self.grad_views
+        delta = d
+        for i in reversed(range(len(self.layers))):
+            np.matmul(acts[i].swapaxes(1, 2), delta, out=grad_w[i])
+            np.add.reduce(delta, axis=1, out=grad_b[i])
+            if i > 0:
+                # relu(z) > 0 exactly where z > 0
+                mask = np.greater(acts[i], 0.0, out=self.masks[i - 1])
+                delta = np.matmul(delta, self.weights_t[i], out=self.deltas[i - 1])
+                delta *= mask
+            elif self.lm is not None:
+                dinput = np.matmul(delta, self.weights_t[0], out=self.dinput)
+                grad_embed[...] = _embedding_grad(x, dinput.reshape(x.shape + (-1,)),
+                                                  self.arch.vocab_size, self.flat)
+        return out
 
 
 @dataclass(eq=False, slots=True)
@@ -328,16 +459,14 @@ class ForwardTrace:
     """One forward pass of M models: their logits plus the activations
     backward reuses.
 
-    ``grad`` backpropagates through the stored activations, so a training
-    step that needs both the logits and the gradient runs the network once.
-    It writes into the plan the pass ran with: a buffered plan's gradient
-    holds until the plan's next pass.
+    ``grad`` backpropagates through the stored activations, so a caller that
+    needs both the logits and the gradient runs the network once. It writes
+    into the plan the pass ran with: a buffered plan's gradient holds until
+    the plan's next pass.
     """
 
-    arch: Architecture
-    plan: Plan
+    net: Pass
     inputs: np.ndarray  # (M, R, ...); the lm gradient scatters back to these tokens
-    views: dict[str, np.ndarray]
     acts: list[np.ndarray]  # input of each linear layer, (M, R, width)
     logits: np.ndarray  # (M, R, output_dim)
 
@@ -349,44 +478,20 @@ class ForwardTrace:
         gradient of model m's batch-mean loss: an (M, P) float64 stack in the
         ``Parameters`` layout, whose finiteness ``optim.step`` checks.
         """
-        arch, v, acts, plan = self.arch, self.views, self.acts, self.plan
         d = np.asarray(dloss_dlogits, dtype=np.float64)
         if d.shape != self.logits.shape:
             raise ValueError(f"logit gradient shape {d.shape} does not match logits {self.logits.shape}")
-        if not np.isfinite(d).all():
-            raise ValueError("non-finite logit gradient")
-        out, grads = plan.gradient()  # each gradient is written in place
-        n_layers = len(arch.hidden_dims) + 1
-        delta = d
-        for i in reversed(range(n_layers)):
-            np.matmul(acts[i].swapaxes(1, 2), delta, out=grads[f"w{i}"])
-            delta.sum(axis=1, out=grads[f"b{i}"])
-            if i > 0:
-                # relu(z) > 0 exactly where z > 0
-                mask = np.greater(acts[i], 0.0, out=plan.masks[i - 1])
-                delta = np.matmul(delta, v[f"w{i}"].swapaxes(1, 2), out=plan.deltas[i - 1])
-                delta *= mask
-            elif arch.task == TASK_LM:
-                dinput = np.matmul(delta, v["w0"].swapaxes(1, 2), out=plan.dinput)
-                grads["embed"][...] = _embedding_grad(
-                    self.inputs, dinput.reshape(self.inputs.shape + (-1,)), arch.vocab_size,
-                    plan.flat)
-        return out
+        return self.net.backward(self.inputs, self.acts, d)
 
 
 def _run(arch: Architecture, values: np.ndarray, inputs: np.ndarray, plan: Plan | None,
          acts: list | None):
-    """The network over a stack of M models; returns (plan, views, logits).
+    """The network over a stack of M models (``Pass.forward``), after the
+    checks of its arguments' shapes; returns (pass, logits).
 
     ``values`` is an (M, P) stack of flat parameter vectors and ``inputs`` an
-    (M, R, d) stack of feature rows, or (M, R, context_window) token ids, with
-    block m fed to model m. Every layer is one ``np.matmul`` over the leading
-    model axis, which runs the same BLAS call on each model's 2-D slice as the
-    model alone would: model m's logits are bit-identical to a stack of one.
-    Each result is written into ``plan``'s buffers, or, without a plan, into
-    fresh arrays: then a layer's output is freed once the next layer has it,
-    so at most two are alive at a time, unless ``acts`` keeps each layer's
-    input for the gradient.
+    (M, R, d) stack of feature rows, or (M, R, context_window) token ids.
+    Without a plan the pass runs unbuffered.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != param_count(arch):
@@ -402,33 +507,8 @@ def _run(arch: Architecture, values: np.ndarray, inputs: np.ndarray, plan: Plan 
     elif (plan.arch, plan.n_models, plan.n_rows) != (arch, M, R):
         raise ValueError(f"plan for {plan.n_models} models of {plan.n_rows} rows cannot run "
                          f"inputs {inputs.shape}")
-    v = plan.views(values)
-    if arch.task == TASK_LM:
-        # one flat table, so the gather is one unbuffered take (the inputs
-        # were range-checked above)
-        index = np.add(plan.offsets, inputs, out=plan.index)
-        embed = v["embed"]
-        if plan.table is None:
-            table = embed.reshape(-1, arch.embedding_dim)
-        else:
-            table = plan.table
-            np.copyto(table.reshape(embed.shape), embed)
-        a = np.take(table, index.reshape(-1), axis=0, out=plan.embedded,
-                    mode="clip").reshape(M, R, arch.input_dim)
-    else:
-        a = np.asarray(inputs, dtype=np.float64)
-    n_layers = len(arch.hidden_dims) + 1
-    # Bias and relu are applied in place: the same values, without the
-    # multi-megabyte temporaries that a 5 000-row validation pass would
-    # otherwise allocate, free and page-fault in again on every call.
-    for i in range(n_layers):
-        if acts is not None:
-            acts.append(a)
-        z = np.matmul(a, v[f"w{i}"], out=plan.outputs[i])
-        z += v[f"b{i}"][:, None, :]
-        if i < n_layers - 1:
-            a = np.maximum(z, 0.0, out=z)
-    return plan, v, z
+    net = Pass(plan, values)
+    return net, net.forward(inputs, acts)
 
 
 def forward_trace(arch: Architecture, values: np.ndarray, inputs: np.ndarray,
@@ -437,13 +517,13 @@ def forward_trace(arch: Architecture, values: np.ndarray, inputs: np.ndarray,
     shapes), keeping each layer's input activations for backprop; given a
     ``plan``, in its buffers."""
     acts: list[np.ndarray] = []
-    plan, v, logits = _run(arch, values, inputs, plan, acts)
-    return ForwardTrace(arch, plan, inputs, v, acts, logits)
+    net, logits = _run(arch, values, inputs, plan, acts)
+    return ForwardTrace(net, inputs, acts, logits)
 
 
 def stack_logits(arch: Architecture, values: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """The (M, R, K) logits of M models at once, keeping no activations."""
-    return _run(arch, values, inputs, None, None)[2]
+    return _run(arch, values, inputs, None, None)[1]
 
 
 def forward(params: Parameters, batch: Batch) -> np.ndarray:
@@ -454,9 +534,9 @@ def forward(params: Parameters, batch: Batch) -> np.ndarray:
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis with max subtraction; safe for extreme
     magnitudes. Written to ``out`` if given, which may be ``logits``."""
-    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

@@ -78,7 +78,7 @@ def step(config: OptimizerConfig, state: OptimizerState, values: np.ndarray,
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != values.shape:
         raise ValueError(f"gradient shape {g.shape} does not match parameters {values.shape}")
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NonFiniteGradientError("gradient contains NaN or Inf")
     if out is None:
         out, g = np.empty(values.shape), g.copy()
@@ -102,10 +102,10 @@ def step(config: OptimizerConfig, state: OptimizerState, values: np.ndarray,
         update = np.multiply(lr, np.divide(m, 1.0 - config.beta1 ** t, out=g), out=g)
         update /= denom
         return np.subtract(values, update, out=out), OptimizerState(t=t, m=m, v=v)
-    acc = state.acc
+    acc = state.acc  # updated in place: the state holds it
     acc += np.multiply(g, g, out=out)
     denom = np.sqrt(acc, out=out)
     denom += config.adagrad_eps
     update = np.multiply(lr, g, out=g)
     update /= denom
-    return np.subtract(values, update, out=out), OptimizerState(acc=acc)
+    return np.subtract(values, update, out=out), state

@@ -340,4 +340,4 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(shards) == 4 and all(s.n == env.train.n for s in shards)
-        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB for four shared shards"
+        assert peak < 0.5 * 2**20, f"{peak / 2**20:.2f} MB for four shared shards"

@@ -18,8 +18,9 @@ from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, Divergen
                                InMemoryCheckpointStore, codistill_train,
                                codistill_train_concurrent, comm_report, mean_teacher_fn,
                                offline_distill, train_baseline, worker_streams)
-from codistill.nn import forward, predict_proba, serialize_params
-from codistill.losses import CombinedLossSpec
+from codistill import optim
+from codistill.nn import forward, forward_trace, predict_proba, serialize_params
+from codistill.losses import CombinedLossSpec, combined_loss
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
                           Parameters, SerializationError, TruncatedPayloadError, init_params,
                           param_count)
@@ -624,25 +625,29 @@ LM_ARCH = Architecture(3 * 4, (10, 6), 9, task="lm_fixed_context", context_windo
 
 
 class TestStackBuffers:
-    """The stacked step writes into buffers it reuses: two (N, P) parameter
-    buffers in turn, a plan for its pass, the optimizer's buffer form. Its
-    numbers stay those of each group alone, with or without a teacher, and
+    """The stacked step writes into buffers it reuses: two parameter buffers
+    in turn, holding the teacher rows after the students', a plan for its
+    pass, a loss plan, the optimizer's buffer form. Its numbers stay those of
+    each group alone and of the pure forms, with or without a teacher, and
     what it hands out stays valid."""
 
     @staticmethod
-    def runners(arch, kind, seeds, rows=8):
-        group = lambda seed: GroupConfig(1, rows, OptimizerConfig(kind, 0.05),  # noqa: E731
+    def runners(arch, kind, seeds, rows=8, n_workers=1):
+        group = lambda seed: GroupConfig(n_workers, rows, OptimizerConfig(kind, 0.05),  # noqa: E731
                                          CombinedLossSpec(), seed)
         if arch.task == "lm_fixed_context":
-            return [GroupRunner(arch, group(s), streams=[token_stream(arch, rows, s)])
+            return [GroupRunner(arch, group(s), streams=[token_stream(arch, rows, 10 * s + w)
+                                                         for w in range(n_workers)])
                     for s in seeds]
         train, _ = make_task()
         return [GroupRunner(arch, group(s), train) for s in seeds]
 
     @staticmethod
     def teacher(arch, values):
-        fn = distrib._mean_teacher(arch, values, 1, "soft_cross_entropy")
-        return CombinedLossSpec("soft_cross_entropy", 0.5), fn
+        """Student s's one teacher, row s of ``values``, as a signal fn."""
+        fns = [mean_teacher_fn([Parameters(arch, v)], "soft_cross_entropy") for v in values]
+        return (CombinedLossSpec("soft_cross_entropy", 0.5),
+                lambda batches: np.stack([fn(b) for fn, b in zip(fns, batches)]))
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
     @pytest.mark.parametrize("arch", [ARCH, LM_ARCH], ids=["classification", "lm"])
@@ -662,6 +667,62 @@ class TestStackBuffers:
                     mine = getattr(stack.opt_state, name)
                     if mine is not None:
                         assert np.array_equal(getattr(one.opt_state, name)[0], mine[row])
+
+    @pytest.mark.parametrize("distill", ["soft_cross_entropy", "kl_divergence", "logit_mse"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+    @pytest.mark.parametrize("arch", [ARCH, LM_ARCH], ids=["classification", "lm"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("n_models", [1, 2, 3])
+    def test_teacher_rows_equal_stacks_of_one_and_pure_forms(self, n_models, n_workers, arch,
+                                                            kind, distill):
+        """Each student's 2 teachers run in the students' forward; every step
+        of the stack equals a stack of one per group and the pure forms
+        (``forward_trace``, ``mean_teacher_fn``, ``combined_loss``,
+        ``ForwardTrace.grad``, ``optim.step`` without buffers), through
+        burn-in, teacher and signal steps and a reload of new teacher rows."""
+        k, seeds = 2, [3, 4, 5][:n_models]
+        spec = CombinedLossSpec(distill, 0.5)
+        signal = lambda batches: np.full((len(batches), batches[0].size, arch.output_dim),  # noqa: E731
+                                         1.0 / arch.output_dim)
+        stack = distrib._Stack(self.runners(arch, kind, seeds, n_workers=n_workers), k)
+        alone = [distrib._Stack(self.runners(arch, kind, [s], n_workers=n_workers), k)
+                 for s in seeds]
+        pure = self.runners(arch, kind, seeds, n_workers=n_workers)  # draws the same batches
+        opt = pure[0].group.optimizer
+        values = [r.params.values[None] for r in pure]
+        states = [optim.init_state(opt, v.shape) for v in values]
+        for s, step in enumerate(["none", "rows", "signal", "rows", "rows", "none"]):
+            if s in (0, 4):  # the stacks' first teacher rows, then a reload of new ones
+                rows = np.stack([init_params(arch, 100 * s + j).values
+                                 for j in range(k * n_models)])
+                stack.set_teachers(rows)
+                for i, one in enumerate(alone):
+                    one.set_teachers(rows[k * i:k * (i + 1)])
+            pair = {"none": None, "rows": (spec, None), "signal": (spec, signal)}[step]
+            if step == "signal" and distill == "logit_mse":
+                pair = (spec, lambda batches: signal(batches) - 0.5)
+            losses = stack.step(pair)
+            for i, (one, runner) in enumerate(zip(alone, pure)):
+                assert one.step(pair) == [losses[i]]
+                assert np.array_equal(one.values[0], stack.values[i])
+                batch = runner.step_batches([next(st) for st in runner.streams])
+                teacher = None
+                if pair is not None and pair[1] is None:
+                    members = [Parameters(arch, v) for v in rows[k * i:k * (i + 1)]]
+                    teacher = mean_teacher_fn(members, distill)(batch)[None]
+                elif pair is not None:
+                    teacher = pair[1]([batch])
+                trace = forward_trace(arch, values[i], batch.inputs[None])
+                loss, dlogits = combined_loss(pair[0] if pair else CombinedLossSpec(),
+                                              batch.labels[None], trace.logits, teacher)
+                assert loss.tolist() == [losses[i]]
+                values[i], states[i] = optim.step(opt, states[i], values[i], trace.grad(dlogits))
+                assert np.array_equal(values[i][0], stack.values[i])
+                for name in ("m", "v", "acc"):
+                    mine = getattr(stack.opt_state, name)
+                    if mine is not None:
+                        assert np.array_equal(getattr(one.opt_state, name)[0], mine[i])
+                        assert np.array_equal(getattr(states[i], name)[0], mine[i])
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_handed_out_parameters_stay_valid(self, n_cpus, monkeypatch):
@@ -700,6 +761,69 @@ class TestStackBuffers:
         final = [(r.params, r.params.values.copy()) for r in runners]
         distrib._train_loop(runners, 4, val, 2, [])
         assert all(np.array_equal(p.values, copy) for p, copy in final)
+
+
+class TestCallBudget:
+    """Python-level calls per lockstep step on the desk task, counted as
+    ``sys.setprofile`` "call" events over 10 steps: a step whose views,
+    buffers and index arrays are bound once per loop leaves one call per
+    group's batch and one per part of the step. Each budget is a third of
+    the count before the step was bound: 874 calls over teacher-phase steps
+    51-60 of a 2-model codistillation stack, the teacher source's calls
+    included (one of the steps starts an epoch), and 400 over baseline steps
+    51-60."""
+
+    ARCH = Architecture(32, (64, 32), 10)
+    WINDOW = range(51, 61)  # after burn-in, between the reloads at 50 and 100
+
+    def count(self, monkeypatch, run) -> int:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # validation inline
+        window, calls = self.WINDOW, [0]
+        step, source = distrib._Stack.step, distrib._PeerTeachers.__call__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is not counted_step.__code__:
+                calls[0] += 1
+
+        def counted_source(teachers, s, stack):
+            if s in window:
+                sys.setprofile(profile)
+            return source(teachers, s, stack)
+
+        def counted_step(stack, pair=None):
+            if stack.runners[0].step_index in window:
+                sys.setprofile(profile)
+            try:
+                return step(stack, pair)
+            finally:
+                sys.setprofile(None)
+
+        monkeypatch.setattr(distrib._Stack, "step", counted_step)
+        monkeypatch.setattr(distrib._PeerTeachers, "__call__", counted_source)
+        ds = gen_classification(7, 4000, 32, 10, 0.5)
+        train, val = split_train_val(ds, 0.1, 7)
+        run(train, val.as_batch())
+        return calls[0]
+
+    def group(self, i):
+        return GroupConfig(1, 32, OptimizerConfig("adagrad", 0.1), CombinedLossSpec(), 100 + i)
+
+    def test_codistillation_teacher_phase(self, monkeypatch):
+        def run(train, val):
+            plan = make_shards(train, "disjoint", 2, 7)
+            codistill_train(self.ARCH, CodistillConfig(2, 50, 50), [self.group(0), self.group(1)],
+                            [plan.shard(train, i) for i in range(2)], 61,
+                            InMemoryCheckpointStore(self.ARCH), val, eval_every=100)
+
+        calls = self.count(monkeypatch, run)
+        assert calls <= 874 / 3, f"{calls / 10} calls per step"
+
+    def test_baseline(self, monkeypatch):
+        def run(train, val):
+            train_baseline(self.ARCH, self.group(0), train, 61, val, eval_every=100)
+
+        calls = self.count(monkeypatch, run)
+        assert calls <= 400 / 3, f"{calls / 10} calls per step"
 
 
 class TestMeanTeacher:
