@@ -16,7 +16,8 @@ and around the training process's pipe traffic with its evaluator:
   the teacher fn ``distrib._mean_teacher`` returns (which runs the teachers'
   own forward) in a tree with that instead;
 - ``loss``: ``distrib.combined_loss``;
-- ``gradient``: ``nn.Pass.backward``, or ``nn.ForwardTrace.grad``;
+- ``gradient``: ``nn.Pass.backward``, or ``nn.ForwardTrace.grad`` in a tree
+  with that instead;
 - ``update``: ``optim.step``, the optimizer update;
 - ``eval_recv``/``eval_send``: ``Connection.recv``/``send`` in the training
   process, i.e. the wait for an evaluation point's records and the handoff.
@@ -58,7 +59,8 @@ PARTS = {
     "pass": [(getattr(nn, "Pass", None), "forward"), (distrib, "forward_trace")],
     "teacher": [(distrib, "_teacher_mean")],
     "loss": [(distrib, "combined_loss")],
-    "gradient": [(getattr(nn, "Pass", None), "backward"), (nn.ForwardTrace, "grad")],
+    "gradient": [(getattr(nn, "Pass", None), "backward"),
+                 (getattr(nn, "ForwardTrace", None), "grad")],
     "update": [(optim, "step")],
 }
 

@@ -9,8 +9,7 @@ small-corpus tasks.
 """
 
 from .nn import (Architecture, Batch, Parameters, backward, deserialize_checkpoint, forward,
-                 forward_trace, init_params, param_count, predict_proba, serialize_params,
-                 softmax)
+                 init_params, param_count, predict_proba, serialize_params, softmax)
 from .losses import CombinedLossSpec, combined_loss, hard_ce, kl_div, logit_mse, soft_ce
 from .optim import NonFiniteGradientError, OptimizerConfig, OptimizerState, init_state
 from .data import (Dataset, ShardPlan, batch_stream, gen_classification, ingest_text,

@@ -32,13 +32,13 @@ one (with its k teacher rows). Stacking needs the groups to agree on
 ``loss``).
 
 A step allocates none of its large arrays: the stack binds everything it
-touches once per loop (see ``_Stack``), and each part is a call of the same
-body the pure forms run (``nn.Pass``, ``losses.combined_loss`` with a
-``LossPlan``, ``optim.step``'s buffer form). So a ``Parameters`` is built
-only where one is read, as a view of the current buffer: a publish and an
-evaluation point consume theirs at once, and what outlives the step is
-copied (the result's parameters, and those an ``after_eval`` hook is
-given).
+touches once per loop (see ``_Stack``), and each part is the one body of
+the network, the losses or the optimizer (``nn.Pass``,
+``losses.combined_loss`` with a ``LossPlan``, ``optim.step``'s buffer
+form). So a ``Parameters`` is built only where one is read, as a view of
+the current buffer: a publish and an evaluation point consume theirs at
+once, and what outlives the step is copied (the result's parameters, and
+those an ``after_eval`` hook is given).
 
 Both checkpoint stores decode each published version once: a load of the
 version already decoded returns that ``Checkpoint`` and still charges the
@@ -47,19 +47,19 @@ link to a new file, so no regular file is ever renamed over another (see
 ``FileCheckpointStore`` for the cost this avoids on ext4).
 
 Lockstep mode (``codistill_train``) makes one loop call over all groups on
-one thread, which makes whole runs bit-reproducible. Validation stays one
-model at a time: a stacked pass over the validation set would hold N
-models' activations at once, which at desk scale adds more to peak memory
-than it saves in time. When at least 2 CPUs are available, the loop forks
-one evaluator process (the ``fork`` start method, so Linux), which
-validates each evaluation point beside the next training steps: the loop
-copies that point's (N, P) parameters into one slot of memory the two
-processes share, mapped before the fork, sends only the step and the
-groups' counters over a pipe, and receives the records, so validation
-shares neither the training thread's interpreter lock nor its CPU time.
-With one CPU the passes run inline, with the same records: there a second
-process only takes turns with training on the one core, and its handoffs
-cost more than they save.
+one thread, which makes whole runs bit-reproducible. Validation runs one
+model at a time through one forward-only ``nn.Plan`` over the validation
+rows, built once per loop by the process that validates: its memory does
+not grow with N, and a stacked pass over all N models would be no faster.
+When at least 2 CPUs are available, the loop forks one evaluator process
+(the ``fork`` start method, so Linux), which validates each evaluation
+point beside the next training steps: the loop copies that point's (N, P)
+parameters into one slot of memory the two processes share, mapped before
+the fork, sends only the step and the groups' counters over a pipe, and
+receives the records, so validation shares neither the training thread's
+interpreter lock nor its CPU time. With one CPU the passes run inline, with
+the same records: there a second process only takes turns with training on
+the one core, and its handoffs cost more than they save.
 
 Concurrent mode (``codistill_train_concurrent``) forks one OS process per
 group (the ``fork`` start method, so Linux), each making one loop call over
@@ -106,8 +106,8 @@ from .metrics import MetricRecord, evaluate
 # backward and forward are unused here but stay importable as distrib.backward
 # and distrib.forward, names bench/tracer.py wraps
 from .nn import (TASK_LM, Architecture, Batch, Parameters, Pass, Plan,  # noqa: F401
-                 SerializationError, backward, deserialize_checkpoint, forward, init_params,
-                 param_count, serialize_params, softmax, stack_logits)
+                 SerializationError, _validate_inputs, backward, deserialize_checkpoint,
+                 forward, init_params, param_count, serialize_params, softmax)
 
 # one sync step moves a gradient out and parameters back per worker
 LEDGER_CAUSES = ("gradient_exchange", "parameter_broadcast",
@@ -549,7 +549,6 @@ class _Stack:
         self._x = plan.inputs[:N]
         self._labels = np.empty((N, R), np.int64)
         self._feeds = [(r, self._x[i], self._labels[i]) for i, r in enumerate(runners)]
-        self._acts = self._passes[0][0].acts  # the plan's, whichever buffer ran
         self._logits = plan.outputs[-1][:N]
         if per_student:
             self._teacher_inputs = plan.inputs[N:].reshape((N, per_student) + plan.inputs.shape[1:])
@@ -607,7 +606,7 @@ class _Stack:
         for r, loss in zip(self.runners, losses):
             if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
                 raise DivergenceError(r.step_index, f"loss {loss} at step {r.step_index}")
-        grad = students.backward(self._x, self._acts, dlogits)
+        grad = students.backward(self._x, dlogits)
         self.values, self.opt_state = optim.step(self.group.optimizer, self.opt_state,
                                                  self.values, grad, out=self._students[1 - k])
         self._current = 1 - k
@@ -633,24 +632,26 @@ class _Stack:
             r.params = Parameters(self.arch, self.values[row].copy())
 
 
-def _point_records(arch: Architecture, validation: Batch, t0: float, after_eval, step: int,
+def _point_records(validation: Batch, t0: float, after_eval, plan: Plan, step: int,
                    values: np.ndarray, members) -> list[MetricRecord]:
     """One evaluation point's records: each group's, from its row of the
     (N, P) ``values`` and its ``GroupRunner._snapshot``, stamped with the time
     its validation pass finished, then ``after_eval``'s, if given.
 
-    Runs inline in the training process or in its evaluator process; either
-    way ``evaluate`` is this module's global, so a patch made before the loop
-    reaches it, and ``time.perf_counter`` is the same clock in both.
-    ``values`` is a buffer rewritten after the call, so with ``after_eval``,
-    which may keep its parameters, they are built on a copy.
+    Every model is validated through ``plan``, the loop's one forward-only
+    plan over the validation rows, so a point allocates none of its layer
+    outputs. Runs inline in the training process or in its evaluator
+    process; either way ``evaluate`` is this module's global, so a patch
+    made before the loop reaches it, and ``time.perf_counter`` is the same
+    clock in both. ``values`` is a buffer rewritten after the call, so with
+    ``after_eval``, which may keep its parameters, they are built on a copy.
     """
     if after_eval is not None:
         values = values.copy()
-    params = [Parameters(arch, row) for row in values]
+    params = [Parameters(plan.arch, row) for row in values]
     new = []
     for p, (run_id, group_step, train_loss, sync, ckpt) in zip(params, members):
-        val_loss, val_acc = evaluate(p, validation)
+        val_loss, val_acc = evaluate(p, validation, plan)
         new.append(MetricRecord(run_id=run_id, step=group_step,
                                 wall_seconds=time.perf_counter() - t0,
                                 train_loss=train_loss, validation_loss=val_loss,
@@ -704,20 +705,23 @@ def _reap(proc, deadline: float) -> RuntimeError:
     return RuntimeError(f"the {proc.name} ended without a result (exit code {proc.exitcode})")
 
 
-def _evaluator(conn, point_records, slot: np.ndarray) -> None:
+def _evaluator(conn, point_records, new_plan, slot: np.ndarray) -> None:
     """Body of a lockstep training loop's evaluator process (``_fork``).
 
     Each message is one evaluation point, ``(step, members)``, whose (N, P)
     values the parent wrote to ``slot``, memory the two processes share:
     ``point_records`` (``_point_records`` bound to the loop) turns them into
-    the reply, ``(records, None)`` or ``([], error)``. It ends on a None
-    message or at end of file, so the parent's death ends it too.
+    the reply, ``(records, None)`` or ``([], error)``, through the one
+    validation plan ``new_plan()`` builds here, after the fork, so its pages
+    are this process's alone. It ends on a None message or at end of file,
+    so the parent's death ends it too.
     """
+    plan = new_plan()
     try:
         while (point := conn.recv()) is not None:
             try:
                 step, members = point
-                reply = point_records(step, slot, members), None
+                reply = point_records(plan, step, slot, members), None
             except Exception as err:
                 reply = [], _portable(err)
             conn.send(reply)
@@ -748,8 +752,10 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     An evaluation point snapshots each runner's step, train loss and ledger
     totals (``GroupRunner._snapshot``) beside the stack's (N, P) parameters,
     and ``_point_records`` turns them into records. Validation runs one
-    model at a time: a stacked pass would hold every model's activations
-    over the whole validation set at once. With at least 2 CPUs the loop
+    model at a time through one forward-only ``nn.Plan`` over the validation
+    rows, built once by the process that validates, so its memory does not
+    grow with N and a point allocates no layer outputs. With at least 2 CPUs
+    the loop
     forks one evaluator process (``_evaluator``) and hands it each point
     while training goes on, at most one point in flight: the loop takes back
     point k-1's records before it copies point k's parameters into the
@@ -772,12 +778,15 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     # last evaluation's records; on one CPU an evaluator only adds handoffs
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    point_records = functools.partial(_point_records, stack.arch, validation, t0, after_eval)
-    evaluator = conn = None
+    point_records = functools.partial(_point_records, validation, t0, after_eval)
+    new_plan = functools.partial(Plan, stack.arch, 1, validation.size, n_grad=0)
+    evaluator = conn = plan = None
     if stop is None and cpus >= 2:
         slot = np.frombuffer(mmap.mmap(-1, stack.values.nbytes),
                              dtype=np.float64).reshape(stack.values.shape)
-        evaluator, conn = _fork("evaluator process", _evaluator, point_records, slot)
+        evaluator, conn = _fork("evaluator process", _evaluator, point_records, new_plan, slot)
+    else:
+        plan = new_plan()
     in_flight = False  # whether the evaluator holds a point not yet taken back
 
     def dead() -> RuntimeError:
@@ -805,7 +814,7 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
             w.clear()
         drain()
         if evaluator is None:
-            records.extend(point_records(step, stack.values, members))
+            records.extend(point_records(plan, step, stack.values, members))
             return
         np.copyto(slot, stack.values)
         try:
@@ -989,7 +998,9 @@ def mean_teacher_fn(teacher_params, distill: str):
     values = np.stack([p.values for p in teacher_params])
 
     def fn(batch: Batch) -> np.ndarray:
-        logits = stack_logits(arch, values, _stacked([batch.inputs] * k))
+        _validate_inputs(arch, batch.inputs)
+        logits = Pass(Plan(arch, k, batch.size, n_grad=0), values).forward(
+            _stacked([batch.inputs] * k))
         return _teacher_mean(logits[None], distill)[0]
 
     return fn

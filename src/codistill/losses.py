@@ -15,12 +15,10 @@ soft-target cross entropy toward a constant teacher, the uniform or the
 unigram distribution (Yuan et al., "Revisiting Knowledge Distillation via
 Label Smoothing Regularization", CVPR 2020).
 
-Each loss has one body and two forms, as the network's pass has: given a
-``LossPlan``, the buffers for one shape of logits, built once, every array a
-loss computes is written into it, as a training step wants; the pure form
-runs the same body over a plan with no buffers, each numpy call allocating
-its result. The float operations, their operands and their order are the
-same either way, so both forms give the same bits.
+Each loss has one body, as the network's pass has: it writes every array
+it computes into a ``LossPlan``, the buffers for one shape of logits, built
+once. A training step keeps one plan; the public losses, and
+``combined_loss`` without one, build a plan per call.
 """
 
 from __future__ import annotations
@@ -39,35 +37,27 @@ _LOG_FLOOR = 1e-12
 class LossPlan:
     """Buffers for the losses of logits of one shape, (..., B, K), built once:
     the softmax's parts, the picked-index base, the per-row and per-model
-    sums and each term's loss and logit gradient. A loss given a plan writes
-    every array into it, so its results hold until the plan's next use.
-
-    ``LossPlan(shape, buffered=False)`` holds no buffers: every slot is None,
-    so each numpy call allocates its result, as the pure forms want. The
-    float operations, their operands and their order are the same either way.
+    sums and each term's loss and logit gradient. A loss writes every array
+    into its plan, so its results hold until the plan's next use.
     """
 
-    def __init__(self, shape, *, buffered: bool = True):
+    def __init__(self, shape):
         shape = tuple(shape)
         lead, K = shape[:-1], shape[-1]
-
-        def new(s, dtype=np.float64):
-            return np.empty(s, dtype) if buffered else None
-
         # flat index of each row's first entry; plus its label, of its labelled one
         self.base = np.arange(0, math.prod(lead) * K, K)
-        self.picked = new(math.prod(lead), np.intp)
-        self.taken = new(math.prod(lead))
-        self.row_max = new(lead + (1,))
-        self.row_sum = new(lead + (1,))
-        self.z = new(shape)  # the shifted logits, then the log-probabilities
-        self.p = new(shape)  # exp of the shifted logits, then the probabilities
-        self.rows = new(lead)
-        self.loss = new(lead[:-1])
-        self.grad = new(shape)
-        self.dloss = new(lead[:-1])
-        self.dgrad = new(shape)
-        self.prod = new(shape)
+        self.picked = np.empty(math.prod(lead), np.intp)
+        self.taken = np.empty(math.prod(lead))
+        self.row_max = np.empty(lead + (1,))
+        self.row_sum = np.empty(lead + (1,))
+        self.z = np.empty(shape)  # the shifted logits, then the log-probabilities
+        self.p = np.empty(shape)  # exp of the shifted logits, then the probabilities
+        self.rows = np.empty(lead)
+        self.loss = np.empty(lead[:-1])
+        self.grad = np.empty(shape)
+        self.dloss = np.empty(lead[:-1])
+        self.dgrad = np.empty(shape)
+        self.prod = np.empty(shape)
 
 
 def _softmax_parts(logits: np.ndarray, plan: LossPlan):
@@ -156,17 +146,13 @@ def _logit_mse(t: np.ndarray, logits: np.ndarray, plan: LossPlan):
     return loss, grad
 
 
-def _unbuffered(logits) -> tuple[np.ndarray, LossPlan]:
-    logits = np.asarray(logits, dtype=np.float64)
-    return logits, LossPlan(logits.shape, buffered=False)
-
-
 def hard_ce(labels: np.ndarray, logits: np.ndarray):
     """Mean cross entropy against integer labels.
 
     loss = mean_b -log softmax(z_b)[y_b], grad = (softmax(z) - onehot(y)) / B.
     """
-    logits, plan = _unbuffered(logits)
+    logits = np.asarray(logits, dtype=np.float64)
+    plan = LossPlan(logits.shape)
     labels = _check_labels(labels, logits)
     return _hard_ce_from_parts(labels, *_softmax_parts(logits, plan), plan)
 
@@ -191,14 +177,16 @@ def soft_ce(teacher_probs: np.ndarray, logits: np.ndarray):
     loss = mean_b -sum_k t_k log softmax(z)_k, grad = (softmax(z) - t) / B.
     With a one-hot teacher this coincides exactly with hard_ce.
     """
-    logits, plan = _unbuffered(logits)
+    logits = np.asarray(logits, dtype=np.float64)
+    plan = LossPlan(logits.shape)
     t = _check_teacher_probs(teacher_probs, logits, plan)
     return _soft_ce_from_parts(t, *_softmax_parts(logits, plan), plan)
 
 
 def logit_mse(teacher_logits: np.ndarray, logits: np.ndarray):
     """Mean over batch and classes of the squared logit difference."""
-    logits, plan = _unbuffered(logits)
+    logits = np.asarray(logits, dtype=np.float64)
+    plan = LossPlan(logits.shape)
     return _logit_mse(_check_teacher_logits(teacher_logits, logits), logits, plan)
 
 
@@ -209,7 +197,8 @@ def kl_div(teacher_probs: np.ndarray, logits: np.ndarray):
     teacher entropy. Rounding can push the exact-zero case a hair negative,
     so the loss is clamped at 0.
     """
-    logits, plan = _unbuffered(logits)
+    logits = np.asarray(logits, dtype=np.float64)
+    plan = LossPlan(logits.shape)
     t = _check_teacher_probs(teacher_probs, logits, plan)
     return _kl_div_from_parts(t, *_softmax_parts(logits, plan), plan)
 
@@ -257,13 +246,13 @@ def combined_loss(spec: CombinedLossSpec, labels: np.ndarray, logits: np.ndarray
     computed once and shared by the hard and the auxiliary term; the result
     is bit-identical to adding the separately computed terms. Given a
     ``LossPlan`` for the logits' shape, as a training step is, the loss and
-    its gradient are written into the plan's buffers; without one, into
-    fresh arrays.
+    its gradient are written into its buffers; without one, into a new
+    plan's.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = _check_labels(labels, logits)
     if plan is None:
-        plan = LossPlan(logits.shape, buffered=False)
+        plan = LossPlan(logits.shape)
     p, log_p = _softmax_parts(logits, plan)
     loss, grad = _hard_ce_from_parts(labels, p, log_p, plan)
     if spec.distill != "none":

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from .losses import hard_ce_loss, _LOG_FLOOR
-from .nn import Batch, Parameters, forward, predict_proba
+from .nn import Batch, Parameters, Plan, forward, softmax
 
 # MetricRecord's fields, in order, under their file names
 CSV_COLUMNS = ("run_id", "step", "wall_seconds", "train_loss", "val_loss",
@@ -67,15 +67,16 @@ class ChurnReport:
         return asdict(self)
 
 
-def evaluate(params: Parameters, validation: Batch):
+def evaluate(params: Parameters, validation: Batch, plan: Plan | None = None):
     """Mean cross entropy and top-1 accuracy over a validation batch.
 
     The loss is computed without a gradient and equals ``hard_ce``'s bit for
-    bit.
+    bit. The logits are written into ``plan`` (see ``nn.forward``), which a
+    caller validating several models over the same rows binds once.
     """
     if validation.size == 0:
         raise ValueError("empty validation set")
-    logits = forward(params, validation)
+    logits = forward(params, validation, plan)
     loss = hard_ce_loss(validation.labels, logits)
     accuracy = float((logits.argmax(axis=1) == validation.labels).mean())
     return loss, accuracy
@@ -106,9 +107,10 @@ def ensemble_predict(params_list, batch: Batch) -> np.ndarray:
     if not params_list:
         raise ValueError("empty ensemble")
     _check_same_arch(params_list)
+    plan = Plan(params_list[0].arch, 1, batch.size, n_grad=0)
     acc = None
     for p in params_list:
-        probs = predict_proba(p, batch)
+        probs = softmax(forward(p, batch, plan))
         acc = probs if acc is None else acc + probs
     return acc / len(params_list)
 
@@ -123,8 +125,9 @@ def prediction_churn(params_a: Parameters, params_b: Parameters, validation: Bat
     _check_same_arch([params_a, params_b])
     if validation.size == 0:
         raise ValueError("empty validation set")
-    pa = predict_proba(params_a, validation)
-    pb = predict_proba(params_b, validation)
+    plan = Plan(params_a.arch, 1, validation.size, n_grad=0)
+    pa = softmax(forward(params_a, validation, plan))
+    pb = softmax(forward(params_b, validation, plan))
     return float(np.abs(pa - pb).mean())
 
 

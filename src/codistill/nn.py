@@ -12,22 +12,18 @@ logits (M, R, K), gradient (M, P). Each layer is one ``np.matmul``, which
 makes the same BLAS call on every model's 2-D slice, and the lm embedding
 gradient is one ``np.bincount``, which adds in the order ``np.add.at`` does,
 so each model's result is bit-identical to running it alone.
-``forward_trace`` runs it keeping the activations for ``ForwardTrace.grad``;
-``stack_logits`` keeps none, for teachers and validation. ``forward``,
-``predict_proba`` and ``backward`` take one ``Parameters`` and one ``Batch``:
-a stack of one.
 
-The pass has one body and two forms. A ``Plan`` holds the buffers for one
-shape of pass, built once, and a ``Pass`` binds the buffers of a plan's
+That kernel is the network's one body. A ``Plan`` holds the buffers for
+one shape of pass, built once, and a ``Pass`` binds the buffers of a plan's
 first n models to one parameter stack, with every per-layer view of the
-parameters and the gradient: a training step that keeps a Pass per
-parameter buffer writes every activation, mask, delta, gradient and the
-logits into the plan, allocating nothing per pass for them, and each result
-holds until the plan's next pass. The pure form (``forward_trace`` without a
-plan, and ``stack_logits`` always) binds a Pass per call over a plan with no
-buffers, so each numpy call allocates its result; the float operations,
-their operands and their order are the same either way, so both forms give
-the same bits. Every other function here is pure, and ``softmax`` writes to
+parameters and the gradient. A pass writes every activation, mask, delta,
+gradient and the logits into its plan, allocating none of them, and each
+result holds until the plan's next pass. A training step keeps a Pass per
+parameter buffer; a validation loop binds one forward-only plan
+(``n_grad=0``) and runs each model through it. ``forward``,
+``predict_proba`` and ``backward`` take one ``Parameters`` and one
+``Batch``, a stack of one, and bind a plan per call (``forward`` reuses one
+it is given). Every other function here is pure, and ``softmax`` writes to
 an ``out`` only when given one.
 """
 
@@ -276,127 +272,106 @@ def _embedding_grad(tokens: np.ndarray, dinput: np.ndarray, vocab_size: int,
 class Plan:
     """Buffers for passes of M models of one architecture over R rows each.
 
-    Built once, a plan is reused by every training pass of that shape: an
-    (M, R, ...) input buffer a caller may copy each pass's inputs into, each
-    layer's output (the last is the logits), and for the first G =
-    ``n_grad`` models (all, by default) each hidden layer's relu mask and
-    backpropagated delta and the (G, P) gradient; for the lm head also a
-    flat (M * V, E) embedding table, the token-index buffers, the gathered
-    inputs and the G models' input gradient and bincount index. Each pass
-    overwrites what the last one left, so its results hold until the plan's
-    next pass. A ``Pass`` binds the buffers of the plan's first n models to
-    one parameter stack.
-
-    ``Plan(..., buffered=False)`` holds no buffers: every slot is None, so
-    each numpy call of a pass allocates its result and frees it when the
-    pass lets go, as the pure forms (``forward_trace`` without a plan, and
-    ``stack_logits``) want.
+    Built once, a plan is reused by every pass of that shape: an (M, R, ...)
+    input buffer a caller may copy each pass's inputs into, each layer's
+    output (the last is the logits), and for the first G = ``n_grad`` models
+    (all, by default; none for a forward-only plan, ``n_grad=0``) each hidden
+    layer's relu mask and backpropagated delta and the (G, P) gradient; for
+    the lm head also a flat (M * V, E) embedding table, the token-index
+    buffers, the gathered inputs and the G models' input gradient and
+    bincount index. Each pass overwrites what the last one left, so its
+    results hold until the plan's next pass. A ``Pass`` binds the buffers of
+    the plan's first n models to one parameter stack.
     """
 
     def __init__(self, arch: Architecture, n_models: int, n_rows: int, *,
-                 n_grad: int | None = None, buffered: bool = True):
+                 n_grad: int | None = None):
         M, R = n_models, n_rows
         G = M if n_grad is None else n_grad
-        if not 1 <= G <= M:
-            raise ValueError(f"n_grad must lie in [1, {M}], got {G}")
-
-        def new(shape, dtype=np.float64):
-            return np.empty(shape, dtype) if buffered else None
-
+        if not 0 <= G <= M:
+            raise ValueError(f"n_grad must lie in [0, {M}], got {G}")
         hidden = arch.hidden_dims
         lm = arch.task == TASK_LM
         self.arch, self.n_models, self.n_rows, self.n_grad = arch, M, R, G
-        self.inputs = (new((M, R, arch.context_window), np.int64) if lm
-                       else new((M, R, arch.input_dim)))
-        self.outputs = [new((M, R, w)) for w in hidden + (arch.output_dim,)]
-        self.masks = [new((G, R, w), bool) for w in hidden]
-        self.deltas = [new((G, R, w)) for w in hidden]
-        self.grad = new((G, param_count(arch)))
+        self.inputs = (np.empty((M, R, arch.context_window), np.int64) if lm
+                       else np.empty((M, R, arch.input_dim)))
+        self.outputs = [np.empty((M, R, w)) for w in hidden + (arch.output_dim,)]
+        self.masks = [np.empty((G, R, w), bool) for w in hidden]
+        self.deltas = [np.empty((G, R, w)) for w in hidden]
+        self.grad = np.empty((G, param_count(arch)))
         self.offsets = self.table = self.index = self.embedded = self.dinput = self.flat = None
         if lm:
             C, V, E = arch.context_window, arch.vocab_size, arch.embedding_dim
             self.offsets = (np.arange(M) * V).reshape(M, 1, 1)
-            self.table = new((M * V, E))
-            self.index = new((M, R, C), np.intp)
-            self.embedded = new((M * R * C, E))
-            self.dinput = new((G, R, arch.input_dim))
-            self.flat = new((G * R * C, E), np.intp)
+            self.table = np.empty((M * V, E))
+            self.index = np.empty((M, R, C), np.intp)
+            self.embedded = np.empty((M * R * C, E))
+            self.dinput = np.empty((G, R, arch.input_dim))
+            self.flat = np.empty((G * R * C, E), np.intp)
 
 
-def _head(buffer: np.ndarray | None, rows: int) -> np.ndarray | None:
+def _head(buffer: np.ndarray, rows: int) -> np.ndarray:
     """The first ``rows`` rows of a plan's buffer (the buffer itself if that
-    is all of it); None for a slot that holds none."""
-    if buffer is None or len(buffer) == rows:
-        return buffer
-    return buffer[:rows]
-
-
-def _grad_views(arch: Architecture, out: np.ndarray):
-    """Per-layer views of an (M, P) gradient: weights, biases, the embedding
-    table (None for classification)."""
-    g = _views(arch, out)
-    n_layers = len(arch.hidden_dims) + 1
-    return ([g[f"w{i}"] for i in range(n_layers)], [g[f"b{i}"] for i in range(n_layers)],
-            g.get("embed"))
+    is all of it)."""
+    return buffer if len(buffer) == rows else buffer[:rows]
 
 
 class Pass:
     """The network over the first ``n`` models of a plan, bound to one
     parameter stack ``values`` ((n, P) or more rows): each layer's weights,
-    transposed weights and broadcast bias as views of ``values``, and the
-    plan's buffers cut to n models, built once.
+    transposed weights and broadcast bias as views of ``values``, the
+    gradient's per-layer views, and the plan's buffers cut to n models, built
+    once.
 
     ``forward`` and ``backward`` are the network's one body. A training stack
     binds one Pass per parameter buffer and pass length and calls them every
-    step; ``forward_trace`` binds one per call, over the caller's plan or an
-    unbuffered one. ``acts`` are the layer inputs a buffered pass leaves in
-    its plan, which ``backward`` reads (the gathered embeddings or the input
-    buffer, then each hidden layer's relu output); backward needs n <= the
-    plan's ``n_grad``.
+    step; a validation loop binds one per model over one forward-only plan;
+    the pure forms bind one per call. ``acts`` are the layer inputs a forward
+    leaves in the plan, which ``backward`` reads: the gathered embeddings or
+    the plan's input buffer, then each hidden layer's relu output. Backward
+    needs n <= the plan's ``n_grad``.
     """
 
-    __slots__ = ("arch", "n", "layers", "weights_t", "outputs", "lm", "masks", "deltas",
-                 "grad", "grad_views", "dinput", "flat", "acts")
+    __slots__ = ("arch", "layers", "weights_t", "outputs", "lm", "masks", "deltas", "grad",
+                 "grad_views", "dinput", "flat", "acts")
 
     def __init__(self, plan: Plan, values: np.ndarray, n: int | None = None):
         arch = plan.arch
         n = plan.n_models if n is None else n
         v = _views(arch, values if len(values) == n else values[:n])
         n_layers = len(arch.hidden_dims) + 1
-        self.arch, self.n = arch, n
+        self.arch = arch
         self.layers = [(v[f"w{i}"], v[f"b{i}"][:, None, :]) for i in range(n_layers)]
         self.weights_t = [w.swapaxes(1, 2) for w, _ in self.layers]
         self.outputs = [_head(o, n) for o in plan.outputs]
-        self.lm = None
+        self.masks = [_head(m, n) for m in plan.masks]
+        self.deltas = [_head(d, n) for d in plan.deltas]
+        self.grad = _head(plan.grad, n)
+        g = _views(arch, self.grad)
+        self.grad_views = ([g[f"w{i}"] for i in range(n_layers)],
+                           [g[f"b{i}"] for i in range(n_layers)], g.get("embed"))
         first = _head(plan.inputs, n)
-        lm_rows = 0  # gathered embeddings, n * R * C
+        self.lm = self.dinput = self.flat = None
         if arch.task == TASK_LM:
             lm_rows = n * plan.n_rows * arch.context_window
             table = _head(plan.table, n * arch.vocab_size)
             embedded = _head(plan.embedded, lm_rows)
-            self.lm = (v["embed"], table, None if table is None else table.reshape(v["embed"].shape),
-                       plan.offsets[:n], _head(plan.index, n), embedded)
-            first = None if embedded is None else embedded.reshape(n, plan.n_rows, arch.input_dim)
-        self.acts = None if first is None else [first] + self.outputs[:-1]
-        self.masks = self.deltas = self.grad = self.grad_views = self.dinput = self.flat = None
-        if n <= plan.n_grad:
-            self.masks = [_head(m, n) for m in plan.masks]
-            self.deltas = [_head(d, n) for d in plan.deltas]
-            self.grad = _head(plan.grad, n)
-            self.grad_views = None if self.grad is None else _grad_views(arch, self.grad)
+            self.lm = (v["embed"], table, table.reshape(v["embed"].shape), plan.offsets[:n],
+                       _head(plan.index, n), embedded)
+            first = embedded.reshape(n, plan.n_rows, arch.input_dim)
             self.dinput = _head(plan.dinput, n)
             self.flat = _head(plan.flat, lm_rows)
+        self.acts = [first] + self.outputs[:-1]
 
-    def forward(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """The (n, R, K) logits of inputs ``x``, (n, R, d) features or
         (n, R, C) token ids, block m fed to model m. Every layer is one
         ``np.matmul`` over the leading model axis, which runs the same BLAS
         call on each model's 2-D slice as the model alone would: model m's
         logits are bit-identical to a stack of one. Each result is written
-        into the plan's buffers or, unbuffered, into fresh arrays: then a
-        layer's output is freed once the next layer has it, unless ``acts``
-        keeps each layer's input for the gradient. Token ids are
-        range-checked before the gather."""
+        into the plan's buffers. A pass that ``backward`` follows is fed the
+        plan's input buffer, which its first layer's gradient reads. Token
+        ids are range-checked before the gather."""
         if self.lm is not None:
             embed, table, table_view, offsets, index, embedded = self.lm
             if (np.minimum.reduce(x, axis=None) < 0
@@ -404,40 +379,31 @@ class Pass:
                 raise ValueError("token id out of range")
             # one flat table, so the gather is one take ("clip": already checked)
             index = np.add(offsets, x, out=index)
-            if table is None:
-                table = embed.reshape(-1, self.arch.embedding_dim)
-            else:
-                table_view[...] = embed
+            table_view[...] = embed
             a = table.take(index.reshape(-1), axis=0, out=embedded,
                            mode="clip").reshape(x.shape[0], x.shape[1], self.arch.input_dim)
         else:
             a = np.asarray(x, dtype=np.float64)
         # Bias and relu are applied in place: the same values, without the
-        # multi-megabyte temporaries that a 5 000-row validation pass would
+        # multi-megabyte temporaries a 5 000-row validation pass would
         # otherwise allocate, free and page-fault in again on every call.
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            if acts is not None:
-                acts.append(a)
             z = np.matmul(a, w, out=self.outputs[i])
             z += b
             if i < last:
                 a = np.maximum(z, 0.0, out=z)
         return z
 
-    def backward(self, x: np.ndarray, acts: list, d: np.ndarray) -> np.ndarray:
-        """The (n, P) gradient for the logit gradient ``d`` (n, R, K) of a
-        forward of ``x`` that left its layer inputs in ``acts``; row m is
-        model m's, in the ``Parameters`` layout. Raises on a non-finite
-        ``d``. Written into the plan's gradient buffer, or a fresh array."""
+    def backward(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The (n, P) gradient for the logit gradient ``d`` (n, R, K) of the
+        last forward of ``x``, from the layer inputs it left in ``acts``; row
+        m is model m's, in the ``Parameters`` layout, written into the plan's
+        gradient buffer. Raises on a non-finite ``d``."""
         if not np.logical_and.reduce(np.isfinite(d), axis=None):
             raise ValueError("non-finite logit gradient")
-        out = self.grad
-        if out is None:
-            out = np.empty((self.n, param_count(self.arch)))
-            grad_w, grad_b, grad_embed = _grad_views(self.arch, out)
-        else:
-            grad_w, grad_b, grad_embed = self.grad_views
+        grad_w, grad_b, grad_embed = self.grad_views
+        acts = self.acts
         delta = d
         for i in reversed(range(len(self.layers))):
             np.matmul(acts[i].swapaxes(1, 2), delta, out=grad_w[i])
@@ -451,84 +417,29 @@ class Pass:
                 dinput = np.matmul(delta, self.weights_t[0], out=self.dinput)
                 grad_embed[...] = _embedding_grad(x, dinput.reshape(x.shape + (-1,)),
                                                   self.arch.vocab_size, self.flat)
-        return out
+        return self.grad
 
 
-@dataclass(eq=False, slots=True)
-class ForwardTrace:
-    """One forward pass of M models: their logits plus the activations
-    backward reuses.
-
-    ``grad`` backpropagates through the stored activations, so a caller that
-    needs both the logits and the gradient runs the network once. It writes
-    into the plan the pass ran with: a buffered plan's gradient holds until
-    the plan's next pass.
-    """
-
-    net: Pass
-    inputs: np.ndarray  # (M, R, ...); the lm gradient scatters back to these tokens
-    acts: list[np.ndarray]  # input of each linear layer, (M, R, width)
-    logits: np.ndarray  # (M, R, output_dim)
-
-    def grad(self, dloss_dlogits: np.ndarray) -> np.ndarray:
-        """Gradient for the loss whose logit gradient is supplied, (M, R, K).
-
-        The loss functions in this package already fold the 1/R batch
-        reduction into their logit gradient, so row m of the result is the
-        gradient of model m's batch-mean loss: an (M, P) float64 stack in the
-        ``Parameters`` layout, whose finiteness ``optim.step`` checks.
-        """
-        d = np.asarray(dloss_dlogits, dtype=np.float64)
-        if d.shape != self.logits.shape:
-            raise ValueError(f"logit gradient shape {d.shape} does not match logits {self.logits.shape}")
-        return self.net.backward(self.inputs, self.acts, d)
-
-
-def _run(arch: Architecture, values: np.ndarray, inputs: np.ndarray, plan: Plan | None,
-         acts: list | None):
-    """The network over a stack of M models (``Pass.forward``), after the
-    checks of its arguments' shapes; returns (pass, logits).
-
-    ``values`` is an (M, P) stack of flat parameter vectors and ``inputs`` an
-    (M, R, d) stack of feature rows, or (M, R, context_window) token ids.
-    Without a plan the pass runs unbuffered.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != param_count(arch):
-        raise ValueError(f"parameter stack shape {values.shape} does not match architecture "
-                         f"({param_count(arch)} per model)")
-    if inputs.ndim != 3 or inputs.shape[0] != values.shape[0] or inputs.shape[1] < 1:
-        raise ValueError(f"inputs {inputs.shape} must be (M, R, d) with R >= 1 rows for each "
-                         f"of the {values.shape[0]} models")
-    _validate_inputs(arch, inputs)
-    M, R = inputs.shape[:2]
+def _bind(params: Parameters, batch: Batch, plan: Plan | None) -> Pass:
+    """A Pass of ``params`` alone over ``plan``, after the checks of the
+    batch's inputs; without a plan, over a new forward-only one for the
+    batch's rows."""
+    arch = params.arch
+    _validate_inputs(arch, batch.inputs)
     if plan is None:
-        plan = Plan(arch, M, R, buffered=False)
-    elif (plan.arch, plan.n_models, plan.n_rows) != (arch, M, R):
+        plan = Plan(arch, 1, batch.size, n_grad=0)
+    elif (plan.arch, plan.n_models, plan.n_rows) != (arch, 1, batch.size):
         raise ValueError(f"plan for {plan.n_models} models of {plan.n_rows} rows cannot run "
-                         f"inputs {inputs.shape}")
-    net = Pass(plan, values)
-    return net, net.forward(inputs, acts)
+                         f"one model over {batch.size} rows")
+    return Pass(plan, params.values[None])
 
 
-def forward_trace(arch: Architecture, values: np.ndarray, inputs: np.ndarray,
-                  plan: Plan | None = None) -> ForwardTrace:
-    """Run M models of one architecture at once (see ``_run`` for the
-    shapes), keeping each layer's input activations for backprop; given a
-    ``plan``, in its buffers."""
-    acts: list[np.ndarray] = []
-    net, logits = _run(arch, values, inputs, plan, acts)
-    return ForwardTrace(net, inputs, acts, logits)
-
-
-def stack_logits(arch: Architecture, values: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """The (M, R, K) logits of M models at once, keeping no activations."""
-    return _run(arch, values, inputs, None, None)[1]
-
-
-def forward(params: Parameters, batch: Batch) -> np.ndarray:
-    """Logits of shape (B, output_dim); pure and deterministic. A stack of one."""
-    return stack_logits(params.arch, params.values[None], batch.inputs[None])[0]
+def forward(params: Parameters, batch: Batch, plan: Plan | None = None) -> np.ndarray:
+    """Logits of shape (B, output_dim); deterministic. Written into
+    ``plan``, a plan of one model over the batch's rows that any number of
+    models may reuse in turn (each result holds until its next pass), or
+    into a new plan's."""
+    return _bind(params, batch, plan).forward(batch.inputs[None])[0]
 
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -546,13 +457,19 @@ def predict_proba(params: Parameters, batch: Batch) -> np.ndarray:
 
 
 def backward(params: Parameters, batch: Batch, dloss_dlogits: np.ndarray) -> np.ndarray:
-    """Gradient for the loss whose logit gradient is supplied, as a flat vector.
-
-    Runs the forward pass again for its activations; a caller that already
-    holds a ``ForwardTrace`` should call its ``grad`` instead.
-    """
-    trace = forward_trace(params.arch, params.values[None], batch.inputs[None])
-    return trace.grad(np.asarray(dloss_dlogits)[None])[0]
+    """Gradient for the loss whose logit gradient is supplied, as a flat
+    vector: the forward pass again, over a plan of its own, then its
+    backward, as a training step runs them."""
+    plan = Plan(params.arch, 1, batch.size)
+    net = _bind(params, batch, plan)
+    d = np.asarray(dloss_dlogits, dtype=np.float64)
+    if d.shape != (batch.size, params.arch.output_dim):
+        raise ValueError(f"logit gradient shape {d.shape} does not match logits "
+                         f"{(batch.size, params.arch.output_dim)}")
+    x = plan.inputs
+    x[0] = batch.inputs
+    net.forward(x)
+    return net.backward(x, d[None])[0]
 
 
 def serialize_params(params: Parameters, *, step: int = 0, model_id: int = 0,

@@ -77,8 +77,8 @@ def naive_mlp_forward(params, x):
 def recompute_backward(params, batch, dlogits):
     """(logits, gradient) the way the network was first written: a fresh
     forward pass that keeps every pre-activation, out-of-place bias and relu,
-    and relu masks taken from the pre-activations. The library's
-    single-pass trace must match it bit for bit."""
+    and relu masks taken from the pre-activations. The library's pass must
+    match it bit for bit."""
     arch = params.arch
     v = _views(arch, params.values)
     if arch.task == TASK_LM:

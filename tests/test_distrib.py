@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, Divergen
                                codistill_train_concurrent, comm_report, mean_teacher_fn,
                                offline_distill, train_baseline, worker_streams)
 from codistill import optim
-from codistill.nn import forward, forward_trace, predict_proba, serialize_params
+from codistill.nn import Plan, backward, forward, predict_proba, serialize_params
 from codistill.losses import CombinedLossSpec, combined_loss
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
                           Parameters, SerializationError, TruncatedPayloadError, init_params,
@@ -677,9 +678,9 @@ class TestStackBuffers:
                                                             kind, distill):
         """Each student's 2 teachers run in the students' forward; every step
         of the stack equals a stack of one per group and the pure forms
-        (``forward_trace``, ``mean_teacher_fn``, ``combined_loss``,
-        ``ForwardTrace.grad``, ``optim.step`` without buffers), through
-        burn-in, teacher and signal steps and a reload of new teacher rows."""
+        (``forward``, ``mean_teacher_fn``, ``combined_loss``, ``backward``,
+        ``optim.step`` without buffers), through burn-in, teacher and signal
+        steps and a reload of new teacher rows."""
         k, seeds = 2, [3, 4, 5][:n_models]
         spec = CombinedLossSpec(distill, 0.5)
         signal = lambda batches: np.full((len(batches), batches[0].size, arch.output_dim),  # noqa: E731
@@ -712,11 +713,13 @@ class TestStackBuffers:
                     teacher = mean_teacher_fn(members, distill)(batch)[None]
                 elif pair is not None:
                     teacher = pair[1]([batch])
-                trace = forward_trace(arch, values[i], batch.inputs[None])
+                params = Parameters(arch, values[i][0])
                 loss, dlogits = combined_loss(pair[0] if pair else CombinedLossSpec(),
-                                              batch.labels[None], trace.logits, teacher)
+                                              batch.labels[None], forward(params, batch)[None],
+                                              teacher)
                 assert loss.tolist() == [losses[i]]
-                values[i], states[i] = optim.step(opt, states[i], values[i], trace.grad(dlogits))
+                grad = backward(params, batch, dlogits[0])[None]
+                values[i], states[i] = optim.step(opt, states[i], values[i], grad)
                 assert np.array_equal(values[i][0], stack.values[i])
                 for name in ("m", "v", "acc"):
                     mine = getattr(stack.opt_state, name)
@@ -843,6 +846,11 @@ class TestMeanTeacher:
         got = mean_teacher_fn(models, "logit_mse")(batch)
         want = (forward(models[0], batch) + forward(models[1], batch)) / 2
         assert np.abs(got - want).max() < 1e-15
+
+    def test_checks_the_batch_width(self):
+        fn = mean_teacher_fn([init_params(ARCH, 1)], "soft_cross_entropy")
+        with pytest.raises(ValueError, match="input_dim"):
+            fn(Batch(np.zeros((3, ARCH.input_dim + 1)), np.zeros(3, dtype=int)))
 
 
 class TestThreeModelCodistill:
@@ -1122,6 +1130,32 @@ class TestLedger:
             ledger.add("a", "checkpoint_load", -1)
 
 
+class TestValidationPlan:
+    def test_point_allocates_no_layer_outputs(self):
+        """A lockstep evaluation point validates every model through the
+        loop's one forward-only plan: after the first point, one over the
+        desk validation set (5 000 rows, 2 models) allocates under 1 MB, the
+        loss and accuracy reductions. Its layer outputs, about 4 MB per model
+        freshly allocated, are the plan's."""
+        ds = gen_classification(7, 50000, 32, 10, 0.5)
+        validation = split_train_val(ds, 0.1, 7)[1].as_batch()
+        arch = Architecture(32, (64, 32), 10)
+        values = np.stack([init_params(arch, s).values for s in (0, 1)])
+        members = [(f"m{i}", 0, None, 0, 0) for i in range(2)]
+        plan = Plan(arch, 1, validation.size, n_grad=0)
+        first = distrib._point_records(validation, 0.0, None, plan, 0, values, members)
+        tracemalloc.start()
+        try:
+            second = distrib._point_records(validation, 0.0, None, plan, 0, values, members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"{peak / 1e6:.2f} MB allocated"
+        for a, b in zip(first, second):
+            assert (a.validation_loss, a.validation_accuracy) == (b.validation_loss,
+                                                                  b.validation_accuracy)
+
+
 class TestLockstepEvaluation:
     """Lockstep validation runs in one forked evaluator process when at least
     2 CPUs are available and inline otherwise, with the same records either
@@ -1142,12 +1176,12 @@ class TestLockstepEvaluation:
         ``pids`` path, appends the id of the process it ran in."""
         evaluate = distrib.evaluate
 
-        def slow(params, validation):
+        def slow(params, validation, plan):
             if pids is not None:
                 with open(pids, "a") as f:
                     f.write(f"{os.getpid()}\n")
             time.sleep(seconds)
-            return evaluate(params, validation)
+            return evaluate(params, validation, plan)
 
         monkeypatch.setattr(distrib, "evaluate", slow)
 
@@ -1163,11 +1197,11 @@ class TestLockstepEvaluation:
         evaluates) runs ``fail()`` instead."""
         evaluate, calls = distrib.evaluate, []
 
-        def failing(params, validation):
+        def failing(params, validation, plan):
             calls.append(1)
             if len(calls) == n:
                 fail()
-            return evaluate(params, validation)
+            return evaluate(params, validation, plan)
 
         monkeypatch.setattr(distrib, "evaluate", failing)
 

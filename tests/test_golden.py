@@ -9,11 +9,18 @@ every optimizer, both label-smoothing teachers and the 32-bit checkpoint
 payload. The sweep cases hash ``sweep.csv`` and each value's outputs for
 the paper's two scaling sweeps through ``experiments.sweep``; its
 ``codistill.reload_interval=1`` value is deep mutual learning. A mismatch
-means a change altered training arithmetic; re-record only when that is the
-intent, and say so in the change.
+means a change altered training arithmetic, or that numpy's OpenBLAS picked
+a kernel whose sums run in another order: the hashes hold on SkylakeX and
+Haswell, and a mismatch names the kernel it ran on. Re-record only when a
+change of arithmetic is the intent, and say so in the change.
 """
 
+import ctypes
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +114,27 @@ SWEEP_GOLDEN = {
 }
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs, by its own name ("SkylakeX"),
+    or "unknown" where that library or its ``scipy_openblas_get_corename64_``
+    symbol is missing. Loading the library numpy already loaded gives numpy's
+    instance, so a kernel forced with ``OPENBLAS_CORETYPE`` is the one named."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def mismatch() -> str:
+    return (f"outputs differ from the golden hashes on the {blas_kernel()} OpenBLAS kernel; "
+            "they were recorded on SkylakeX and hold on Haswell")
+
+
 def _corpus() -> str:
     rng = np.random.default_rng(11)
     words = ["the", "cat", "sat", "on", "a", "mat", "and", "dog", "ran"]
@@ -155,9 +183,22 @@ def test_cases_cover_every_kind():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert case_hashes(name, tmp_path) == GOLDEN[name]
+    assert case_hashes(name, tmp_path) == GOLDEN[name], mismatch()
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_golden_sweep_outputs(name, tmp_path):
-    assert sweep_hashes(name, tmp_path) == SWEEP_GOLDEN[name]
+    assert sweep_hashes(name, tmp_path) == SWEEP_GOLDEN[name], mismatch()
+
+
+def test_mismatch_names_the_running_kernel():
+    """The kernel named is the one running: forcing one with
+    ``OPENBLAS_CORETYPE`` in a new process changes the name."""
+    if blas_kernel() == "unknown" or platform.machine() != "x86_64":
+        pytest.skip("no bundled x86-64 OpenBLAS to ask")
+    forced = subprocess.run(
+        [sys.executable, "-c", "from test_golden import mismatch; print(mismatch())"],
+        cwd=Path(__file__).parent, capture_output=True, text=True, check=True,
+        env={**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+             "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)})
+    assert "on the Nehalem OpenBLAS kernel" in forced.stdout

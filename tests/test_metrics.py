@@ -9,8 +9,8 @@ from codistill.losses import CombinedLossSpec, hard_ce
 from codistill.metrics import (CSV_COLUMNS, MetricRecord, churn_experiment, ensemble_predict,
                                evaluate, format_row, parse_row,
                                prediction_churn, probs_nll, steps_to_target)
-from codistill.nn import (Architecture, Batch, Parameters, forward, init_params, param_count,
-                          predict_proba)
+from codistill.nn import (Architecture, Batch, Parameters, Plan, forward, init_params,
+                          param_count, predict_proba)
 from codistill.optim import OptimizerConfig
 
 ARCH = Architecture(5, (8,), 3)
@@ -77,6 +77,23 @@ class TestEvaluate:
             correct += int(probs.argmax() == val.labels[i])
         assert abs(loss - total / val.size) < 1e-12
         assert acc == correct / val.size
+
+    @pytest.mark.parametrize("head", ["classification", "lm"])
+    def test_one_plan_serves_many_models(self, head, lm_arch):
+        """One forward-only plan, as a validation loop binds it, reused by 4
+        models in turn: each result is bit-identical to a call with a plan of
+        its own."""
+        if head == "lm":
+            arch, rng = lm_arch, np.random.default_rng(8)
+            val = Batch(rng.integers(0, arch.vocab_size, size=(300, arch.context_window)),
+                        rng.integers(0, arch.vocab_size, size=300))
+        else:
+            arch, val = ARCH, rand_val(8, n=300)
+        plan = Plan(arch, 1, val.size, n_grad=0)
+        models = [init_params(arch, s) for s in range(4)]
+        got = [evaluate(m, val, plan) for m in models]
+        assert got == [evaluate(m, val) for m in models]
+        assert len(set(got)) == 4
 
     def test_empty_validation(self):
         empty = Batch(np.zeros((1, 5)), np.array([0]))

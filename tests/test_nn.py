@@ -6,10 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from codistill.losses import hard_ce
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
-                          Parameters, Plan, TruncatedPayloadError, _embedding_grad, _layout,
-                          _slices, _views, backward, deserialize_checkpoint, forward, forward_trace,
-                          init_params, param_count, predict_proba, serialize_params, softmax,
-                          stack_logits)
+                          Parameters, Pass, Plan, TruncatedPayloadError, _embedding_grad, _layout,
+                          _slices, _views, backward, deserialize_checkpoint, forward, init_params,
+                          param_count, predict_proba, serialize_params, softmax)
 from helpers import (embedding_grad_add_at, fd_param_grad, naive_mlp_forward,
                      recompute_backward, rel_err)
 
@@ -200,10 +199,15 @@ def _trace_case(arch, seed, batch_size):
 
 
 def _stack_of_one(params, batch):
-    return forward_trace(params.arch, params.values[None], batch.inputs[None])
+    """One model's pass as a training step runs it: a plan of one whose input
+    buffer is fed the batch, then the forward. Returns (pass, inputs, logits)."""
+    plan = Plan(params.arch, 1, batch.size)
+    plan.inputs[0] = batch.inputs
+    net = Pass(plan, params.values[None])
+    return net, plan.inputs, net.forward(plan.inputs)
 
 
-class TestForwardTrace:
+class TestPass:
     """One forward pass serves both the loss and the gradient; both must be
     bit-identical to a fresh forward and a backward that recomputes it."""
 
@@ -213,47 +217,43 @@ class TestForwardTrace:
     def test_grad_equals_recompute_then_backward(self, arch_name, seed, batch_size, request):
         arch = request.getfixturevalue(arch_name)
         params, batch = _trace_case(arch, seed, batch_size)
-        trace = _stack_of_one(params, batch)
-        _, dlogits = hard_ce(batch.labels, trace.logits[0])
+        net, x, logits = _stack_of_one(params, batch)
+        _, dlogits = hard_ce(batch.labels, logits[0])
         want_logits, want_grad = recompute_backward(params, batch, dlogits)
-        assert np.array_equal(trace.logits[0], want_logits)
+        assert np.array_equal(logits[0], want_logits)
         assert np.array_equal(forward(params, batch), want_logits)
-        got = trace.grad(dlogits[None])
+        got = net.backward(x, dlogits[None]).copy()
         assert got.shape == (1, param_count(arch))
         assert np.array_equal(got[0], want_grad)
         assert np.array_equal(backward(params, batch, dlogits), want_grad)
-        # the stored activations are not consumed by a gradient
-        assert np.array_equal(trace.grad(dlogits[None]), got)
+        # the activations left in the plan are not consumed by a gradient
+        assert np.array_equal(net.backward(x, dlogits[None]), got)
 
     @pytest.mark.parametrize("arch_name", ["small_arch", "lm_arch"])
     def test_large_batch_matches_recompute(self, arch_name, request):
         arch = request.getfixturevalue(arch_name)
         params, batch = _trace_case(arch, 3, 2000)
-        trace = _stack_of_one(params, batch)
-        dlogits = np.random.default_rng(4).standard_normal(trace.logits.shape[1:])
+        net, x, logits = _stack_of_one(params, batch)
+        dlogits = np.random.default_rng(4).standard_normal(logits.shape[1:])
         want_logits, want_grad = recompute_backward(params, batch, dlogits)
-        assert np.array_equal(trace.logits[0], want_logits)
-        assert np.array_equal(trace.grad(dlogits[None])[0], want_grad)
+        assert np.array_equal(logits[0], want_logits)
+        assert np.array_equal(net.backward(x, dlogits[None])[0], want_grad)
 
     def test_grad_checks_upstream(self, small_params, small_batch):
-        trace = _stack_of_one(small_params, small_batch)
+        net, x, _ = _stack_of_one(small_params, small_batch)
         with pytest.raises(ValueError, match="shape"):
-            trace.grad(np.zeros((1, small_batch.size, 3)))
+            backward(small_params, small_batch, np.zeros((small_batch.size, 3)))
         bad = np.zeros((1, small_batch.size, 4))
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            trace.grad(bad)
+            net.backward(x, bad)
 
     def test_validates_inputs(self, small_params):
+        batch = Batch(np.zeros((2, 5)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="input_dim"):
-            _stack_of_one(small_params, Batch(np.zeros((2, 5)), np.zeros(2, dtype=int)))
-
-    def test_validates_stack_shapes(self, small_params, small_batch):
-        two = np.stack([small_params.values] * 2)
-        with pytest.raises(ValueError, match="models"):
-            forward_trace(small_params.arch, two, small_batch.inputs[None])
-        with pytest.raises(ValueError, match="parameter stack"):
-            forward_trace(small_params.arch, small_params.values, small_batch.inputs[None])
+            forward(small_params, batch)
+        with pytest.raises(ValueError, match="input_dim"):
+            backward(small_params, batch, np.zeros((2, 4)))
 
 
 DESK_ARCH = Architecture(32, (64, 32), 10)
@@ -272,18 +272,22 @@ class TestStackedKernel:
     def test_stack_equals_each_model_alone(self, arch, n_models, rows):
         cases = [_trace_case(arch, 100 * n_models + m, rows) for m in range(n_models)]
         values = np.stack([p.values for p, _ in cases])
-        inputs = np.stack([b.inputs for _, b in cases])
-        trace = forward_trace(arch, values, inputs)
-        dlogits = np.stack([hard_ce(b.labels, trace.logits[m])[1]
+        plan = Plan(arch, n_models, rows)
+        x = plan.inputs
+        x[...] = np.stack([b.inputs for _, b in cases])
+        net = Pass(plan, values)
+        logits = net.forward(x)
+        dlogits = np.stack([hard_ce(b.labels, logits[m])[1]
                             for m, (_, b) in enumerate(cases)])
-        grads = trace.grad(dlogits)
-        assert trace.logits.shape == (n_models, rows, arch.output_dim)
+        grads = net.backward(x, dlogits)
+        assert logits.shape == (n_models, rows, arch.output_dim)
         assert grads.shape == (n_models, param_count(arch))
-        # the pass without activations, as teachers and validation run it
-        assert np.array_equal(stack_logits(arch, values, inputs), trace.logits)
+        # the forward-only pass, as teachers and validation run it
+        forward_only = Pass(Plan(arch, n_models, rows, n_grad=0), values)
+        assert np.array_equal(forward_only.forward(x.copy()), logits)
         for m, (params, batch) in enumerate(cases):
             want_logits, want_grad = recompute_backward(params, batch, dlogits[m])
-            assert np.array_equal(trace.logits[m], want_logits)
+            assert np.array_equal(logits[m], want_logits)
             assert np.array_equal(grads[m], want_grad)
 
     @given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 5),
@@ -354,23 +358,37 @@ class TestPlan:
         M, R = 3, 16
         plan = Plan(arch, M, R)
         buffers = [np.empty((M, param_count(arch))) for _ in range(2)]
+        passes = [Pass(plan, b) for b in buffers]  # bound once, as a training stack's
+        x = plan.inputs
         rng = np.random.default_rng(6)
         for k in range(4):
             cases = [_trace_case(arch, 10 * k + m, R) for m in range(M)]
             values = buffers[k % 2]
             values[...] = np.stack([p.values for p, _ in cases])
-            inputs = np.stack([b.inputs for _, b in cases])
+            x[...] = np.stack([b.inputs for _, b in cases])
             dlogits = rng.standard_normal((M, R, arch.output_dim))
-            want = forward_trace(arch, values.copy(), inputs)
-            got = forward_trace(arch, values, inputs, plan)
-            assert got.logits is plan.outputs[-1]
-            assert np.array_equal(got.logits, want.logits)
-            grad = got.grad(dlogits)
+            net = passes[k % 2]
+            logits = net.forward(x)
+            assert logits is plan.outputs[-1]
+            grad = net.backward(x, dlogits)
             assert grad is plan.grad
-            assert np.array_equal(grad, want.grad(dlogits))
+            for m, (params, batch) in enumerate(cases):
+                assert np.array_equal(logits[m], forward(params, batch))
+                assert np.array_equal(grad[m], backward(params, batch, dlogits[m]))
 
     def test_shape_must_match(self, small_params, small_batch):
         plan = Plan(small_params.arch, 1, small_batch.size + 1)
         with pytest.raises(ValueError, match="plan"):
-            forward_trace(small_params.arch, small_params.values[None], small_batch.inputs[None],
-                          plan)
+            forward(small_params, small_batch, plan)
+
+    @pytest.mark.parametrize("arch", [DESK_ARCH, DESK_LM], ids=["classification", "lm"])
+    def test_forward_only_plan_holds_no_gradient_memory(self, arch):
+        plan = Plan(arch, 4, 50, n_grad=0)
+        grad_slots = plan.masks + plan.deltas + [plan.grad]
+        if arch.task == "lm_fixed_context":
+            grad_slots += [plan.dinput, plan.flat]
+        assert sum(a.nbytes for a in grad_slots) == 0
+        assert plan.outputs[-1].shape == (4, 50, arch.output_dim)
+        for n_grad in (-1, 5):
+            with pytest.raises(ValueError, match="n_grad"):
+                Plan(arch, 4, 50, n_grad=n_grad)
