@@ -22,6 +22,15 @@ and around the training process's pipe traffic with its evaluator:
 - ``eval_recv``/``eval_send``: ``Connection.recv``/``send`` in the training
   process, i.e. the wait for an evaluation point's records and the handoff.
 
+and around the checkpoint exchange of a codistillation run, which runs
+between steps:
+
+- ``reload``: ``distrib._PeerTeachers.__call__`` on every step, the whole
+  teacher source (a reload boundary's publishes, loads and teacher rows);
+- ``publish``/``load``: the stores' ``publish``/``load_latest``;
+- ``teacher_rows``: ``distrib._Stack.set_teachers``, the copy of the loaded
+  checkpoints into the stack's teacher rows.
+
 Only calls made inside a step count towards its parts, so an inline
 validation pass (one CPU) adds nothing to ``pass``. Prints one JSON object:
 per part its calls, minimum and median in us, and total in ms, and which
@@ -63,6 +72,13 @@ PARTS = {
                  (getattr(nn, "ForwardTrace", None), "grad")],
     "update": [(optim, "step")],
 }
+# parts timed on every call: the exchange runs between steps
+EXCHANGE = {
+    "reload": [(getattr(distrib, "_PeerTeachers", None), "__call__")],
+    "publish": [(getattr(distrib, "_CheckpointStore", None), "publish")],
+    "load": [(getattr(distrib, "_CheckpointStore", None), "load_latest")],
+    "teacher_rows": [(distrib._Stack, "set_teachers")],
+}
 
 
 def timed(name: str, fn, in_step: bool = True):
@@ -93,12 +109,13 @@ def instrument() -> dict[str, str]:
 
     distrib._Stack.step = timed("step", stepping, in_step=False)
     patched = {}
-    for part, names in PARTS.items():
-        for owner, attr in names:
-            if owner is not None and attr in vars(owner):
-                setattr(owner, attr, timed(part, getattr(owner, attr)))
-                patched[part] = f"{getattr(owner, '__name__', owner)}.{attr}"
-                break
+    for parts, in_step in ((PARTS, True), (EXCHANGE, False)):
+        for part, names in parts.items():
+            for owner, attr in names:
+                if owner is not None and attr in vars(owner):
+                    setattr(owner, attr, timed(part, getattr(owner, attr), in_step))
+                    patched[part] = f"{getattr(owner, '__name__', owner)}.{attr}"
+                    break
     if "teacher" not in patched and hasattr(distrib, "_mean_teacher"):
         make_teacher = distrib._mean_teacher
         distrib._mean_teacher = lambda *a, **k: timed("teacher", make_teacher(*a, **k))

@@ -18,8 +18,8 @@ batches.
 The loop trains its N groups as one stack (``_Stack``): their parameters
 and optimizer state are (N, P) arrays, and each global step runs once over
 the leading model axis. After burn-in the stack's T = N * k teacher rows
-(k per student) follow its N student rows in one (N + T, P) parameter
-stack, so a step is one forward over all N + T rows (the N students' in
+(k per student) follow its N student rows in its one (N + T, P) parameter
+buffer, so a step is one forward over all N + T rows (the N students' in
 burn-in), with one ``np.matmul`` per layer; each student's mean teacher
 prediction, made in place from its k rows' logits; one combined loss; one
 backward over the N students; and one elementwise optimizer update with one
@@ -36,14 +36,15 @@ touches once per loop (see ``_Stack``), and each part is the one body of
 the network, the losses or the optimizer (``nn.Pass``,
 ``losses.combined_loss`` with a ``LossPlan``, ``optim.step``'s buffer
 form). So a ``Parameters`` is built only where one is read, as a view of
-the current buffer: a publish and an evaluation point consume theirs at
+the parameter buffer: a publish and an evaluation point consume theirs at
 once, and what outlives the step is copied (the result's parameters, and
 those an ``after_eval`` hook is given).
 
-Both checkpoint stores decode each published version once: a load of the
-version already decoded returns that ``Checkpoint`` and still charges the
-ledger one logical load. The file store publishes by swapping a symbolic
-link to a new file, so no regular file is ever renamed over another (see
+Both checkpoint stores decode each published version once, the store that
+publishes it at publish time: a load of the version already decoded returns
+that ``Checkpoint``, reading no bytes, and still charges the ledger one
+logical load. The file store publishes by swapping a symbolic link to a new
+file, so no regular file is ever renamed over another (see
 ``FileCheckpointStore`` for the cost this avoids on ext4).
 
 Lockstep mode (``codistill_train``) makes one loop call over all groups on
@@ -91,7 +92,6 @@ import os
 import pickle
 import select
 import signal
-import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -194,14 +194,19 @@ class _CheckpointStore:
     identically apart from I/O. The step check and the write share one lock,
     so a slot never goes back to an older step.
 
-    Each published version is decoded once per store. ``_read`` names the
-    version it finds, and a load of the version last decoded for that model
-    returns the same ``Checkpoint`` without reading or decoding its bytes:
-    N >= 3 lockstep groups sharing one store load each peer checkpoint N-1
-    times. Such a load still charges the ledger one logical load, as the
-    ledger charges W workers' allreduce for one computed gradient. The cache
-    holds one decoded checkpoint per model, and its ``Parameters`` values are
-    read-only, so every caller can share it.
+    Each published version is decoded once per store: a store decodes the
+    versions it publishes when it publishes them (from the bytes it wrote,
+    once they are visible) and other versions on their first load.
+    ``_write`` and ``_read`` name the version they wrote or found, and a load
+    of the version last decoded for that model returns the same
+    ``Checkpoint`` without reading or decoding its bytes: so a lockstep load
+    of a peer reads nothing, and N >= 3 groups sharing one store load each
+    peer checkpoint N-1 times. Such a load still charges the ledger one
+    logical load, as the ledger charges W workers' allreduce for one
+    computed gradient. The cache holds one decoded checkpoint per model, and
+    its ``Parameters`` values are read-only, so every caller can share it.
+    As for any cached version, bytes damaged in place under the same version
+    are not read again.
     """
 
     def __init__(self, arch: Architecture, ledger: CommLedger | None = None):
@@ -218,8 +223,9 @@ class _CheckpointStore:
             last = self._last_step.get(ckpt.model_id)
             if last is not None and ckpt.step <= last:
                 raise ValueError(f"checkpoint step must increase ({ckpt.step} <= {last})")
-            self._write(ckpt.model_id, ckpt.step, data)
+            version = self._write(ckpt.model_id, ckpt.step, data)
             self._last_step[ckpt.model_id] = ckpt.step
+        self._decoded[ckpt.model_id] = version, self._decode(data)
         if self._ledger is not None:
             self._ledger.add(entity or f"model{ckpt.model_id}", "checkpoint_publish",
                              ckpt.payload_bytes())
@@ -233,14 +239,17 @@ class _CheckpointStore:
         if data is None:
             ckpt = cached[1]
         else:
-            params, step, mid, f32 = deserialize_checkpoint(data, self._arch)
-            ckpt = Checkpoint(mid, step, params, f32)
+            ckpt = self._decode(data)
             if version is not None:
                 self._decoded[model_id] = version, ckpt
         if self._ledger is not None:
             self._ledger.add(entity or f"model{model_id}", "checkpoint_load",
                              ckpt.payload_bytes())
         return ckpt
+
+    def _decode(self, data: bytes) -> Checkpoint:
+        params, step, mid, f32 = deserialize_checkpoint(data, self._arch)
+        return Checkpoint(mid, step, params, f32)
 
 
 class InMemoryCheckpointStore(_CheckpointStore):
@@ -254,8 +263,9 @@ class InMemoryCheckpointStore(_CheckpointStore):
         super().__init__(arch, ledger)
         self._blobs: dict[int, bytes] = {}
 
-    def _write(self, model_id: int, step: int, data: bytes) -> None:
+    def _write(self, model_id: int, step: int, data: bytes) -> bytes:
         self._blobs[model_id] = data
+        return data
 
     def _read(self, model_id: int, known) -> tuple[object, bytes | None] | None:
         data = self._blobs.get(model_id)
@@ -268,51 +278,72 @@ class InMemoryCheckpointStore(_CheckpointStore):
 # file it named in between, before it reports the link as dangling
 LOAD_TRIES = 5
 
+# how a publish creates a checkpoint file: only under a name nothing has yet
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+
 
 class FileCheckpointStore(_CheckpointStore):
     """One checkpoint per model in a directory: ``ckpt_<model_id>.bin`` is a
     symbolic link to the current ``ckpt_<model_id>.<step>.<random>.bin``.
 
     A publish writes the encoded checkpoint to a new file that no reader can
-    reach yet (``mkstemp``, so an existing file is never overwritten), points
-    a temporary link ``.ckpt_<model_id>.<step>.<random>.tmp`` at it,
-    ``os.replace``s the link over ``ckpt_<model_id>.bin`` and unlinks the file
-    the old link named. A store remembers the target it last published for
-    each model, so only its first publish of a model resolves the old link
-    (and so removes what an earlier store or run left there). That assumes
-    one publishing store per model id per directory, which lockstep (one
-    store) and concurrent mode (each group publishes only its own model)
-    both guarantee. A concurrent reader sees the previous complete
-    checkpoint or the new one, never a torn payload. No regular file is ever
-    renamed over another: on ext4, renaming over an existing file forces
-    writeback of the new one (``auto_da_alloc``). On the ext4 disk of a
-    2-vCPU virtual machine that rename took 153 us for a 36 KB checkpoint
-    (median of 200), against 9 us to rename to a new name and 12 us to
-    unlink; on tmpfs it took 11 us. The store promises atomic visibility and nothing about durability: it
-    never calls ``fsync``.
+    reach yet (created with ``O_EXCL`` under a fresh random name, so an
+    existing file is never overwritten), points a temporary link
+    ``.ckpt_<model_id>.<step>.<random>.tmp`` at it, ``os.replace``s the link
+    over ``ckpt_<model_id>.bin`` and unlinks the file the old link named. A
+    store remembers the target it last published for each model, so only
+    its first publish of a model resolves the old link (and so removes what
+    an earlier store or run left there). That assumes one publishing store
+    per model id per directory, which lockstep (one store) and concurrent
+    mode (each group publishes only its own model) both guarantee. A
+    concurrent reader sees the previous complete checkpoint or the new one,
+    never a torn payload. No regular file is ever renamed over another: on
+    ext4, renaming over an existing file forces writeback of the new one
+    (``auto_da_alloc``). On the ext4 disk of a 2-vCPU virtual machine that
+    rename took 153 us for a 36 KB checkpoint (median of 200), against 9 us
+    to rename to a new name and 12 us to unlink; on tmpfs it took 11 us. The
+    store promises atomic visibility and nothing about durability: it never
+    calls ``fsync``.
 
     A load resolves the link once and reads the file it names; the link's
-    target is the version the decode cache compares. If a publish removed the
-    file in between, the load resolves the link again, and after
-    ``LOAD_TRIES`` tries a link that still dangles raises
+    target is the version the decode cache compares, so a file rewritten in
+    place under a cached target is not read again. The version a store has
+    just published is already decoded, so its own loads of it read no file.
+    If a publish removed the file in between, the load resolves the link
+    again, and after ``LOAD_TRIES`` tries a link that still dangles raises
     ``SerializationError``. A regular file at ``ckpt_<model_id>.bin`` (from
-    an older layout) is read as it is and never cached.
+    an older layout) is read as it is and never cached. Every path is a
+    string, the link's built once per model.
     """
 
     def __init__(self, directory, arch: Architecture, ledger: CommLedger | None = None):
         super().__init__(arch, ledger)
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(self._dir)
+        self._links: dict[int, str] = {}  # model id -> the link's path
         self._published: dict[int, str] = {}  # model id -> the link's target
 
     def _path(self, model_id: int) -> Path:
         return self._dir / f"ckpt_{model_id}.bin"
 
-    def _write(self, model_id: int, step: int, data: bytes) -> None:
-        link = self._path(model_id)
-        fd, name = tempfile.mkstemp(dir=self._dir, prefix=f"ckpt_{model_id}.{step}.",
-                                    suffix=".bin")
-        target = Path(name)
+    def _link(self, model_id: int) -> str:
+        link = self._links.get(model_id)
+        if link is None:
+            link = self._links[model_id] = os.fspath(self._path(model_id))
+        return link
+
+    def _write(self, model_id: int, step: int, data: bytes) -> str:
+        link = self._link(model_id)
+        while True:
+            stem = f"ckpt_{model_id}.{step}.{os.urandom(4).hex()}"
+            name = stem + ".bin"
+            target = os.path.join(self._root, name)
+            try:
+                fd = os.open(target, _NEW_FILE, 0o600)
+                break
+            except FileExistsError:
+                continue  # never overwrite: draw another name
         try:
             with os.fdopen(fd, "wb") as f:
                 f.write(data)
@@ -323,8 +354,8 @@ class FileCheckpointStore(_CheckpointStore):
                 except OSError as err:  # nothing published yet, or a regular file
                     if err.errno not in (errno.ENOENT, errno.EINVAL):
                         raise
-            tmp = target.with_name(f".{target.stem}.tmp")
-            os.symlink(target.name, tmp)
+            tmp = os.path.join(self._root, f".{stem}.tmp")
+            os.symlink(name, tmp)
             try:
                 os.replace(tmp, link)
             except BaseException:
@@ -333,12 +364,16 @@ class FileCheckpointStore(_CheckpointStore):
         except BaseException:
             os.unlink(target)
             raise
-        self._published[model_id] = target.name
-        if old is not None and old != target.name:
-            (self._dir / old).unlink(missing_ok=True)
+        self._published[model_id] = name
+        if old is not None and old != name:
+            try:
+                os.unlink(os.path.join(self._root, old))
+            except FileNotFoundError:
+                pass
+        return name
 
     def _read(self, model_id: int, known) -> tuple[str | None, bytes | None] | None:
-        link = self._path(model_id)
+        link = self._link(model_id)
         for _ in range(LOAD_TRIES):
             try:
                 target = os.readlink(link)
@@ -347,15 +382,20 @@ class FileCheckpointStore(_CheckpointStore):
             except OSError as err:
                 if err.errno != errno.EINVAL:
                     raise
-                return None, link.read_bytes()  # a regular file: never cached
+                return None, _read_bytes(link)  # a regular file: never cached
             if target == known:
                 return target, None
             try:
-                return target, (self._dir / target).read_bytes()
+                return target, _read_bytes(os.path.join(self._root, target))
             except FileNotFoundError:
                 continue  # a publish removed it since the link was resolved
         raise SerializationError(f"checkpoint of model {model_id}: {link} links to missing "
                                  f"{target} after {LOAD_TRIES} tries")
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
 
 
 @dataclass(frozen=True)
@@ -510,16 +550,16 @@ class _Stack:
     ``_teacher_mean`` then turns their logits into each student's mean
     prediction in place.
 
-    Everything a step touches is built once, with the stack: two (M, P)
-    parameter buffers, each holding the teacher rows, used in turn (the
-    optimizer writes the new student rows into the one not holding the
-    current ones: ``optim.step``'s buffer form, which also updates the state
-    in place and uses the gradient as scratch); an ``nn.Plan`` for the M-row
-    pass, whose input buffer each group's ``step_batches`` is copied into,
-    with the gradient over the N students; one ``nn.Pass`` per parameter
-    buffer and pass length, holding every per-layer view; the (N, R) label
-    buffer and a ``losses.LossPlan``. So a ``Parameters`` from ``params`` is
-    a view that the second step after it overwrites: a publish or an
+    Everything a step touches is built once, with the stack: one (M, P)
+    parameter buffer, the student rows followed by the teacher rows, whose
+    student rows the optimizer updates in place (``optim.step``'s buffer
+    form, with an (N, P) scratch array and the gradient for its
+    temporaries), so ``set_teachers`` writes the teacher rows once; an
+    ``nn.Plan`` for the M-row pass, whose input buffer each group's
+    ``step_batches`` is copied into, with the gradient over the N students;
+    one ``nn.Pass`` per pass length, holding every per-layer view; the
+    (N, R) label buffer and a ``losses.LossPlan``. So a ``Parameters`` from
+    ``params`` is a view that the next step overwrites: a publish or an
     evaluation point consumes it at once, and whatever outlives the step is
     copied.
     """
@@ -536,15 +576,13 @@ class _Stack:
         self.runners = runners
         self.arch = arch = runners[0].arch
         self.group = first
-        self._buffers = [np.empty((M, param_count(arch))) for _ in range(2)]
-        self._students = [b[:N] for b in self._buffers]
-        self.values = np.stack([r.params.values for r in runners], out=self._students[0])
-        self._current = 0  # the buffer holding the current values
+        self._rows = np.empty((M, param_count(arch)))  # N student rows, then T teacher rows
+        self.values = np.stack([r.params.values for r in runners], out=self._rows[:N])
+        self._scratch = np.empty(self.values.shape)
         self.opt_state = optim.init_state(first.optimizer, self.values.shape)
         plan = Plan(arch, M, R, n_grad=N)
-        # per parameter buffer: the students' pass and the whole M-row pass
-        self._passes = [(Pass(plan, b, N), Pass(plan, b) if per_student else None)
-                        for b in self._buffers]
+        self._pass = Pass(plan, self._rows, N)  # the students alone
+        self._whole_pass = Pass(plan, self._rows) if per_student else None
         self._inputs = plan.inputs
         self._x = plan.inputs[:N]
         self._labels = np.empty((N, R), np.int64)
@@ -570,10 +608,8 @@ class _Stack:
         return Parameters(self.arch, self.values[row])
 
     def set_teachers(self, rows) -> None:
-        """Write the (T, P) teacher rows into both parameter buffers."""
-        n = len(self.runners)
-        np.stack(rows, out=self._buffers[0][n:])
-        np.copyto(self._buffers[1][n:], self._buffers[0][n:])
+        """Write the (T, P) teacher rows into the parameter buffer."""
+        np.stack(rows, out=self._rows[len(self.runners):])
 
     def step(self, pair=None) -> list[float]:
         """One synchronous step of every group; returns their losses.
@@ -587,29 +623,26 @@ class _Stack:
         ``DivergenceError`` before any group is updated.
         """
         batches = self._feed()
-        k = self._current
-        students, whole = self._passes[k]
         if pair is None:
             spec, teacher = self.group.loss, None
-            students.forward(self._x)
+            self._pass.forward(self._x)
         elif pair[1] is None:
             spec = pair[0]
             self._teacher_inputs[...] = self._student_inputs
-            whole.forward(self._inputs)
+            self._whole_pass.forward(self._inputs)
             teacher = _teacher_mean(self._teacher_logits, spec.distill, self._signal)
         else:
             spec, teacher = pair[0], pair[1](batches)
-            students.forward(self._x)
+            self._pass.forward(self._x)
         losses, dlogits = combined_loss(spec, self._labels, self._logits, teacher,
                                         self._loss_plan)
         losses = losses.tolist()
         for r, loss in zip(self.runners, losses):
             if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
                 raise DivergenceError(r.step_index, f"loss {loss} at step {r.step_index}")
-        grad = students.backward(self._x, dlogits)
-        self.values, self.opt_state = optim.step(self.group.optimizer, self.opt_state,
-                                                 self.values, grad, out=self._students[1 - k])
-        self._current = 1 - k
+        grad = self._pass.backward(self._x, dlogits)
+        _, self.opt_state = optim.step(self.group.optimizer, self.opt_state, self.values, grad,
+                                       scratch=self._scratch)
         for ledger, keys in self._charges:
             ledger.add_each(keys, self._sync_bytes)
         for r in self.runners:

@@ -164,8 +164,15 @@ def hard_ce_loss(labels: np.ndarray, logits: np.ndarray) -> float:
     the same float operations ``hard_ce`` does on the picked entries.
     """
     logits = np.asarray(logits, dtype=np.float64)
+    return _hard_ce_loss(labels, logits, np.empty(logits.shape))
+
+
+def _hard_ce_loss(labels: np.ndarray, logits: np.ndarray, z: np.ndarray) -> float:
+    """``hard_ce_loss`` with the shifted logits written into ``z``, which
+    may be ``logits`` itself: a caller that owns its logits shifts them in
+    place."""
     labels = _check_labels(labels, logits)
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = np.subtract(logits, logits.max(axis=1, keepdims=True), out=z)
     picked = z[np.arange(len(labels)), labels]
     picked -= np.log(np.exp(z, out=z).sum(axis=1))
     return float(-picked.mean())

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .losses import hard_ce_loss, _LOG_FLOOR
+from .losses import _LOG_FLOOR, _hard_ce_loss
 from .nn import Batch, Parameters, Plan, forward, softmax
 
 # MetricRecord's fields, in order, under their file names
@@ -72,14 +72,15 @@ def evaluate(params: Parameters, validation: Batch, plan: Plan | None = None):
 
     The loss is computed without a gradient and equals ``hard_ce``'s bit for
     bit. The logits are written into ``plan`` (see ``nn.forward``), which a
-    caller validating several models over the same rows binds once.
+    caller validating several models over the same rows binds once. The
+    accuracy's ``argmax`` reads them first; the loss then shifts them in
+    place, since a shifted row can round two entries into a tie.
     """
     if validation.size == 0:
         raise ValueError("empty validation set")
     logits = forward(params, validation, plan)
-    loss = hard_ce_loss(validation.labels, logits)
     accuracy = float((logits.argmax(axis=1) == validation.labels).mean())
-    return loss, accuracy
+    return _hard_ce_loss(validation.labels, logits, logits), accuracy
 
 
 def probs_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

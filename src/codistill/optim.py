@@ -2,10 +2,11 @@
 
 ``step`` is pure by default: it returns fresh arrays and never mutates its
 inputs, so identical inputs give bit-identical outputs. Its buffer form,
-``step(..., out=buffer)``, writes the new parameters to ``out``, updates the
-state's arrays in place and uses the gradient as scratch, so a training loop
-that owns all three allocates nothing per step; the pure form copies the
-gradient and the state and runs the same update on the copies. Every update
+``step(..., scratch=buffer)``, updates the parameters and the state's arrays
+in place, using the gradient and ``scratch`` for its temporaries, so a
+training loop that owns all four allocates nothing per step; the pure form
+copies the parameters, the gradient and the state and runs the same update
+on the copies. Every update
 is elementwise, so the parameters may be one flat vector or an (M, P) stack
 of M models' vectors (with state of the same shape): each row gets exactly
 the update it would get alone. Optimizer state stays with its worker group;
@@ -68,44 +69,45 @@ def init_state(config: OptimizerConfig, n_params) -> OptimizerState:
 
 
 def step(config: OptimizerConfig, state: OptimizerState, values: np.ndarray,
-         grad: np.ndarray, *, out: np.ndarray | None = None):
+         grad: np.ndarray, *, scratch: np.ndarray | None = None):
     """Apply one update; returns (new_values, new_state).
 
-    Given ``out``, an array of ``values``' shape that overlaps neither it nor
-    ``grad``, the new values are written there, and ``grad`` and ``state``'s
-    arrays are overwritten: the returned state holds those arrays.
+    Given ``scratch``, an array of ``values``' shape that overlaps none of
+    ``values``, ``grad`` and ``state``'s arrays, the update is made in
+    place: ``values`` and ``state``'s arrays are the ones returned, and
+    ``grad`` and ``scratch`` are overwritten.
     """
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != values.shape:
         raise ValueError(f"gradient shape {g.shape} does not match parameters {values.shape}")
     if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NonFiniteGradientError("gradient contains NaN or Inf")
-    if out is None:
-        out, g = np.empty(values.shape), g.copy()
+    if scratch is None:
+        values, g, scratch = np.array(values, dtype=np.float64), g.copy(), np.empty(values.shape)
         state = OptimizerState(state.t, *(None if a is None else a.copy()
                                           for a in (state.m, state.v, state.acc)))
     lr = config.learning_rate
     # each update below is the textbook expression, evaluated in the same
-    # order, with ``out`` and ``g`` holding its temporaries
+    # order, with ``scratch`` and ``g`` holding its temporaries
     if config.kind == "sgd":
-        update = np.multiply(lr, g, out=out)
-        return np.subtract(values, update, out=out), state
+        update = np.multiply(lr, g, out=g)
+        return np.subtract(values, update, out=values), state
     if config.kind == "adam":
         t = state.t + 1
         m, v = state.m, state.v
         m *= config.beta1
-        m += np.multiply(1.0 - config.beta1, g, out=out)
+        m += np.multiply(1.0 - config.beta1, g, out=scratch)
         v *= config.beta2
-        v += np.multiply(1.0 - config.beta2, np.multiply(g, g, out=out), out=out)
-        denom = np.sqrt(np.divide(v, 1.0 - config.beta2 ** t, out=out), out=out)
+        v += np.multiply(1.0 - config.beta2, np.multiply(g, g, out=scratch), out=scratch)
+        denom = np.sqrt(np.divide(v, 1.0 - config.beta2 ** t, out=scratch), out=scratch)
         denom += config.eps
         update = np.multiply(lr, np.divide(m, 1.0 - config.beta1 ** t, out=g), out=g)
         update /= denom
-        return np.subtract(values, update, out=out), OptimizerState(t=t, m=m, v=v)
+        return np.subtract(values, update, out=values), OptimizerState(t=t, m=m, v=v)
     acc = state.acc  # updated in place: the state holds it
-    acc += np.multiply(g, g, out=out)
-    denom = np.sqrt(acc, out=out)
+    acc += np.multiply(g, g, out=scratch)
+    denom = np.sqrt(acc, out=scratch)
     denom += config.adagrad_eps
     update = np.multiply(lr, g, out=g)
     update /= denom
-    return np.subtract(values, update, out=out), state
+    return np.subtract(values, update, out=values), state

@@ -42,7 +42,8 @@ class TestHardCE:
 
 
 class TestHardCELoss:
-    """The gradient-free loss validation uses equals hard_ce's loss bit for bit."""
+    """The gradient-free loss validation uses equals hard_ce's loss bit for
+    bit and leaves its input as it was."""
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
                       elements=st.floats(-1e300, 1e300)),
@@ -52,8 +53,10 @@ class TestHardCELoss:
         labels = data.draw(hnp.arrays(np.int64, logits.shape[0],
                                       elements=st.integers(0, logits.shape[1] - 1)))
         want = hard_ce(labels, logits)[0]
+        given_logits = logits.copy()
         got = hard_ce_loss(labels, logits)
         assert got == want
+        assert np.array_equal(logits, given_logits)  # the input is left untouched
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e3, 1e100, 1e300])
     def test_extreme_magnitudes(self, scale):

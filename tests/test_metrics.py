@@ -34,8 +34,10 @@ class TestEvaluate:
     def test_loss_equals_hard_ce_bit_for_bit(self, scale):
         p = Parameters(ARCH, rand_params(3).values * scale)
         val = rand_val(4, n=300)
-        loss, _ = evaluate(p, val)
-        assert loss == hard_ce(val.labels, forward(p, val))[0]
+        loss, acc = evaluate(p, val)
+        logits = forward(p, val)
+        assert loss == hard_ce(val.labels, logits)[0]
+        assert acc == float((logits.argmax(axis=1) == val.labels).mean())
 
     def test_uniform_predictor(self):
         p = Parameters(ARCH, np.zeros(param_count(ARCH)))

@@ -121,9 +121,9 @@ class TestCommon:
 
 
 class TestBufferForm:
-    """``step(..., out=)`` writes the new values to ``out`` and updates the
-    state in place; over several steps it gives the pure form's numbers bit
-    for bit, on a flat vector and on an (M, P) stack."""
+    """``step(..., scratch=)`` updates the values and the state's arrays in
+    place; over several steps it gives the pure form's numbers bit for bit,
+    on a flat vector and on an (M, P) stack."""
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
@@ -132,15 +132,16 @@ class TestBufferForm:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(shape)
         pure_x, pure_state = x, init_state(cfg, shape)
-        bufs, state = [x.copy(), np.empty(shape)], init_state(cfg, shape)
+        values, state, scratch = x.copy(), init_state(cfg, shape), np.empty(shape)
+        held = {name: getattr(state, name) for name in ("m", "v", "acc")}
         for _ in range(4):
             g = rng.standard_normal(shape)
             pure_x, pure_state = step(cfg, pure_state, pure_x, g)
-            new, state = step(cfg, state, bufs[0], g.copy(), out=bufs[1])
-            assert new is bufs[1]
-            bufs.reverse()
-            assert np.array_equal(bufs[0], pure_x)
+            new, state = step(cfg, state, values, g.copy(), scratch=scratch)
+            assert new is values
+            assert np.array_equal(values, pure_x)
             assert state.t == pure_state.t
-            for name in ("m", "v", "acc"):
+            for name, array in held.items():
                 a, b = getattr(state, name), getattr(pure_state, name)
+                assert a is array
                 assert (a is None and b is None) or np.array_equal(a, b)
