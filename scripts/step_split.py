@@ -8,16 +8,12 @@ and around the training process's pipe traffic with its evaluator:
 
 - ``step``: ``distrib._Stack.step``, one whole stacked step;
 - ``batch``: the batch copy, ``distrib._Stack._feed`` (each group's
-  ``step_batches``, copied into the step's input and label buffers), or,
-  in a tree without it, ``GroupRunner.step_batches``;
+  ``step_batches``, copied into the step's input and label buffers);
 - ``pass``: the forward, ``nn.Pass.forward`` (over the teacher rows too,
-  in the teacher phase), or ``distrib.forward_trace`` in a tree without it;
-- ``teacher``: the teacher mean, ``distrib._teacher_mean``, or each call of
-  the teacher fn ``distrib._mean_teacher`` returns (which runs the teachers'
-  own forward) in a tree with that instead;
+  in the teacher phase);
+- ``teacher``: the teacher mean, ``distrib._teacher_mean``;
 - ``loss``: ``distrib.combined_loss``;
-- ``gradient``: ``nn.Pass.backward``, or ``nn.ForwardTrace.grad`` in a tree
-  with that instead;
+- ``gradient``: ``nn.Pass.backward``;
 - ``update``: ``optim.step``, the optimizer update;
 - ``eval_recv``/``eval_send``: ``Connection.recv``/``send`` in the training
   process, i.e. the wait for an evaluation point's records and the handoff.
@@ -33,10 +29,10 @@ between steps:
 
 Only calls made inside a step count towards its parts, so an inline
 validation pass (one CPU) adds nothing to ``pass``. Prints one JSON object:
-per part its calls, minimum and median in us, and total in ms, and which
-name each part timed. Point ``PYTHONPATH`` at another tree's ``src`` to time
-that tree: each part patches the first of its names the tree has. Run it with
-one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
+per part its calls, minimum and median in us, and total in ms. Point
+``PYTHONPATH`` at another tree's ``src`` to time that tree; it must have
+every name above. Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1``),
+as the benchmark does.
 """
 
 from __future__ import annotations
@@ -62,22 +58,21 @@ from codistill import distrib, nn, optim  # noqa: E402
 TIMES: dict[str, list[float]] = defaultdict(list)
 IN_STEP = [False]
 
-# part -> the (module or class, attribute) names it may time, first found wins
+# part -> the (module or class, attribute) it times
 PARTS = {
-    "batch": [(distrib._Stack, "_feed"), (distrib.GroupRunner, "step_batches")],
-    "pass": [(getattr(nn, "Pass", None), "forward"), (distrib, "forward_trace")],
-    "teacher": [(distrib, "_teacher_mean")],
-    "loss": [(distrib, "combined_loss")],
-    "gradient": [(getattr(nn, "Pass", None), "backward"),
-                 (getattr(nn, "ForwardTrace", None), "grad")],
-    "update": [(optim, "step")],
+    "batch": (distrib._Stack, "_feed"),
+    "pass": (nn.Pass, "forward"),
+    "teacher": (distrib, "_teacher_mean"),
+    "loss": (distrib, "combined_loss"),
+    "gradient": (nn.Pass, "backward"),
+    "update": (optim, "step"),
 }
 # parts timed on every call: the exchange runs between steps
 EXCHANGE = {
-    "reload": [(getattr(distrib, "_PeerTeachers", None), "__call__")],
-    "publish": [(getattr(distrib, "_CheckpointStore", None), "publish")],
-    "load": [(getattr(distrib, "_CheckpointStore", None), "load_latest")],
-    "teacher_rows": [(distrib._Stack, "set_teachers")],
+    "reload": (distrib._PeerTeachers, "__call__"),
+    "publish": (distrib._CheckpointStore, "publish"),
+    "load": (distrib._CheckpointStore, "load_latest"),
+    "teacher_rows": (distrib._Stack, "set_teachers"),
 }
 
 
@@ -95,8 +90,8 @@ def timed(name: str, fn, in_step: bool = True):
     return wrapper
 
 
-def instrument() -> dict[str, str]:
-    """Patch each part's first name present; returns part -> the name."""
+def instrument() -> None:
+    """Patch the step and each part's name."""
     step = distrib._Stack.step
 
     @functools.wraps(step)
@@ -108,22 +103,12 @@ def instrument() -> dict[str, str]:
             IN_STEP[0] = False
 
     distrib._Stack.step = timed("step", stepping, in_step=False)
-    patched = {}
     for parts, in_step in ((PARTS, True), (EXCHANGE, False)):
-        for part, names in parts.items():
-            for owner, attr in names:
-                if owner is not None and attr in vars(owner):
-                    setattr(owner, attr, timed(part, getattr(owner, attr), in_step))
-                    patched[part] = f"{getattr(owner, '__name__', owner)}.{attr}"
-                    break
-    if "teacher" not in patched and hasattr(distrib, "_mean_teacher"):
-        make_teacher = distrib._mean_teacher
-        distrib._mean_teacher = lambda *a, **k: timed("teacher", make_teacher(*a, **k))
-        patched["teacher"] = "distrib._mean_teacher's fn (with the teachers' forward)"
+        for part, (owner, attr) in parts.items():
+            setattr(owner, attr, timed(part, getattr(owner, attr), in_step))
     conn = multiprocessing.connection.Connection
     conn.recv = timed("eval_recv", conn.recv, in_step=False)
     conn.send = timed("eval_send", conn.send, in_step=False)
-    return patched
 
 
 def main() -> None:
@@ -133,7 +118,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     spec = spec_for(args.workload)
-    patched = instrument()
+    instrument()
     with tempfile.TemporaryDirectory() as out_dir:
         t0 = time.perf_counter()
         RUN_VIA[spec["via"]](spec, args.seed, out_dir)
@@ -143,7 +128,7 @@ def main() -> None:
                     "total_ms": round(sum(ts) * 1e3, 2)}
              for name, ts in sorted(TIMES.items()) if ts}
     print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "wall_s": round(wall, 3), "parts": parts, "timed": patched}))
+                      "wall_s": round(wall, 3), "parts": parts}))
 
 
 if __name__ == "__main__":

@@ -4,16 +4,15 @@ Synchronous data-parallel worker groups, versioned checkpoint stores, one
 training loop over N groups, and logical communication accounting.
 
 Every training mode is that loop with a different teacher source, which
-gives the groups nothing or a (loss spec, signal fn) pair at each step:
-none (``train_baseline``); a frozen teacher, which is classic distillation
-from an ensemble (``offline_distill``) or, from a constant distribution,
-label smoothing; or peers' stale checkpoints from the store, the paper's
-online codistillation. Deep mutual learning is codistillation that reloads
-every step (``reload_interval=1``), every read charged to the ledger. The
-ensemble's and the peers' teachers are rows the stack holds (the signal fn
-is None): peer checkpoints written at each reload, the ensemble once. The
-constant teacher of label smoothing stays a signal fn of the step's
-batches.
+gives the groups nothing or a loss spec at each step: none
+(``train_baseline``); a frozen teacher, which is classic distillation from
+an ensemble (``offline_distill``) or, from a constant distribution, label
+smoothing; or peers' stale checkpoints from the store, the paper's online
+codistillation. Deep mutual learning is codistillation that reloads every
+step (``reload_interval=1``), every read charged to the ledger. Every
+teacher is data the stack holds, set by its source: teacher rows, the
+ensemble once and peer checkpoints at each reload, or label smoothing's
+constant distribution as a signal, bound once per loop.
 
 The loop trains its N groups as one stack (``_Stack``): their parameters
 and optimizer state are (N, P) arrays, and each global step runs once over
@@ -525,13 +524,6 @@ class GroupRunner:
 _LOCKSTEP_FIELDS = ("n_workers", "batch_size", "optimizer", "loss")
 
 
-def _stacked(arrays) -> np.ndarray:
-    """Equal-shaped arrays along a new leading axis; one is viewed, not copied."""
-    if len(arrays) == 1:
-        return arrays[0][None]
-    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
-
-
 class _Stack:
     """The N groups of one training loop, trained as one.
 
@@ -542,13 +534,14 @@ class _Stack:
     runners' parameters (theirs are None meanwhile) and starts fresh
     optimizer state; ``unstack`` hands copies of the final parameters back.
 
-    With ``per_student`` k > 0 the stack also holds T = N * k teacher rows,
-    set by ``set_teachers``: rows [i * k, (i + 1) * k) are student i's
-    teachers in model order (peers' stale checkpoints, or a frozen
-    ensemble). A step whose pair has no signal fn runs them in the students'
-    forward, over M = N + T rows, each teacher row fed its student's batch;
-    ``_teacher_mean`` then turns their logits into each student's mean
-    prediction in place.
+    It holds the teacher of every step given a loss spec, in the form set
+    last. With ``per_student`` k > 0 that may be T = N * k teacher rows
+    (``set_teachers``): rows [i * k, (i + 1) * k) are student i's teachers
+    in model order (peers' stale checkpoints, or a frozen ensemble). A step
+    runs them in the students' forward, over M = N + T rows, each teacher
+    row fed its student's batch; ``_teacher_mean`` then turns their logits
+    into each student's mean prediction in place. Or it is a constant (K,)
+    distribution (``set_signal``), held as one read-only (N, R, K) view.
 
     Everything a step touches is built once, with the stack: one (M, P)
     parameter buffer, the student rows followed by the teacher rows, whose
@@ -593,7 +586,8 @@ class _Stack:
             self._student_inputs = self._x[:, None]
             self._teacher_logits = plan.outputs[-1][N:].reshape(N, per_student, R,
                                                                arch.output_dim)
-            self._signal = np.empty((N, R, arch.output_dim))
+            self._mean = np.empty((N, R, arch.output_dim))
+        self._signal = None
         self._loss_plan = LossPlan((N, R, arch.output_dim))
         charges: dict[CommLedger, list] = {}
         for r in runners:
@@ -608,31 +602,34 @@ class _Stack:
         return Parameters(self.arch, self.values[row])
 
     def set_teachers(self, rows) -> None:
-        """Write the (T, P) teacher rows into the parameter buffer."""
+        """Write the (T, P) teacher rows, the teacher from now on."""
         np.stack(rows, out=self._rows[len(self.runners):])
+        self._signal = None
 
-    def step(self, pair=None) -> list[float]:
+    def set_signal(self, target: np.ndarray) -> None:
+        """Make the constant (K,) ``target`` every row's teacher from now on."""
+        self._signal = np.broadcast_to(target, self._logits.shape)
+
+    def step(self, spec: CombinedLossSpec | None = None) -> list[float]:
         """One synchronous step of every group; returns their losses.
 
-        ``pair`` is None (hard loss only) or a ``(loss spec, signal fn)``
-        pair, the fn mapping the groups' step batches to their (N, R, K)
-        teacher signal, or None for the mean prediction of the stack's
+        ``spec`` is None (hard loss only) or the loss spec toward the teacher
+        the stack holds: its signal, or else the mean prediction of its
         teacher rows. Label, token and teacher-probability ranges, the logit
         gradient's and the gradient's finiteness are checked every step. A
         group whose loss is non-finite or past the abort threshold raises
         ``DivergenceError`` before any group is updated.
         """
-        batches = self._feed()
-        if pair is None:
+        self._feed()
+        if spec is None:
             spec, teacher = self.group.loss, None
             self._pass.forward(self._x)
-        elif pair[1] is None:
-            spec = pair[0]
+        elif self._signal is None:
             self._teacher_inputs[...] = self._student_inputs
             self._whole_pass.forward(self._inputs)
-            teacher = _teacher_mean(self._teacher_logits, spec.distill, self._signal)
+            teacher = _teacher_mean(self._teacher_logits, spec.distill, self._mean)
         else:
-            spec, teacher = pair[0], pair[1](batches)
+            teacher = self._signal
             self._pass.forward(self._x)
         losses, dlogits = combined_loss(spec, self._labels, self._logits, teacher,
                                         self._loss_plan)
@@ -649,16 +646,13 @@ class _Stack:
             r.step_index += 1
         return losses
 
-    def _feed(self) -> list[Batch]:
+    def _feed(self) -> None:
         """Each group's ``step_batches``, copied into its rows of the input
         and label buffers."""
-        batches = []
         for r, x, y in self._feeds:
             b = r.step_batches(list(map(next, r.streams)))
             x[...] = b.inputs
             y[...] = b.labels
-            batches.append(b)
-        return batches
 
     def unstack(self) -> None:
         for row, r in enumerate(self.runners):
@@ -768,19 +762,19 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
 
     The runners train as one ``_Stack``, so they must agree on
     ``_LOCKSTEP_FIELDS``; the stack holds ``teachers.per_student`` teacher
-    rows per runner. At every global step ``teachers(s, stack)`` gives None
-    (hard loss only) or a ``(loss spec, signal fn)`` pair for the whole
-    stack, which then takes one step. Every runner is evaluated at step 0,
-    every ``eval_every`` steps and the final step, and the records are
-    appended to the caller's ``records``, in model order; a record's train
-    loss is the mean objective since the previous one. After each
-    evaluation, ``after_eval(step, new_records, params, t0)`` returns one
-    more record to append, given that point's parameters of every runner.
-    When ``stop()`` is true the loop ends before the next step; a loop given
-    ``stop`` runs in a concurrent-mode group process. There is no per-step
-    hook: with ``eval_every=1`` each record's train loss is that one step's
-    loss. When the loop ends without an error, each runner holds its final
-    parameters.
+    rows per runner. At every global step ``teachers(s, stack)`` sets the
+    stack's teacher when it changes and gives None (hard loss only) or the
+    loss spec for the whole stack, which then takes one step. Every runner
+    is evaluated at step 0, every ``eval_every`` steps and the final step,
+    and the records are appended to the caller's ``records``, in model
+    order; a record's train loss is the mean objective since the previous
+    one. After each evaluation, ``after_eval(step, new_records, params,
+    t0)`` returns one more record to append, given that point's parameters
+    of every runner. When ``stop()`` is true the loop ends before the next
+    step; a loop given ``stop`` runs in a concurrent-mode group process.
+    There is no per-step hook: with ``eval_every=1`` each record's train
+    loss is that one step's loss. When the loop ends without an error, each
+    runner holds its final parameters.
 
     An evaluation point snapshots each runner's step, train loss and ledger
     totals (``GroupRunner._snapshot``) beside the stack's (N, P) parameters,
@@ -884,31 +878,31 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
 
 
 class _StaticTeachers:
-    """Teacher source of a frozen teacher: the same pair at every step. The
-    teacher is a signal fn, or the frozen (k, P) ``rows`` of an ensemble that
-    the stack holds from step 0, k per student."""
+    """Teacher source of a frozen teacher: the same loss spec at every step,
+    toward the ``teacher`` it gives the stack at step 0 of each loop: the
+    frozen (k, P) rows of an ensemble, k = ``per_student``, or with
+    ``per_student`` 0 a constant (K,) signal."""
 
-    def __init__(self, pair, rows=None):
-        self.pair, self.rows = pair, rows
-        self.per_student = 0 if rows is None else len(rows)
+    def __init__(self, spec: CombinedLossSpec, teacher: np.ndarray, per_student: int = 0):
+        self.spec, self.teacher, self.per_student = spec, teacher, per_student
 
     def __call__(self, s: int, stack: _Stack):
-        if s == 0 and self.rows is not None:
-            stack.set_teachers(self.rows)
-        return self.pair
+        if s == 0:
+            (stack.set_teachers if self.per_student else stack.set_signal)(self.teacher)
+        return self.spec
 
 
 def _static_teachers(teacher, distill: str, distill_weight: float):
     """Teacher source of a frozen teacher, or None when the distillation term
-    is off. ``teacher`` is a fn giving one batch's signal (label smoothing's
-    constant teacher), or the ``Parameters`` of a frozen ensemble, whose mean
+    is off. ``teacher`` is a (K,) target array (label smoothing's constant
+    teacher), or the ``Parameters`` of a frozen ensemble, whose mean
     prediction runs in the student's forward (a stack of one)."""
     if distill == "none" or distill_weight == 0.0:
         return None
     spec = CombinedLossSpec(distill, distill_weight)
-    if callable(teacher):
-        return _StaticTeachers((spec, lambda batches: _stacked([teacher(b) for b in batches])))
-    return _StaticTeachers((spec, None), np.stack([p.values for p in teacher]))
+    if isinstance(teacher, np.ndarray):
+        return _StaticTeachers(spec, teacher)
+    return _StaticTeachers(spec, np.stack([p.values for p in teacher]), len(teacher))
 
 
 def _teacher_mean(logits: np.ndarray, distill: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -950,7 +944,7 @@ class _PeerTeachers:
         self.stop = stop
         self.active = cfg.distill != "none" and cfg.distill_weight > 0.0
         self.per_student = len(runners) - 1 if self.active else 0
-        self.pair = (CombinedLossSpec(cfg.distill, cfg.distill_weight), None)
+        self.spec = CombinedLossSpec(cfg.distill, cfg.distill_weight)
         # loaded[i] maps peer id -> the step of group i's loaded checkpoint of it
         self.loaded: list[dict[int, int]] = [{} for _ in runners]
         self.oldest = [0] * len(runners)  # min(loaded[i].values())
@@ -976,7 +970,7 @@ class _PeerTeachers:
             return None
         for i in self.ids:
             self.lags[i] = max(self.lags[i], s - self.oldest[i])
-        return self.pair
+        return self.spec
 
     def _await_first_checkpoints(self) -> None:
         deadline = time.monotonic() + START_TIMEOUT_S
@@ -1032,16 +1026,19 @@ def mean_teacher_fn(teacher_params, distill: str):
 
     def fn(batch: Batch) -> np.ndarray:
         _validate_inputs(arch, batch.inputs)
-        logits = Pass(Plan(arch, k, batch.size, n_grad=0), values).forward(
-            _stacked([batch.inputs] * k))
+        plan = Plan(arch, k, batch.size, n_grad=0)
+        plan.inputs[...] = batch.inputs
+        logits = Pass(plan, values).forward(plan.inputs)
         return _teacher_mean(logits[None], distill)[0]
 
     return fn
 
 
-def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards,
+def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards, store,
                   ledger: CommLedger | None, run_id_prefix: str) -> list[GroupRunner]:
-    """One runner per model after validating the codistillation arguments."""
+    """One runner per model after validating the codistillation arguments,
+    each charging the run's one ledger: ``ledger``, else the store's, else a
+    fresh one. A store with no ledger counts no checkpoint bytes."""
     if len(groups) != cfg.n_models or len(shards) != cfg.n_models:
         raise ValueError("need one group config and one shard per model")
     if len({g.seed for g in groups}) != cfg.n_models:
@@ -1049,7 +1046,9 @@ def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards,
     for g in groups:
         if g.loss.distill != "none":
             raise ValueError("group loss must be plain hard CE; the codistill config owns the distillation term")
-    ledger = ledger if ledger is not None else CommLedger()
+    ledger = ledger or store._ledger or CommLedger()
+    if store._ledger not in (None, ledger):
+        raise ValueError("the store charges another ledger than the run's")
     return [GroupRunner(arch, groups[i], shards[i], ledger=ledger,
                         entity=f"{run_id_prefix}{i}") for i in range(cfg.n_models)]
 
@@ -1067,7 +1066,7 @@ def codistill_train(arch: Architecture, cfg: CodistillConfig, groups, shards,
     term against the mean prediction of the other N-1 models' last-loaded
     checkpoints.
     """
-    runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
+    runners = _peer_runners(arch, cfg, groups, shards, store, ledger, run_id_prefix)
     teachers = _PeerTeachers(cfg, runners, store)
     records: list[MetricRecord] = []
     _train_loop(runners, n_steps, validation, eval_every, records, teachers)
@@ -1099,8 +1098,8 @@ def _group_process(conn, earlier, i: int, cfg: CodistillConfig, runners, store, 
     checks ask one ``select.poll`` with the pipe registered, which, unlike
     ``conn.poll``, builds no selector per call. Closing ``earlier``, the
     parent's ends of earlier groups' pipes, leaves the parent the only
-    holder of each. The runner and the store charge one fresh ledger whose
-    counts go back in the result.
+    holder of each. The runner charges one fresh ledger, and so does the
+    store if the parent's charged one; its counts go back in the result.
     """
     for peer_conn in earlier:
         peer_conn.close()
@@ -1112,7 +1111,8 @@ def _group_process(conn, earlier, i: int, cfg: CodistillConfig, runners, store, 
         return bool(poller.poll(timeout * 1000.0))
 
     runner, teachers = runners[i], _PeerTeachers(cfg, runners, store, [i], stop)
-    ledger = runner.ledger = store._ledger = CommLedger()
+    ledger = runner.ledger = CommLedger()
+    store._ledger = None if store._ledger is None else ledger
     error = None
     try:
         _train_loop([runner], n_steps, validation, eval_every, _Reporter(conn), teachers,
@@ -1121,7 +1121,7 @@ def _group_process(conn, earlier, i: int, cfg: CodistillConfig, runners, store, 
         err.records = []  # the parent attaches them; a _Reporter does not pickle
         error = _portable(err)
     result = {"params": runner.params.values if error is None else None, "lag": teachers.lags[i],
-              "ledger": ledger.snapshot(), "error": error}
+              "ledger": ledger._counts, "error": error}
     try:
         conn.send(([], result))
     except OSError:
@@ -1143,10 +1143,10 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
 
     The run's checkpoint files, the only files a run keeps in the directory,
     are cleared first; each group reports over a pipe (``_group_process``).
-    The ledger counts of every group that finished are added to ``ledger``
-    and the store's ledger. The first group to fail (raise, or die without a
-    result) stops its peers before their next step, and its error is
-    re-raised, with its original class and message, carrying every group's
+    The ledger counts of every group that finished are added to the run's
+    ledger (see ``_peer_runners``). The first group to fail (raise, or die
+    without a result) stops its peers before their next step, and its error
+    is re-raised, with its original class and message, carrying every group's
     records in model-id order. No process outlives the call or the caller's
     process.
     """
@@ -1156,7 +1156,7 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
     if cfg.n_models > MAX_GROUP_PROCESSES:
         raise ValueError(f"concurrent mode runs one process per model, at most "
                          f"{MAX_GROUP_PROCESSES}, not {cfg.n_models}")
-    runners = _peer_runners(arch, cfg, groups, shards, ledger, run_id_prefix)
+    runners = _peer_runners(arch, cfg, groups, shards, store, ledger, run_id_prefix)
     n = cfg.n_models
     for i in range(n):
         # the link, its targets, and temp files and links a killed writer left
@@ -1212,12 +1212,9 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
             _reap(proc, deadline)
         for conn in running:
             conn.close()
-    for runner, result in zip(runners, results):
-        for key, nbytes in (result["ledger"] if result is not None else {}).items():
-            entity, cause = key.rsplit("/", 1)
-            target = store._ledger if cause.startswith("checkpoint_") else runner.ledger
-            if target is not None:
-                target.add(entity, cause, nbytes)
+    for result in results:
+        for (entity, cause), nbytes in (result["ledger"] if result is not None else {}).items():
+            runners[0].ledger.add(entity, cause, nbytes)
     records = [rec for group_records in records for rec in group_records]
     if failures:
         error = next((e for e in failures if not isinstance(e, _PeerStopped)), failures[0])

@@ -274,8 +274,7 @@ def _smoothing_teachers(kind: str, train, weight: float):
     training labels' unigram distribution, for every example."""
     target = (unigram(train) if kind == "unigram"
               else np.full(train.n_classes, 1.0 / train.n_classes))
-    teacher = lambda batch: np.broadcast_to(target, (batch.size, len(target)))  # noqa: E731
-    return _static_teachers(teacher, "soft_cross_entropy", weight)
+    return _static_teachers(target, "soft_cross_entropy", weight)
 
 
 def _group(res: dict, seed: int, model_index: int = 0) -> GroupConfig:

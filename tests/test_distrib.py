@@ -615,6 +615,40 @@ class TestConcurrentGroups:
         assert [(r.run_id, r.step) for r in err.records] == [("model0", 0), ("model1", 0)]
 
 
+class TestConcurrentLedgerParity:
+    """Lockstep and concurrent runs count the same checkpoint bytes: a run
+    charges one ledger, ``ledger=`` or else its store's, and a store with
+    no ledger counts none, in either mode."""
+
+    TRAIN = {"lockstep": codistill_train, "concurrent": codistill_train_concurrent}
+
+    def run(self, mode, store, ledger):
+        train, val = make_task(n=400)
+        plan = make_shards(train, "disjoint", 2, 11)
+        return run_in_thread(lambda: self.TRAIN[mode](
+            ARCH, CodistillConfig(2, 10, 10), [sgd_group(1), sgd_group(2)],
+            [plan.shard(train, i) for i in range(2)], 20, store, val, eval_every=10,
+            ledger=ledger))
+
+    @pytest.mark.parametrize("mode", ["lockstep", "concurrent"])
+    @pytest.mark.parametrize("charged", ["run_and_store", "run_only", "store_only"])
+    def test_records_and_ledger_agree(self, mode, charged, tmp_path):
+        ledger, pb = CommLedger(), param_count(ARCH) * 8
+        store = FileCheckpointStore(tmp_path, ARCH, None if charged == "run_only" else ledger)
+        result = self.run(mode, store, None if charged == "store_only" else ledger)["result"]
+        # each model publishes and loads its peer at steps 0 and 10
+        ckpt = 0 if charged == "run_only" else 4 * pb
+        assert [r.bytes_checkpoint for r in result.records if r.step == 20] == [ckpt, ckpt]
+        assert ledger.total("checkpoint_publish") + ledger.total("checkpoint_load") == 2 * ckpt
+        assert ledger.total("gradient_exchange") == 2 * 20 * pb
+
+    @pytest.mark.parametrize("mode", ["lockstep", "concurrent"])
+    def test_store_charging_another_ledger_is_refused(self, mode, tmp_path):
+        store = FileCheckpointStore(tmp_path, ARCH, CommLedger())
+        err = self.run(mode, store, CommLedger())["error"]
+        assert isinstance(err, ValueError) and "another ledger" in str(err)
+
+
 def token_stream(arch, rows, seed):
     """An endless stream of random lm batches of ``rows`` windows."""
     rng = np.random.default_rng(seed)
@@ -645,26 +679,22 @@ class TestStackBuffers:
         train, _ = make_task()
         return [GroupRunner(arch, group(s), train) for s in seeds]
 
-    @staticmethod
-    def teacher(arch, values):
-        """Student s's one teacher, row s of ``values``, as a signal fn."""
-        fns = [mean_teacher_fn([Parameters(arch, v)], "soft_cross_entropy") for v in values]
-        return (CombinedLossSpec("soft_cross_entropy", 0.5),
-                lambda batches: np.stack([fn(b) for fn, b in zip(fns, batches)]))
-
     @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
     @pytest.mark.parametrize("arch", [ARCH, LM_ARCH], ids=["classification", "lm"])
     def test_stack_of_n_equals_n_stacks_of_one(self, kind, arch):
+        """Student s's one teacher is row s of ``teachers``, on every other step."""
         seeds = [3, 4, 5]
         teachers = np.stack([init_params(arch, 50 + s).values for s in seeds])
-        stack = distrib._Stack(self.runners(arch, kind, seeds))
-        alone = [distrib._Stack(self.runners(arch, kind, [s])) for s in seeds]
+        spec = CombinedLossSpec("soft_cross_entropy", 0.5)
+        stack = distrib._Stack(self.runners(arch, kind, seeds), 1)
+        stack.set_teachers(teachers)
+        alone = [distrib._Stack(self.runners(arch, kind, [s]), 1) for s in seeds]
+        for row, one in enumerate(alone):
+            one.set_teachers(teachers[row:row + 1])
         for k in range(4):
-            pair = self.teacher(arch, teachers) if k % 2 else None
-            losses = stack.step(pair)
+            losses = stack.step(spec if k % 2 else None)
             for row, one in enumerate(alone):
-                pair = self.teacher(arch, teachers[row:row + 1]) if k % 2 else None
-                assert one.step(pair) == [losses[row]]
+                assert one.step(spec if k % 2 else None) == [losses[row]]
                 assert np.array_equal(one.values[0], stack.values[row])
                 for name in ("m", "v", "acc"):
                     mine = getattr(stack.opt_state, name)
@@ -681,12 +711,13 @@ class TestStackBuffers:
         """Each student's 2 teachers run in the students' forward; every step
         of the stack equals a stack of one per group and the pure forms
         (``forward``, ``mean_teacher_fn``, ``combined_loss``, ``backward``,
-        ``optim.step`` without buffers), through burn-in, teacher and signal
-        steps and a reload of new teacher rows."""
+        ``optim.step`` without buffers), through burn-in, teacher steps, steps
+        toward a constant signal, and a reload of new teacher rows after it."""
         k, seeds = 2, [3, 4, 5][:n_models]
         spec = CombinedLossSpec(distill, 0.5)
-        signal = lambda batches: np.full((len(batches), batches[0].size, arch.output_dim),  # noqa: E731
-                                         1.0 / arch.output_dim)
+        target = np.full(arch.output_dim, 1.0 / arch.output_dim)
+        if distill == "logit_mse":
+            target -= 0.5
         stack = distrib._Stack(self.runners(arch, kind, seeds, n_workers=n_workers), k)
         alone = [distrib._Stack(self.runners(arch, kind, [s], n_workers=n_workers), k)
                  for s in seeds]
@@ -694,29 +725,29 @@ class TestStackBuffers:
         opt = pure[0].group.optimizer
         values = [r.params.values[None] for r in pure]
         states = [optim.init_state(opt, v.shape) for v in values]
-        for s, step in enumerate(["none", "rows", "signal", "rows", "rows", "none"]):
+        for s, step in enumerate(["none", "rows", "signal", "signal", "rows", "none"]):
             if s in (0, 4):  # the stacks' first teacher rows, then a reload of new ones
                 rows = np.stack([init_params(arch, 100 * s + j).values
                                  for j in range(k * n_models)])
                 stack.set_teachers(rows)
                 for i, one in enumerate(alone):
                     one.set_teachers(rows[k * i:k * (i + 1)])
-            pair = {"none": None, "rows": (spec, None), "signal": (spec, signal)}[step]
-            if step == "signal" and distill == "logit_mse":
-                pair = (spec, lambda batches: signal(batches) - 0.5)
-            losses = stack.step(pair)
+            if s == 2:
+                for one in [stack] + alone:
+                    one.set_signal(target)
+            losses = stack.step(None if step == "none" else spec)
             for i, (one, runner) in enumerate(zip(alone, pure)):
-                assert one.step(pair) == [losses[i]]
+                assert one.step(None if step == "none" else spec) == [losses[i]]
                 assert np.array_equal(one.values[0], stack.values[i])
                 batch = runner.step_batches([next(st) for st in runner.streams])
                 teacher = None
-                if pair is not None and pair[1] is None:
+                if step == "rows":
                     members = [Parameters(arch, v) for v in rows[k * i:k * (i + 1)]]
                     teacher = mean_teacher_fn(members, distill)(batch)[None]
-                elif pair is not None:
-                    teacher = pair[1]([batch])
+                elif step == "signal":
+                    teacher = np.tile(target, (1, batch.size, 1))
                 params = Parameters(arch, values[i][0])
-                loss, dlogits = combined_loss(pair[0] if pair else CombinedLossSpec(),
+                loss, dlogits = combined_loss(CombinedLossSpec() if step == "none" else spec,
                                               batch.labels[None], forward(params, batch)[None],
                                               teacher)
                 assert loss.tolist() == [losses[i]]
@@ -753,12 +784,12 @@ class TestStackBuffers:
             same = all(np.array_equal(p.values, copy) for p, copy in kept)
             return distrib.MetricRecord("kept", step, 0.0, None, float(same), 0.0)
 
+        store = KeepingStore(ARCH)
         runners = distrib._peer_runners(ARCH, CodistillConfig(2, 2, 2), groups, shards,
-                                        None, "m")
+                                        store, None, "m")
         records = []
         distrib._train_loop(runners, 12, val, 1, records,
-                            distrib._PeerTeachers(CodistillConfig(2, 2, 2), runners,
-                                                  KeepingStore(ARCH)),
+                            distrib._PeerTeachers(CodistillConfig(2, 2, 2), runners, store),
                             after_eval=after_eval)
         assert [r.validation_loss for r in records if r.run_id == "kept"] == [1.0] * 13
         assert len(published) == 12 and all(np.array_equal(ck.params.values, copy)
@@ -801,7 +832,8 @@ class TestCallBudget:
     the count before the step was bound: 874 calls over teacher-phase steps
     51-60 of a 2-model codistillation stack, the teacher source's calls
     included (one of the steps starts an epoch), and 400 over baseline steps
-    51-60."""
+    51-60. A label-smoothing step, whose constant teacher the stack holds
+    from step 0, stays within 20 calls: 30 before the stack held it."""
 
     ARCH = Architecture(32, (64, 32), 10)
     WINDOW = range(51, 61)  # after burn-in, between the reloads at 50 and 100
@@ -820,11 +852,11 @@ class TestCallBudget:
                 sys.setprofile(profile)
             return source(teachers, s, stack)
 
-        def counted_step(stack, pair=None):
+        def counted_step(stack, spec=None):
             if stack.runners[0].step_index in window:
                 sys.setprofile(profile)
             try:
-                return step(stack, pair)
+                return step(stack, spec)
             finally:
                 sys.setprofile(None)
 
@@ -854,6 +886,16 @@ class TestCallBudget:
 
         calls = self.count(monkeypatch, run)
         assert calls <= 400 / 3, f"{calls / 10} calls per step"
+
+    @pytest.mark.parametrize("kind", ["uniform", "unigram"])
+    def test_label_smoothing(self, kind, monkeypatch):
+        def run(train, val):
+            runner = GroupRunner(self.ARCH, self.group(0), train)
+            distrib._train_loop([runner], 61, val, 100, [],
+                                experiments._smoothing_teachers(kind, train, 0.1))
+
+        calls = self.count(monkeypatch, run)
+        assert calls <= 20 * 10, f"{calls / 10} calls per step"
 
 
 class TestMeanTeacher:
@@ -1159,21 +1201,6 @@ class TestOfflineDistill:
                                  distill_weight=0.0, eval_every=30)
         expect, _ = train_baseline(ARCH, student, self.train, 60, self.val, eval_every=30)
         assert np.array_equal(result.student_params.values, expect.values)
-
-    def test_onehot_teacher_is_baseline_with_doubled_rate(self):
-        """phi = psi when the teacher emits the true labels, so the doubled
-        gradient matches plain SGD at twice the learning rate."""
-        student = sgd_group(55, lr=0.1)
-
-        def onehot_teacher(batch):
-            return np.eye(ARCH.output_dim)[batch.labels]
-
-        runner = GroupRunner(ARCH, student, self.train)
-        distrib._train_loop([runner], 50, self.val, 25, [], distrib._static_teachers(
-            onehot_teacher, "soft_cross_entropy", 1.0))
-        expect, _ = train_baseline(ARCH, sgd_group(55, lr=0.2), self.train, 50, self.val,
-                                   eval_every=25)
-        assert np.array_equal(runner.params.values, expect.values)
 
     def test_records_cover_both_phases(self):
         result = offline_distill(ARCH, [sgd_group(41), sgd_group(42)], sgd_group(55),

@@ -8,7 +8,7 @@ from codistill.data import Dataset
 from codistill.experiments import _smoothing_teachers
 from codistill.losses import (CombinedLossSpec, combined_loss, hard_ce, hard_ce_loss, kl_div,
                               logit_mse, soft_ce)
-from codistill.nn import Batch, softmax
+from codistill.nn import softmax
 from helpers import fd_logit_grad, rel_err
 
 
@@ -199,21 +199,22 @@ class TestSmoothing:
     which gives every row of a batch the same target distribution."""
 
     @staticmethod
-    def teacher_rows(kind, train, batch_size):
-        spec, teacher = _smoothing_teachers(kind, train, 0.1)(0, None)
-        assert spec == CombinedLossSpec("soft_cross_entropy", 0.1)
-        return teacher([Batch(np.zeros((batch_size, 1)), np.zeros(batch_size))])[0]
+    def target(kind, train):
+        teachers = _smoothing_teachers(kind, train, 0.1)
+        assert teachers.spec == CombinedLossSpec("soft_cross_entropy", 0.1)
+        assert teachers.per_student == 0  # the stack holds a signal, not teacher rows
+        return teachers.teacher
 
     def test_uniform(self):
         train = Dataset(np.zeros((3, 1)), np.array([0, 1, 4]), "classification", 5)
-        assert np.array_equal(self.teacher_rows("uniform", train, 4), np.full((4, 5), 0.2))
+        assert np.array_equal(self.target("uniform", train), np.full(5, 0.2))
 
     def test_unigram_from_counts(self):
         # corpus "aab" over vocab {a, b}
         train = Dataset(np.zeros((3, 1)), np.array([0, 0, 1]), "lm", 2)
-        rows = self.teacher_rows("unigram", train, 3)
-        assert rows.shape == (3, 2)
-        assert np.abs(rows - [2 / 3, 1 / 3]).max() < 1e-15
+        target = self.target("unigram", train)
+        assert target.shape == (2,)
+        assert np.abs(target - [2 / 3, 1 / 3]).max() < 1e-15
 
 
 class TestCombinedLoss:
@@ -289,8 +290,8 @@ class TestCombinedLoss:
         logits, labels, _ = random_case(rng)
         B, K = logits.shape
         train = Dataset(np.zeros((K, 1)), np.arange(K), "classification", K)
-        spec, teacher_fn = _smoothing_teachers("uniform", train, 0.5)(0, None)
-        teacher = teacher_fn([Batch(np.zeros((B, 1)), labels)])[0]
+        teachers = _smoothing_teachers("uniform", train, 0.5)
+        spec, teacher = teachers.spec, np.broadcast_to(teachers.teacher, (B, K))
         cl, cg = combined_loss(spec, labels, logits, teacher)
         hl, _ = hard_ce(labels, logits)
         sl, _ = soft_ce(np.full(logits.shape, 1.0 / K), logits)
