@@ -8,12 +8,19 @@ dataset, the shard plan, and every batch a stream ever yields.
 Each example is held once. ``gen_classification`` builds its inputs in place
 and ``ingest_text`` keeps its windows as a strided view of the token ids; both
 return read-only arrays. A train/validation split and a shard are row views:
-they hold their source's arrays, read-only, and an int64 index of the rows
-they contain, and splitting or sharding a view composes the indices (a
-shared shard, which holds every example, shares its view's index). A batch
-stream gathers each batch straight from the source arrays. Two places copy
-examples: ``take``, which materializes a subset on purpose, and
-``Dataset.as_batch``, which the experiments call once, for the validation set.
+they hold their source's arrays, read-only, and an index of the rows they
+contain, and splitting or sharding a view composes the indices (a shared
+shard, which holds every example, shares its view's index). A batch stream
+gathers each batch straight from the source arrays. Two places copy examples:
+``take``, which materializes a subset on purpose, and ``Dataset.as_batch``,
+which the experiments call once, for the validation set.
+
+Every integer array the data layer builds (token ids, class labels, row
+indices, shard assignments and epoch orders) is held in the narrowest
+unsigned type for its range, ``_index_type(bound)``: token ids and labels are
+below the label-space size, row indices below the source's length. Values are
+exact, so what a stream yields is the same whatever the type; the network's
+input and label buffers are int64 and take each batch by copy.
 """
 
 from __future__ import annotations
@@ -34,11 +41,13 @@ class Dataset:
     """Ordered example collection with label-space metadata.
 
     ``source_inputs`` is (N, input_dim) float64 for classification or
-    (N, window) int64 token ids for lm; ``source_labels`` is (N,) int64
-    class/token ids. ``rows`` is None when the dataset is its whole source,
-    else it is a row view: the int64 source rows it holds, in order. ``n``,
-    ``inputs`` and ``labels`` read the dataset's own examples either way; on a
-    view, each read of ``inputs`` or ``labels`` gathers a fresh copy.
+    (N, window) integer token ids for lm; ``source_labels`` is (N,) integer
+    class/token ids, kept in the type they are given (the generators give
+    the narrowest unsigned type for ``n_classes``). ``rows`` is None when the
+    dataset is its whole source, else it is a row view: the source rows it
+    holds, in order, as integers. ``n``, ``inputs`` and ``labels`` read the
+    dataset's own examples either way; on a view, each read of ``inputs`` or
+    ``labels`` gathers a fresh copy.
     """
 
     source_inputs: np.ndarray
@@ -50,10 +59,14 @@ class Dataset:
     rows: np.ndarray | None = None
 
     def __post_init__(self):
-        self.source_labels = labels = np.asarray(self.source_labels, dtype=np.int64)
+        self.source_labels = labels = np.asarray(self.source_labels)
         n = len(labels)
         if n == 0 or (self.rows is not None and len(self.rows) == 0):
             raise ValueError("dataset must be non-empty")
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integer class ids, not {labels.dtype}")
+        if self.rows is not None and self.rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be integer row indices, not {self.rows.dtype}")
         if self.source_inputs.shape[0] != n:
             raise ValueError("inputs and labels disagree on example count")
         if labels.min() < 0 or labels.max() >= self.n_classes:
@@ -77,6 +90,12 @@ class Dataset:
         return Batch(self.inputs, self.labels)
 
 
+def _index_type(bound: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every value in
+    [0, bound)."""
+    return np.min_scalar_type(bound - 1)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     if not array.flags.writeable:
         return array
@@ -87,14 +106,28 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _view(dataset: Dataset, indices=None) -> Dataset:
     """The examples at ``indices`` as a row view of ``dataset``'s source:
-    only the row index is new memory, and it is read-only like the source.
-    Without ``indices``, all of ``dataset``'s examples in order: the view
-    shares its row index, read-only, and so costs no memory."""
+    only the row index is new memory, in ``_index_type`` of the source's
+    length, and it is read-only like the source. ``indices`` count from
+    the end when negative, as NumPy's do. Without ``indices``, all of
+    ``dataset``'s examples in order: the view shares its row index,
+    read-only, and so costs no memory."""
     if indices is None:
         rows = None if dataset.rows is None else _read_only(dataset.rows)
     else:
-        idx = np.asarray(indices, dtype=np.int64)
-        rows = idx.copy() if dataset.rows is None else dataset.rows[idx]
+        idx, n = np.asarray(indices), dataset.n
+        if idx.size == 0:
+            raise ValueError("dataset must be non-empty")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"rows must be integer row indices, not {idx.dtype}")
+        lo, hi = idx.min(), idx.max()
+        if not -n <= lo <= hi < n:
+            raise IndexError("row index out of range")
+        if lo < 0:
+            idx = np.where(idx < 0, idx + n, idx)
+        if dataset.rows is None:
+            rows = idx.astype(_index_type(len(dataset.source_labels)))
+        else:
+            rows = dataset.rows[idx]
         rows.flags.writeable = False
     return Dataset(_read_only(dataset.source_inputs), _read_only(dataset.source_labels),
                    dataset.kind, dataset.n_classes, dataset.vocab, dict(dataset.provenance),
@@ -148,7 +181,7 @@ def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: in
     std = difficulty * spacing
     counts = np.full(n_classes, n_examples // n_classes)
     counts[: n_examples % n_classes] += 1
-    labels = np.repeat(np.arange(n_classes), counts)
+    labels = np.repeat(np.arange(n_classes, dtype=_index_type(n_classes)), counts)
     labels = labels[rng.permutation(n_examples)]
     inputs = rng.standard_normal((n_examples, input_dim))
     inputs *= std
@@ -183,12 +216,13 @@ def ingest_text(path, context_window: int) -> Dataset:
     Each example maps ``context_window`` consecutive characters to the next
     one; the vocabulary is the sorted set of characters in the corpus. A
     character's id is its code point's rank among the vocabulary's code
-    points. The token ids are held once, read-only: the windows are their
-    strided view and the labels a slice of them.
+    points. The token ids are held once, read-only, in ``_index_type`` of
+    the vocabulary's size: the windows are their strided view and the labels
+    a slice of them.
     """
     text = _read_corpus(path, context_window)
     vocab = "".join(sorted(set(text)))
-    ids = np.searchsorted(_code_points(vocab), _code_points(text)).astype(np.int64, copy=False)
+    ids = np.searchsorted(_code_points(vocab), _code_points(text)).astype(_index_type(len(vocab)))
     ids.flags.writeable = False
     contexts = np.lib.stride_tricks.sliding_window_view(ids, context_window)[:-1]
     labels = ids[context_window:]
@@ -237,17 +271,19 @@ class ShardPlan:
 
 def make_shards(dataset: Dataset, mode: str, n_shards: int, seed: int) -> ShardPlan:
     """Disjoint: seeded permutation split round-robin (sizes differ by <= 1).
-    Shared: every shard is the full index set, one read-only index."""
+    Shared: every shard is the full index set, one read-only index. Either
+    way the indices are held in ``_index_type(dataset.n)``."""
     if mode not in SHARD_MODES:
         raise ValueError(f"unknown shard mode {mode!r}")
     if n_shards < 1 or n_shards > dataset.n:
         raise ValueError("need 1 <= n_shards <= n_examples")
+    index_type = _index_type(dataset.n)
     if mode == "shared":
-        everything = np.arange(dataset.n, dtype=np.int64)
+        everything = np.arange(dataset.n, dtype=index_type)
         everything.flags.writeable = False
         return ShardPlan((everything,) * n_shards, shared=True)
     perm = np.random.default_rng(np.random.SeedSequence([int(seed), 2])).permutation(dataset.n)
-    return ShardPlan(tuple(perm[i::n_shards].astype(np.int64) for i in range(n_shards)))
+    return ShardPlan(tuple(perm[i::n_shards].astype(index_type) for i in range(n_shards)))
 
 
 def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[Batch]:
@@ -255,18 +291,21 @@ def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[Batch]:
     dropped so every batch has exactly ``batch_size`` examples.
 
     Each batch is gathered from the source arrays: a row view's epoch order is
-    its rows in the epoch's permutation, composed once per epoch."""
+    its rows in the epoch's permutation, composed once per epoch. The order
+    is held in the rows' type (``_index_type`` of the source's length), and
+    each batch's slice of it is gathered through one ``intp`` copy."""
     n = dataset.n
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch_size must lie in [1, {n}]")
     inputs, labels, rows = dataset.source_inputs, dataset.source_labels, dataset.rows
+    index_type = _index_type(len(labels))
     rng = np.random.default_rng(seed)
     while True:
         order = rng.permutation(n)
-        if rows is not None:
-            order = rows[order]  # frees the permutation: one index per epoch
+        # frees the permutation: one narrow index per epoch
+        order = order.astype(index_type) if rows is None else rows[order]
         for start in range(0, n - batch_size + 1, batch_size):
-            idx = order[start:start + batch_size]
+            idx = order[start:start + batch_size].astype(np.intp)
             yield Batch(inputs[idx], labels[idx])
 
 

@@ -166,10 +166,6 @@ class CommLedger:
             return sum(v for (e, c), v in self._counts.items()
                        if (cause is None or c == cause) and (entity is None or e == entity))
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {f"{e}/{c}": v for (e, c), v in sorted(self._counts.items())}
-
 
 @dataclass(frozen=True)
 class Checkpoint:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from codistill import experiments
 from codistill.data import (Dataset, batch_stream, gen_classification, ingest_text,
                             make_shards, split_train_val, take, unigram)
+from codistill.nn import Batch
 from helpers import interleave
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "codistill.cfg"
@@ -82,9 +83,17 @@ class TestIngestText:
         index = {c: i for i, c in enumerate(vocab)}
         ids = np.array([index[c] for c in text], dtype=np.int64)
         assert ds.vocab == vocab and ds.n_classes == len(vocab)
-        assert ds.inputs.dtype == np.int64 and ds.labels.dtype == np.int64
+        assert ds.inputs.dtype == np.uint8 and ds.labels.dtype == np.uint8
         assert np.array_equal(ds.inputs, [ids[i:i + 3] for i in range(len(text) - 3)])
         assert np.array_equal(ds.labels, ids[3:])
+
+    def test_ids_widen_past_256_characters(self, tmp_path):
+        text = "".join(chr(0x4E00 + i) for i in range(300)) * 2
+        path = tmp_path / "w.txt"
+        path.write_text(text, encoding="utf-8")
+        ds = ingest_text(path, 2)
+        assert ds.n_classes == 300 and ds.labels.dtype == np.uint16
+        assert np.array_equal(ds.labels, np.arange(2, 600) % 300)
 
     def test_constant_corpus(self, tmp_path):
         path = tmp_path / "a.txt"
@@ -221,6 +230,39 @@ class TestTake:
         sub.inputs[0, 0] = 999.0
         assert ds.inputs[3, 0] != 999.0
 
+    def test_negative_indices_count_from_the_end(self):
+        ds = gen_classification(1, 10, 2, 2, 0.1)
+        train, _ = split_train_val(ds, 0.2, 0)
+        for source in (ds, train):
+            for idx in ([-1, 0], np.array([1, -source.n, -2], dtype=np.int8)):
+                sub = take(source, idx)
+                assert np.array_equal(sub.inputs, source.inputs[idx])
+                assert np.array_equal(sub.labels, source.labels[idx])
+            for idx in ([source.n], [-source.n - 1], np.array([0, 2**40])):
+                with pytest.raises(IndexError):
+                    take(source, idx)
+
+
+class TestIntegerChecks:
+    """Labels and rows are integers: anything else is refused when the
+    dataset is built, not truncated or left to fail at indexing."""
+
+    def test_float_labels_refused(self):
+        with pytest.raises(ValueError, match="labels"):
+            Dataset(np.zeros((3, 1)), np.array([0.7, 1.9, 0.2]), "classification", 2)
+
+    def test_float_rows_refused(self):
+        with pytest.raises(ValueError, match="rows"):
+            Dataset(np.zeros((3, 1)), np.array([0, 1, 0]), "classification", 2,
+                    rows=np.array([0.0, 2.0]))
+        with pytest.raises(ValueError, match="rows"):
+            take(gen_classification(1, 10, 2, 2, 0.1), np.array([1.0, 2.5]))
+
+    def test_integer_labels_keep_their_type(self):
+        labels = np.array([0, 1, 1], dtype=np.int16)
+        ds = Dataset(np.zeros((3, 1)), labels, "classification", 2)
+        assert ds.source_labels is labels
+
 
 def _lm_dataset(tmp_path):
     path = tmp_path / "lm.txt"
@@ -228,11 +270,28 @@ def _lm_dataset(tmp_path):
     return ingest_text(path, 4)
 
 
+def _int64_stream(dataset, batch_size, seed):
+    """``batch_stream`` with every index and id held as int64."""
+    inputs = dataset.source_inputs
+    if inputs.dtype.kind in "iu":
+        inputs = inputs.astype(np.int64)
+    labels = dataset.source_labels.astype(np.int64)
+    rows = None if dataset.rows is None else dataset.rows.astype(np.int64)
+    rng = np.random.default_rng(seed)
+    while True:
+        order = rng.permutation(dataset.n)
+        if rows is not None:
+            order = rows[order]
+        for start in range(0, dataset.n - batch_size + 1, batch_size):
+            idx = order[start:start + batch_size]
+            yield Batch(inputs[idx], labels[idx])
+
+
 def _same_examples(view, copy):
     assert view.n == copy.n
     assert np.array_equal(view.inputs, copy.inputs)
     assert np.array_equal(view.labels, copy.labels)
-    assert view.inputs.dtype == copy.inputs.dtype and view.labels.dtype == np.int64
+    assert view.inputs.dtype == copy.inputs.dtype and view.labels.dtype == np.uint8
 
 
 class TestRowViews:
@@ -272,6 +331,22 @@ class TestRowViews:
             x, y = next(a), next(b)
             assert np.array_equal(x.inputs, y.inputs) and np.array_equal(x.labels, y.labels)
             assert x.inputs.dtype == y.inputs.dtype and x.labels.dtype == y.labels.dtype
+
+    @pytest.mark.parametrize("kind", ["classification", "lm"])
+    def test_narrow_stream_equals_int64_stream(self, kind, tmp_path):
+        """Narrow ids and indices change no batch: a stream over the
+        dataset, and over a shard of its training view, yields what the same
+        stream over int64 copies of every array yields, for two epochs."""
+        ds = gen_classification(2, 60, 3, 2, 0.3) if kind == "classification" \
+            else _lm_dataset(tmp_path)
+        train, _ = split_train_val(ds, 0.25, 1)
+        shard = make_shards(train, "disjoint", 2, 4).shard(train, 0)
+        assert shard.rows.dtype == (np.uint8 if kind == "classification" else np.uint16)
+        for view in (ds, shard):
+            a, b = batch_stream(view, 4, 11), _int64_stream(view, 4, 11)
+            for _ in range(2 * (view.n // 4)):
+                x, y = next(a), next(b)
+                assert np.array_equal(x.inputs, y.inputs) and np.array_equal(x.labels, y.labels)
 
     def test_shared_shards_share_the_training_set(self):
         train, _ = split_train_val(gen_classification(1, 200, 4, 3, 0.2), 0.1, 0)
@@ -326,7 +401,8 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         data_bytes = env.train.source_inputs.nbytes + env.train.source_labels.nbytes
-        assert data_bytes == desk["data.n"] * (desk["data.dim"] + 1) * 8
+        # float64 inputs and, for 10 classes, one-byte labels
+        assert data_bytes == desk["data.n"] * (desk["data.dim"] * 8 + 1)
         assert peak <= 1.35 * data_bytes, f"peak {peak / data_bytes:.2f}x the data"
 
     def test_shared_shards_cost_indices_only(self, desk):
@@ -341,3 +417,27 @@ class TestMemory:
             tracemalloc.stop()
         assert len(shards) == 4 and all(s.n == env.train.n for s in shards)
         assert peak < 0.5 * 2**20, f"{peak / 2**20:.2f} MB for four shared shards"
+
+    def test_lm_index_bytes_per_example(self, tmp_path):
+        """An lm run's data layer, as a 4-model disjoint run holds it: the
+        token ids, the split, 4 shards and 2 drawn streams per shard keep at
+        most 24 bytes per example (8-byte ids and indices kept about 46)."""
+        rng = np.random.default_rng(0)
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz ,.\n"), 100_000)),
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = ingest_text(path, 8)
+            train, val = split_train_val(ds, 0.1, 0)
+            plan = make_shards(train, "disjoint", 4, 0)
+            shards = [plan.shard(train, i) for i in range(4)]
+            streams = [batch_stream(s, 32, (i, w)) for i, s in enumerate(shards) for w in (0, 1)]
+            batches = [next(s) for s in streams]
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert ds.n > 2**16 and train.rows.dtype == np.uint32 and len(batches) == 8
+        assert np.shares_memory(ds.source_labels, ds.source_inputs)  # labels not copied
+        assert held <= 24 * ds.n, f"{held / ds.n:.1f} bytes per example"

@@ -1006,8 +1006,9 @@ class TestStoreCounters:
             store.load_latest(0, entity="g1")
             store.load_latest(0, entity="g1")
             assert store.load_latest(1, entity="g1") is None
-            assert ledger.snapshot() == {"g0/checkpoint_publish": pb,
-                                         "g1/checkpoint_load": 2 * pb}
+            assert ledger.total("checkpoint_publish", "g0") == pb
+            assert ledger.total("checkpoint_load", "g1") == 2 * pb
+            assert ledger.total() == 3 * pb  # no other (entity, cause) was charged
 
 
 def plant(store, tmp_path, data):
