@@ -7,8 +7,9 @@ as the benchmark drives it) with timers wrapped around the parts of a step
 and around the training process's pipe traffic with its evaluator:
 
 - ``step``: ``distrib._Stack.step``, one whole stacked step;
-- ``batch``: the batch copy, ``distrib._Stack._feed`` (each group's
-  ``step_batches``, copied into the step's input and label buffers);
+- ``batch``: the batch gather, ``distrib._Stack._feed`` (each group's
+  ``step_batches``: its W workers' index draws and their rows gathered
+  from the source straight into the step's input and label buffers);
 - ``pass``: the forward, ``nn.Pass.forward`` (over the teacher rows too,
   in the teacher phase);
 - ``teacher``: the teacher mean, ``distrib._teacher_mean``;

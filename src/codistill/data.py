@@ -11,16 +11,17 @@ return read-only arrays. A train/validation split and a shard are row views:
 they hold their source's arrays, read-only, and an index of the rows they
 contain, and splitting or sharding a view composes the indices (a shared
 shard, which holds every example, shares its view's index). A batch stream
-gathers each batch straight from the source arrays. Two places copy examples:
-``take``, which materializes a subset on purpose, and ``Dataset.as_batch``,
-which the experiments call once, for the validation set.
+yields source-row indices; the training step gathers the rows once, into its
+own input and label buffers. Two places copy examples: ``take``, which
+materializes a subset on purpose, and ``Dataset.as_batch``, which the
+experiments call once, for the validation set.
 
 Every integer array the data layer builds (token ids, class labels, row
 indices, shard assignments and epoch orders) is held in the narrowest
 unsigned type for its range, ``_index_type(bound)``: token ids and labels are
-below the label-space size, row indices below the source's length. Values are
-exact, so what a stream yields is the same whatever the type; the network's
-input and label buffers are int64 and take each batch by copy.
+below the label-space size, row indices below the source's length. A seeded
+order is such an array shuffled in place: the order and generator state of
+``rng.permutation``, with no int64 permutation made.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: in
     counts = np.full(n_classes, n_examples // n_classes)
     counts[: n_examples % n_classes] += 1
     labels = np.repeat(np.arange(n_classes, dtype=_index_type(n_classes)), counts)
-    labels = labels[rng.permutation(n_examples)]
+    rng.shuffle(labels)  # the same draws and order as labels[rng.permutation(n_examples)]
     inputs = rng.standard_normal((n_examples, input_dim))
     inputs *= std
     chunk = max(1, _CHUNK_ELEMENTS // input_dim)
@@ -251,7 +252,8 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
     """
     check_split(val_fraction)
     n_val = _validation_size(dataset.n, val_fraction)
-    perm = np.random.default_rng(np.random.SeedSequence([int(seed), 1])).permutation(dataset.n)
+    perm = np.arange(dataset.n, dtype=_index_type(dataset.n))
+    np.random.default_rng(np.random.SeedSequence([int(seed), 1])).shuffle(perm)
     return _view(dataset, perm[n_val:]), _view(dataset, perm[:n_val])
 
 
@@ -270,9 +272,9 @@ class ShardPlan:
 
 
 def make_shards(dataset: Dataset, mode: str, n_shards: int, seed: int) -> ShardPlan:
-    """Disjoint: seeded permutation split round-robin (sizes differ by <= 1).
-    Shared: every shard is the full index set, one read-only index. Either
-    way the indices are held in ``_index_type(dataset.n)``."""
+    """Disjoint: seeded permutation split round-robin (sizes differ by <= 1),
+    as strided views of it. Shared: every shard is the full index set. Either
+    way one read-only index in ``_index_type(dataset.n)``."""
     if mode not in SHARD_MODES:
         raise ValueError(f"unknown shard mode {mode!r}")
     if n_shards < 1 or n_shards > dataset.n:
@@ -282,31 +284,26 @@ def make_shards(dataset: Dataset, mode: str, n_shards: int, seed: int) -> ShardP
         everything = np.arange(dataset.n, dtype=index_type)
         everything.flags.writeable = False
         return ShardPlan((everything,) * n_shards, shared=True)
-    perm = np.random.default_rng(np.random.SeedSequence([int(seed), 2])).permutation(dataset.n)
-    return ShardPlan(tuple(perm[i::n_shards].astype(index_type) for i in range(n_shards)))
+    perm = np.arange(dataset.n, dtype=index_type)
+    np.random.default_rng(np.random.SeedSequence([int(seed), 2])).shuffle(perm)
+    perm.flags.writeable = False
+    return ShardPlan(tuple(perm[i::n_shards] for i in range(n_shards)))
 
 
-def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[Batch]:
-    """Infinite deterministic stream: seeded reshuffle each epoch, ragged tail
-    dropped so every batch has exactly ``batch_size`` examples.
-
-    Each batch is gathered from the source arrays: a row view's epoch order is
-    its rows in the epoch's permutation, composed once per epoch. The order
-    is held in the rows' type (``_index_type`` of the source's length), and
-    each batch's slice of it is gathered through one ``intp`` copy."""
+def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[np.ndarray]:
+    """Infinite deterministic stream of each batch's ``batch_size`` source-row
+    indices, as ``intp``: each epoch the dataset's rows (or ``arange(n)``,
+    narrow) shuffled in place, ragged tail dropped."""
     n = dataset.n
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch_size must lie in [1, {n}]")
-    inputs, labels, rows = dataset.source_inputs, dataset.source_labels, dataset.rows
-    index_type = _index_type(len(labels))
+    rows = dataset.rows
     rng = np.random.default_rng(seed)
     while True:
-        order = rng.permutation(n)
-        # frees the permutation: one narrow index per epoch
-        order = order.astype(index_type) if rows is None else rows[order]
+        order = np.arange(n, dtype=_index_type(n)) if rows is None else rows.copy()
+        rng.shuffle(order)
         for start in range(0, n - batch_size + 1, batch_size):
-            idx = order[start:start + batch_size].astype(np.intp)
-            yield Batch(inputs[idx], labels[idx])
+            yield order[start:start + batch_size].astype(np.intp)
 
 
 def unigram(dataset: Dataset) -> np.ndarray:

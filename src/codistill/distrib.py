@@ -104,9 +104,9 @@ from .losses import CombinedLossSpec, LossPlan, combined_loss
 from .metrics import MetricRecord, evaluate
 # backward and forward are unused here but stay importable as distrib.backward
 # and distrib.forward, names bench/tracer.py wraps
-from .nn import (TASK_LM, Architecture, Batch, Parameters, Pass, Plan,  # noqa: F401
-                 SerializationError, _validate_inputs, backward, deserialize_checkpoint,
-                 forward, init_params, param_count, serialize_params, softmax)
+from .nn import (Architecture, Batch, Parameters, Pass, Plan, SerializationError,  # noqa: F401
+                 _validate_inputs, backward, deserialize_checkpoint, forward, init_params,
+                 param_count, serialize_params, softmax)
 
 # one sync step moves a gradient out and parameters back per worker
 LEDGER_CAUSES = ("gradient_exchange", "parameter_broadcast",
@@ -454,56 +454,52 @@ class OfflineResult:
 
 
 def worker_streams(shard, group: GroupConfig):
-    """One deterministic batch stream per worker, derived from the group seed."""
+    """One deterministic index stream per worker, derived from the group seed."""
     return [batch_stream(shard, group.batch_size, np.random.SeedSequence([group.seed, w]))
             for w in range(group.n_workers)]
 
 
 class GroupRunner:
-    """One synchronous worker group: its config, W batch streams, ledger
-    entity and step count, and its parameters between training loops.
+    """One synchronous worker group: its shard's source arrays, W index
+    streams, ledger entity and step count, and its parameters between
+    training loops.
 
     The W replicas stay bit-identical by construction: the worker-averaged
     gradient of synchronous SGD equals a single pass over the worker-order
     concatenation of the W per-worker minibatches, and that is how it is
     computed. The ledger is still charged the logical allreduce cost of
-    2 * W * param_bytes per step.
+    2 * W * param_bytes per step. A shard smaller than the batch, or whose
+    inputs ``nn`` would refuse, is refused here, before any training or
+    evaluation, so a step checks no batch.
     """
 
-    def __init__(self, arch: Architecture, group: GroupConfig, shard=None, *,
-                 streams=None, ledger: CommLedger | None = None,
-                 entity: str = "group0"):
+    def __init__(self, arch: Architecture, group: GroupConfig, shard, *,
+                 ledger: CommLedger | None = None, entity: str = "group0"):
+        if group.batch_size > shard.n:
+            raise ValueError(f"batch_size must be at most the shard's {shard.n} examples, "
+                             f"not {group.batch_size}")
+        _validate_inputs(arch, shard.source_inputs)
         self.arch = arch
         self.group = group
         self.params = init_params(arch, group.seed)
-        self.streams = list(streams) if streams is not None else worker_streams(shard, group)
-        if len(self.streams) != group.n_workers:
-            raise ValueError(f"expected {group.n_workers} streams, got {len(self.streams)}")
+        self._source = shard.source_inputs, shard.source_labels
+        self.streams = worker_streams(shard, group)
+        B = group.batch_size
+        self._blocks = [slice(w * B, (w + 1) * B) for w in range(group.n_workers)]
         self.ledger = ledger if ledger is not None else CommLedger()
         self.entity = entity
         self.step_index = 0
         self._param_bytes = param_count(arch) * 8
-        # what step_batches checks of each batch's inputs: columns, dtype kinds
-        lm = arch.task == TASK_LM
-        self._width = arch.context_window if lm else arch.input_dim
-        self._kinds = "iu" if lm else "iuf"
 
-    def step_batches(self, batches: list[Batch]) -> Batch:
-        """This group's share of the next lockstep step: its W per-worker
-        batches, checked and concatenated in worker order."""
-        if len(batches) != self.group.n_workers:
-            raise ValueError(f"expected {self.group.n_workers} batches, got {len(batches)}")
-        for b in batches:
-            if b.inputs.shape[0] != self.group.batch_size:
-                raise ValueError(f"per-worker batches must have size {self.group.batch_size}")
-            if b.inputs.shape[1] != self._width:
-                raise ValueError(f"per-worker batches must have {self._width} input columns")
-            if b.labels.dtype.kind not in "iu" or b.inputs.dtype.kind not in self._kinds:
-                raise ValueError("labels must be integer ids, and lm inputs integer token ids")
-        if len(batches) == 1:
-            return batches[0]
-        return Batch(np.concatenate([b.inputs for b in batches], axis=0),
-                     np.concatenate([b.labels for b in batches], axis=0))
+    def step_batches(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Gather this group's share of the next lockstep step from the source
+        into its (W * B) rows of the step's buffers ``x`` and ``y``: worker
+        w's rows into [w * B, (w + 1) * B), narrow ids cast to int64."""
+        inputs, labels = self._source
+        for block, stream in zip(self._blocks, self.streams):
+            idx = next(stream)
+            x[block] = inputs[idx]
+            y[block] = labels[idx]
 
     def _snapshot(self, train_loss: float | None) -> tuple:
         """This group's part of an evaluation point, read now: run id, step,
@@ -544,8 +540,8 @@ class _Stack:
     student rows the optimizer updates in place (``optim.step``'s buffer
     form, with an (N, P) scratch array and the gradient for its
     temporaries), so ``set_teachers`` writes the teacher rows once; an
-    ``nn.Plan`` for the M-row pass, whose input buffer each group's
-    ``step_batches`` is copied into, with the gradient over the N students;
+    ``nn.Plan`` for the M-row pass, into whose input buffer each group's
+    ``step_batches`` gathers its rows, with the gradient over the N students;
     one ``nn.Pass`` per pass length, holding every per-layer view; the
     (N, R) label buffer and a ``losses.LossPlan``. So a ``Parameters`` from
     ``params`` is a view that the next step overwrites: a publish or an
@@ -643,12 +639,10 @@ class _Stack:
         return losses
 
     def _feed(self) -> None:
-        """Each group's ``step_batches``, copied into its rows of the input
-        and label buffers."""
+        """Each group's ``step_batches``, gathering its rows of the input and
+        label buffers."""
         for r, x, y in self._feeds:
-            b = r.step_batches(list(map(next, r.streams)))
-            x[...] = b.inputs
-            y[...] = b.labels
+            r.step_batches(x, y)
 
     def unstack(self) -> None:
         for row, r in enumerate(self.runners):
@@ -990,8 +984,7 @@ class _PeerTeachers:
 
 def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
                    validation: Batch, eval_every: int = 100, *,
-                   ledger: CommLedger | None = None, streams=None,
-                   run_id: str = "baseline"):
+                   ledger: CommLedger | None = None, run_id: str = "baseline"):
     """Synchronous-SGD training of a single group.
 
     Evaluates at step 0, every ``eval_every`` steps, and the final step; the
@@ -1000,7 +993,7 @@ def train_baseline(arch: Architecture, group: GroupConfig, shard, n_steps: int,
     the records so far attached) if the loss goes non-finite or past the
     abort threshold.
     """
-    runner = GroupRunner(arch, group, shard, streams=streams, ledger=ledger, entity=run_id)
+    runner = GroupRunner(arch, group, shard, ledger=ledger, entity=run_id)
     records: list[MetricRecord] = []
     _train_loop([runner], n_steps, validation, eval_every, records)
     return runner.params, records

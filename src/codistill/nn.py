@@ -249,6 +249,8 @@ def _validate_inputs(arch: Architecture, x: np.ndarray) -> None:
     else:
         if x.shape[-1] != arch.input_dim:
             raise ValueError(f"expected input_dim {arch.input_dim}, got {x.shape[-1]}")
+        if x.dtype.kind not in "iuf":
+            raise ValueError(f"inputs must be real numbers, not {x.dtype}")
 
 
 def _embedding_grad(tokens: np.ndarray, dinput: np.ndarray, vocab_size: int,

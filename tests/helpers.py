@@ -117,14 +117,32 @@ def embedding_grad_add_at(tokens, dinput, vocab_size):
 
 
 def interleave(streams):
-    """Merge W streams of size B into one stream of size W*B.
+    """Merge W index streams of size B into one index stream of size W*B.
 
-    The step-t batch is the concatenation, in stream order, of the members'
-    step-t batches, so a single consumer sees exactly the examples the W
-    separate consumers would have seen at each step.
+    The step-t slice is the concatenation, in stream order, of the members'
+    step-t slices, so a single consumer gathers exactly the examples the W
+    separate consumers would have gathered at each step.
     """
     streams = list(streams)
     while True:
-        parts = [next(s) for s in streams]
-        yield Batch(np.concatenate([p.inputs for p in parts], axis=0),
-                    np.concatenate([p.labels for p in parts], axis=0))
+        yield np.concatenate([next(s) for s in streams])
+
+
+def int64_stream(dataset, batch_size, seed):
+    """The batches ``data.batch_stream``'s indices select, drawn with
+    ``rng.permutation`` and gathered from int64 copies of every index and
+    id: a reference independent of the narrow types and the in-place
+    shuffle."""
+    inputs = dataset.source_inputs
+    if inputs.dtype.kind in "iu":
+        inputs = inputs.astype(np.int64)
+    labels = dataset.source_labels.astype(np.int64)
+    rows = None if dataset.rows is None else dataset.rows.astype(np.int64)
+    rng = np.random.default_rng(seed)
+    while True:
+        order = rng.permutation(dataset.n)
+        if rows is not None:
+            order = rows[order]
+        for start in range(0, dataset.n - batch_size + 1, batch_size):
+            idx = order[start:start + batch_size]
+            yield Batch(inputs[idx], labels[idx])

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from codistill import distrib
 from codistill.data import gen_classification, make_shards, split_train_val
 from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, FileCheckpointStore,
                                GroupConfig, GroupRunner, InMemoryCheckpointStore, _train_loop,
@@ -176,7 +177,7 @@ def test_criterion_01_gradient_correctness():
            f"max rel err {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_02_big_batch_equivalence():
+def test_criterion_02_big_batch_equivalence(monkeypatch):
     """Sync group (W=4, B=8) vs single worker B=32 on the interleaved stream,
     500 steps, every parameter within 1e-12."""
     t0 = time.perf_counter()
@@ -189,8 +190,8 @@ def test_criterion_02_big_batch_equivalence():
     group1 = GroupConfig(1, 32, opt, CombinedLossSpec(), seed=3)
     p4, _ = train_baseline(arch, group4, train, 500, val, eval_every=250)
     merged = interleave(worker_streams(train, group4))
-    p1, _ = train_baseline(arch, group1, train, 500, val, eval_every=250,
-                           streams=[merged])
+    monkeypatch.setattr(distrib, "worker_streams", lambda shard, group: [merged])
+    p1, _ = train_baseline(arch, group1, train, 500, val, eval_every=250)
     diff = float(np.abs(p4.values - p1.values).max())
     elapsed = time.perf_counter() - t0
     report(2, diff < 1e-12 and elapsed < 60,

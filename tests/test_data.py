@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from codistill import experiments
 from codistill.data import (Dataset, batch_stream, gen_classification, ingest_text,
                             make_shards, split_train_val, take, unigram)
-from codistill.nn import Batch
-from helpers import interleave
+from helpers import int64_stream, interleave
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "codistill.cfg"
 
@@ -152,16 +151,23 @@ class TestBatchStream:
         ds = gen_classification(1, 30, 3, 2, 0.1)
         s1, s2 = batch_stream(ds, 8, 5), batch_stream(ds, 8, 5)
         for _ in range(10):
-            a, b = next(s1), next(s2)
-            assert np.array_equal(a.inputs, b.inputs)
-            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(next(s1), next(s2))
+
+    def test_every_slice_has_batch_size_intp_indices(self):
+        """30 rows in batches of 8: each epoch draws 3 slices of 8 distinct
+        rows and drops the ragged 6, in every epoch."""
+        ds = gen_classification(1, 30, 3, 2, 0.1)
+        stream = batch_stream(ds, 8, 5)
+        for _ in range(3):
+            epoch = [next(stream) for _ in range(3)]
+            assert all(idx.shape == (8,) and idx.dtype == np.intp for idx in epoch)
+            assert len(set(np.concatenate(epoch).tolist())) == 24
 
     def test_full_batch_is_whole_shard(self):
         ds = gen_classification(1, 12, 3, 2, 0.1)
-        batch = next(batch_stream(ds, 12, 0))
-        order = np.lexsort(batch.inputs.T)
-        ref = np.lexsort(ds.inputs.T)
-        assert np.array_equal(batch.inputs[order], ds.inputs[ref])
+        train, _ = split_train_val(ds, 0.25, 0)
+        assert np.array_equal(np.sort(next(batch_stream(ds, 12, 0))), np.arange(12))
+        assert np.array_equal(np.sort(next(batch_stream(train, 9, 0))), np.sort(train.rows))
 
     def test_batch_too_large(self):
         ds = gen_classification(1, 4, 2, 2, 0.1)
@@ -175,10 +181,24 @@ class TestBatchStream:
         merged = interleave(members)
         for _ in range(5):
             big = next(merged)
-            parts = [next(r) for r in ref]
-            assert big.size == 4
-            assert np.array_equal(big.inputs, np.concatenate([p.inputs for p in parts]))
-            assert np.array_equal(big.labels, np.concatenate([p.labels for p in parts]))
+            assert big.shape == (4,)
+            assert np.array_equal(big, np.concatenate([next(r) for r in ref]))
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 65_535, 65_536, 65_537])
+    def test_narrow_shuffle_draws_the_permutation(self, n):
+        """The data layer's orders are narrow arrays shuffled in place: the
+        same order as ``rng.permutation(n)`` indexes, and the generator left
+        in the same state, whatever the array's type."""
+        values = (np.arange(n) % 251).astype(np.uint8)
+        for seed in range(3):
+            ref = np.random.default_rng(seed)
+            perm = ref.permutation(n)
+            for array, want in ((np.arange(n, dtype=np.min_scalar_type(n - 1)), perm),
+                                (values.copy(), values[perm])):
+                rng = np.random.default_rng(seed)
+                rng.shuffle(array)
+                assert np.array_equal(array, want)
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSplit:
@@ -270,23 +290,6 @@ def _lm_dataset(tmp_path):
     return ingest_text(path, 4)
 
 
-def _int64_stream(dataset, batch_size, seed):
-    """``batch_stream`` with every index and id held as int64."""
-    inputs = dataset.source_inputs
-    if inputs.dtype.kind in "iu":
-        inputs = inputs.astype(np.int64)
-    labels = dataset.source_labels.astype(np.int64)
-    rows = None if dataset.rows is None else dataset.rows.astype(np.int64)
-    rng = np.random.default_rng(seed)
-    while True:
-        order = rng.permutation(dataset.n)
-        if rows is not None:
-            order = rows[order]
-        for start in range(0, dataset.n - batch_size + 1, batch_size):
-            idx = order[start:start + batch_size]
-            yield Batch(inputs[idx], labels[idx])
-
-
 def _same_examples(view, copy):
     assert view.n == copy.n
     assert np.array_equal(view.inputs, copy.inputs)
@@ -328,25 +331,28 @@ class TestRowViews:
         copy = take(shard, np.arange(shard.n))
         a, b = batch_stream(shard, 4, 11), batch_stream(copy, 4, 11)
         for _ in range(3 * (shard.n // 4)):  # three epochs
-            x, y = next(a), next(b)
-            assert np.array_equal(x.inputs, y.inputs) and np.array_equal(x.labels, y.labels)
-            assert x.inputs.dtype == y.inputs.dtype and x.labels.dtype == y.labels.dtype
+            i, j = next(a), next(b)
+            assert np.array_equal(shard.source_inputs[i], copy.source_inputs[j])
+            assert np.array_equal(shard.source_labels[i], copy.source_labels[j])
+        assert shard.source_inputs.dtype == copy.source_inputs.dtype
+        assert shard.source_labels.dtype == copy.source_labels.dtype
 
     @pytest.mark.parametrize("kind", ["classification", "lm"])
     def test_narrow_stream_equals_int64_stream(self, kind, tmp_path):
         """Narrow ids and indices change no batch: a stream over the
-        dataset, and over a shard of its training view, yields what the same
-        stream over int64 copies of every array yields, for two epochs."""
+        dataset, and over a shard of its training view, selects what the
+        same stream over int64 copies of every array yields, for two epochs."""
         ds = gen_classification(2, 60, 3, 2, 0.3) if kind == "classification" \
             else _lm_dataset(tmp_path)
         train, _ = split_train_val(ds, 0.25, 1)
         shard = make_shards(train, "disjoint", 2, 4).shard(train, 0)
         assert shard.rows.dtype == (np.uint8 if kind == "classification" else np.uint16)
         for view in (ds, shard):
-            a, b = batch_stream(view, 4, 11), _int64_stream(view, 4, 11)
+            a, b = batch_stream(view, 4, 11), int64_stream(view, 4, 11)
             for _ in range(2 * (view.n // 4)):
-                x, y = next(a), next(b)
-                assert np.array_equal(x.inputs, y.inputs) and np.array_equal(x.labels, y.labels)
+                idx, ref = next(a), next(b)
+                assert np.array_equal(view.source_inputs[idx], ref.inputs)
+                assert np.array_equal(view.source_labels[idx], ref.labels)
 
     def test_shared_shards_share_the_training_set(self):
         train, _ = split_train_val(gen_classification(1, 200, 4, 3, 0.2), 0.1, 0)
@@ -434,10 +440,10 @@ class TestMemory:
             plan = make_shards(train, "disjoint", 4, 0)
             shards = [plan.shard(train, i) for i in range(4)]
             streams = [batch_stream(s, 32, (i, w)) for i, s in enumerate(shards) for w in (0, 1)]
-            batches = [next(s) for s in streams]
+            drawn = [next(s) for s in streams]
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert ds.n > 2**16 and train.rows.dtype == np.uint32 and len(batches) == 8
+        assert ds.n > 2**16 and train.rows.dtype == np.uint32 and len(drawn) == 8
         assert np.shares_memory(ds.source_labels, ds.source_inputs)  # labels not copied
         assert held <= 24 * ds.n, f"{held / ds.n:.1f} bytes per example"

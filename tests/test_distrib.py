@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import io
 import itertools
 import multiprocessing.connection
@@ -14,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codistill.data import gen_classification, make_shards, split_train_val
+from codistill.data import (Dataset, gen_classification, ingest_text, make_shards,
+                            split_train_val)
 from codistill import distrib, experiments
 from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, DivergenceError,
                                FileCheckpointStore, GroupConfig, GroupRunner,
@@ -28,7 +30,7 @@ from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMi
                           Parameters, SerializationError, TruncatedPayloadError, init_params,
                           param_count)
 from codistill.optim import OptimizerConfig
-from helpers import interleave
+from helpers import int64_stream, interleave
 
 
 ARCH = Architecture(6, (12, 8), 4)
@@ -106,17 +108,21 @@ def make_store(backing, tmp_path, ledger=None):
             else FileCheckpointStore(tmp_path, ARCH, ledger))
 
 
+def inject_streams(monkeypatch, *streams):
+    """Make the next runners built draw ``streams``, index streams of source
+    rows, instead of their own ``worker_streams``."""
+    monkeypatch.setattr(distrib, "worker_streams", lambda shard, group: list(streams))
+
+
 class TestSyncGroupStep:
-    def test_two_workers_equal_one_big_worker(self):
+    def test_two_workers_equal_one_big_worker(self, monkeypatch):
         """W=2, B=1 on {e1, e2} matches W=1, B=2 on the concatenated batch."""
         train, val = make_task()
-        e1 = Batch(train.inputs[:1], train.labels[:1])
-        e2 = Batch(train.inputs[1:2], train.labels[1:2])
-        both = Batch(train.inputs[:2], train.labels[:2])
-        a, _ = train_baseline(ARCH, sgd_group(3, n_workers=2, batch=1), None, 1, val,
-                              streams=[iter([e1]), iter([e2])])
-        b, _ = train_baseline(ARCH, sgd_group(3, n_workers=1, batch=2), None, 1, val,
-                              streams=[iter([both])])
+        e1, e2 = (train.rows[i:i + 1].astype(np.intp) for i in (0, 1))
+        inject_streams(monkeypatch, iter([e1]), iter([e2]))
+        a, _ = train_baseline(ARCH, sgd_group(3, n_workers=2, batch=1), train, 1, val)
+        inject_streams(monkeypatch, iter([np.concatenate([e1, e2])]))
+        b, _ = train_baseline(ARCH, sgd_group(3, n_workers=1, batch=2), train, 1, val)
         assert np.array_equal(a.values, b.values)
 
     def test_w1_degenerates_to_single_worker(self):
@@ -126,7 +132,7 @@ class TestSyncGroupStep:
         assert np.array_equal(p1.values, p2.values)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4, 8])
-    def test_big_batch_equivalence(self, n_workers):
+    def test_big_batch_equivalence(self, n_workers, monkeypatch):
         """Group (W, B) is bit-identical to one worker with batch W*B consuming
         the interleaved stream; with eval_every=1 each record's train loss is
         that one step's loss."""
@@ -134,19 +140,61 @@ class TestSyncGroupStep:
         group = sgd_group(5, n_workers=n_workers, batch=4)
         pg, rg = train_baseline(ARCH, group, train, 120, val, eval_every=1)
         big = sgd_group(5, n_workers=1, batch=4 * n_workers)
-        merged = interleave(worker_streams(train, group))
-        pb, rb = train_baseline(ARCH, big, train, 120, val, eval_every=1, streams=[merged])
+        inject_streams(monkeypatch, interleave(worker_streams(train, group)))
+        pb, rb = train_baseline(ARCH, big, train, 120, val, eval_every=1)
         assert len(rg) == 121
         assert [r.train_loss for r in rg] == [r.train_loss for r in rb]
         assert np.array_equal(pg.values, pb.values)
 
-    def test_batch_size_validation(self):
+
+class TestUnfitShard:
+    """A shard that cannot feed its group is refused when the group's runner
+    is built: before the evaluator's fork, the step-0 evaluation or any
+    concurrent group's fork, so the error carries no records."""
+
+    @staticmethod
+    def unfit(case):
+        """(arch, group, the two shards, message) of one unfit case; in the
+        batch-size case only the second shard is too small."""
         train, _ = make_task()
-        runner = GroupRunner(ARCH, sgd_group(1, n_workers=2, batch=4), train)
-        bad = [Batch(train.inputs[:4], train.labels[:4]),
-               Batch(train.inputs[:3], train.labels[:3])]
-        with pytest.raises(ValueError, match="size"):
-            runner.step_batches(bad)
+        shards = [make_shards(train, "disjoint", 2, 0).shard(train, i) for i in range(2)]
+        if case == "batch_size":
+            return ARCH, sgd_group(1, batch=shards[1].n + 1), [train, shards[1]], "batch_size"
+        if case == "width":
+            arch = Architecture(ARCH.input_dim + 1, ARCH.hidden_dims, ARCH.output_dim)
+            return arch, sgd_group(1), shards, "input_dim"
+        if case == "complex":
+            shards = [Dataset(sh.inputs.astype(complex), sh.labels, sh.kind, sh.n_classes)
+                      for sh in shards]
+            return ARCH, sgd_group(1), shards, "real numbers"
+        lm = Architecture(ARCH.input_dim * 2, (8,), ARCH.output_dim, task="lm_fixed_context",
+                          context_window=ARCH.input_dim, vocab_size=ARCH.output_dim,
+                          embedding_dim=2)
+        return lm, sgd_group(1), shards, "integer token ids"
+
+    @pytest.mark.parametrize("case", ["batch_size", "width", "complex", "dtype"])
+    def test_runner_refuses_the_shard(self, case):
+        arch, group, shards, match = self.unfit(case)
+        with pytest.raises(ValueError, match=match):
+            GroupRunner(arch, group, shards[1])
+
+    @pytest.mark.parametrize("mode", ["baseline", "lockstep", "concurrent"])
+    @pytest.mark.parametrize("case", ["batch_size", "width", "complex", "dtype"])
+    def test_refused_before_training(self, case, mode, monkeypatch, tmp_path):
+        arch, group, shards, match = self.unfit(case)
+        _, val = make_task()
+        started = []
+        monkeypatch.setattr(distrib, "_fork", lambda *args: started.append(args[0]))
+        monkeypatch.setattr(distrib, "_point_records", lambda *args: started.append(args))
+        groups = [dataclasses.replace(group, seed=s) for s in (1, 2)]
+        with pytest.raises(ValueError, match=match) as err:
+            if mode == "baseline":
+                train_baseline(arch, group, shards[1], 5, val)
+            else:
+                train = codistill_train if mode == "lockstep" else codistill_train_concurrent
+                train(arch, CodistillConfig(2, 2, 2), groups, shards, 5,
+                      FileCheckpointStore(tmp_path, arch), val)
+        assert started == [] and not hasattr(err.value, "records")
 
 
 class TestTrainBaseline:
@@ -649,12 +697,20 @@ class TestConcurrentLedgerParity:
         assert isinstance(err, ValueError) and "another ledger" in str(err)
 
 
-def token_stream(arch, rows, seed):
-    """An endless stream of random lm batches of ``rows`` windows."""
+def token_dataset(arch, n, seed):
+    """A seeded lm dataset of ``n`` random windows and next tokens."""
     rng = np.random.default_rng(seed)
-    while True:
-        yield Batch(rng.integers(0, arch.vocab_size, size=(rows, arch.context_window)),
-                    rng.integers(0, arch.vocab_size, size=rows))
+    return Dataset(rng.integers(0, arch.vocab_size, size=(n, arch.context_window)),
+                   rng.integers(0, arch.vocab_size, size=n), "lm", arch.vocab_size)
+
+
+def next_batch(runner):
+    """The runner's next step batch, gathered by ``step_batches`` into
+    buffers of the stack's types."""
+    arch, rows = runner.arch, runner.group.n_workers * runner.group.batch_size
+    x, y = Plan(arch, 1, rows, n_grad=0).inputs[0], np.empty(rows, np.int64)
+    runner.step_batches(x, y)
+    return Batch(x, y)
 
 
 LM_ARCH = Architecture(3 * 4, (10, 6), 9, task="lm_fixed_context", context_window=3,
@@ -673,11 +729,41 @@ class TestStackBuffers:
         group = lambda seed: GroupConfig(n_workers, rows, OptimizerConfig(kind, 0.05),  # noqa: E731
                                          CombinedLossSpec(), seed)
         if arch.task == "lm_fixed_context":
-            return [GroupRunner(arch, group(s), streams=[token_stream(arch, rows, 10 * s + w)
-                                                         for w in range(n_workers)])
-                    for s in seeds]
+            return [GroupRunner(arch, group(s), token_dataset(arch, 64, s)) for s in seeds]
         train, _ = make_task()
         return [GroupRunner(arch, group(s), train) for s in seeds]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("task", ["classification", "lm"])
+    def test_feed_gathers_the_reference_batches(self, task, n_workers, tmp_path):
+        """After ``_feed`` each group's rows of the input and label buffers
+        hold the worker-order concatenation of its W reference batches
+        (``int64_stream``: int64 ids and indices, ``rng.permutation``
+        orders), over two epochs of two disjoint shards; the lm's source is
+        its corpus's strided window view."""
+        if task == "lm":
+            path = tmp_path / "corpus.txt"
+            path.write_text("the quick brown fox jumps over the lazy dog; " * 8,
+                            encoding="utf-8")
+            ds = ingest_text(path, 3)
+            arch = Architecture(3 * 2, (5,), ds.n_classes, task="lm_fixed_context",
+                                context_window=3, vocab_size=ds.n_classes, embedding_dim=2)
+        else:
+            ds, arch = gen_classification(2, 150, ARCH.input_dim, ARCH.output_dim, 0.3), ARCH
+        train, _ = split_train_val(ds, 0.2, 1)
+        plan = make_shards(train, "disjoint", 2, 4)
+        shards = [plan.shard(train, i) for i in range(2)]
+        groups = [sgd_group(10 + i, n_workers=n_workers, batch=5) for i in range(2)]
+        stack = distrib._Stack([GroupRunner(arch, g, sh) for g, sh in zip(groups, shards)])
+        refs = [[int64_stream(sh, 5, np.random.SeedSequence([g.seed, w]))
+                 for w in range(n_workers)] for g, sh in zip(groups, shards)]
+        for _ in range(2 * (min(sh.n for sh in shards) // 5)):
+            stack._feed()
+            for i, streams in enumerate(refs):
+                parts = [next(s) for s in streams]
+                assert np.array_equal(stack._x[i], np.concatenate([p.inputs for p in parts]))
+                assert np.array_equal(stack._labels[i],
+                                      np.concatenate([p.labels for p in parts]))
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
     @pytest.mark.parametrize("arch", [ARCH, LM_ARCH], ids=["classification", "lm"])
@@ -739,7 +825,7 @@ class TestStackBuffers:
             for i, (one, runner) in enumerate(zip(alone, pure)):
                 assert one.step(None if step == "none" else spec) == [losses[i]]
                 assert np.array_equal(one.values[0], stack.values[i])
-                batch = runner.step_batches([next(st) for st in runner.streams])
+                batch = next_batch(runner)
                 teacher = None
                 if step == "rows":
                     members = [Parameters(arch, v) for v in rows[k * i:k * (i + 1)]]
@@ -805,8 +891,9 @@ class TestStackBuffers:
         allocates alone, stays within 2N + T rows (36 KB each here) and
         64 KiB of small buffers."""
         arch, n, k, rows = Architecture(32, (64, 32), 10), 4, 3, 8
+        shard = gen_classification(0, 20, 32, 10, 0.3)
         runners = [GroupRunner(arch, GroupConfig(1, rows, OptimizerConfig("sgd", 0.1),
-                                                 CombinedLossSpec(), s), streams=[iter(())])
+                                                 CombinedLossSpec(), s), shard)
                    for s in range(n)]
         row_bytes = param_count(arch) * 8
 
