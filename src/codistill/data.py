@@ -12,9 +12,13 @@ they hold their source's arrays, read-only, and an index of the rows they
 contain, and splitting or sharding a view composes the indices (a shared
 shard, which holds every example, shares its view's index). A batch stream
 yields source-row indices; the training step gathers the rows once, into its
-own input and label buffers. Two places copy examples: ``take``, which
-materializes a subset on purpose, and ``Dataset.as_batch``, which the
-experiments call once, for the validation set.
+own input and label buffers. ``take`` alone copies examples, to materialize
+a subset on purpose. ``Dataset.as_batch`` of a view copies its labels; its
+inputs are gathered on their first read, once per process, so the validation
+rows are held only where they are validated: in the evaluator or group
+process after its fork, or in the training process itself on one CPU.
+Generation and ingest work ``_CHUNK_ELEMENTS`` elements at a time (one row
+of wider inputs), so their temporaries stay small.
 
 Every integer array the data layer builds (token ids, class labels, row
 indices, shard assignments and epoch orders) is held in the narrowest
@@ -88,7 +92,9 @@ class Dataset:
         return self.source_labels if self.rows is None else self.source_labels[self.rows]
 
     def as_batch(self) -> Batch:
-        return Batch(self.inputs, self.labels)
+        """The dataset's examples as one ``Batch``. A view's batch holds its
+        own labels and gathers its inputs on their first read (``Batch``)."""
+        return Batch(self.source_inputs, self.labels, self.rows)
 
 
 def _index_type(bound: int) -> np.dtype:
@@ -156,8 +162,10 @@ def check_classification(n_examples: int, input_dim: int, n_classes: int,
         raise ValueError("difficulty must be finite and nonnegative")
 
 
-# elements of the centroid rows gen_classification gathers at a time (1 MiB)
-_CHUNK_ELEMENTS = 1 << 17
+# elements the generators build at a time (at least one row): 32 KiB of
+# gen_classification's float64 centroid rows, or ingest_text's characters;
+# below glibc's 128 KiB mmap threshold, so no temporary is mapped and faulted in
+_CHUNK_ELEMENTS = 1 << 12
 
 
 def gen_classification(seed: int, n_examples: int, input_dim: int, n_classes: int,
@@ -217,13 +225,17 @@ def ingest_text(path, context_window: int) -> Dataset:
     Each example maps ``context_window`` consecutive characters to the next
     one; the vocabulary is the sorted set of characters in the corpus. A
     character's id is its code point's rank among the vocabulary's code
-    points. The token ids are held once, read-only, in ``_index_type`` of
-    the vocabulary's size: the windows are their strided view and the labels
-    a slice of them.
+    points, found ``_CHUNK_ELEMENTS`` characters at a time. The token ids are
+    held once, read-only, in ``_index_type`` of the vocabulary's size: the
+    windows are their strided view and the labels a slice of them.
     """
     text = _read_corpus(path, context_window)
     vocab = "".join(sorted(set(text)))
-    ids = np.searchsorted(_code_points(vocab), _code_points(text)).astype(_index_type(len(vocab)))
+    codes = _code_points(vocab)
+    ids = np.empty(len(text), _index_type(len(vocab)))
+    for start in range(0, len(text), _CHUNK_ELEMENTS):
+        stop = start + _CHUNK_ELEMENTS
+        ids[start:stop] = np.searchsorted(codes, _code_points(text[start:stop]))
     ids.flags.writeable = False
     contexts = np.lib.stride_tricks.sliding_window_view(ids, context_window)[:-1]
     labels = ids[context_window:]

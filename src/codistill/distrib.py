@@ -771,11 +771,13 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
     and ``_point_records`` turns them into records. Validation runs one
     model at a time through one forward-only ``nn.Plan`` over the validation
     rows, built once by the process that validates, so its memory does not
-    grow with N and a point allocates no layer outputs. With at least 2 CPUs
-    the loop
-    forks one evaluator process (``_evaluator``) and hands it each point
-    while training goes on, at most one point in flight: the loop takes back
-    point k-1's records before it copies point k's parameters into the
+    grow with N and a point allocates no layer outputs. A ``validation``
+    batch that gathers its rows on first read (``Dataset.as_batch`` of a
+    view) gathers them in that process too: before the fork the loop reads
+    only its ``size``. With at least 2 CPUs the loop forks one evaluator
+    process (``_evaluator``) and hands it each point while training goes
+    on, at most one point in flight: the loop takes back point k-1's
+    records before it copies point k's parameters into the
     (N, P) slot the two processes share, mapped before the fork, and sends
     the step and snapshots over the pipe; the last point's records come
     back before it returns. So the slot is never rewritten while the

@@ -217,7 +217,11 @@ def format_resolved(res: dict) -> str:
 
 @dataclass
 class Env:
-    """Resolved dataset, architecture, and split shared by one experiment."""
+    """Resolved dataset, architecture, and split shared by one experiment.
+
+    ``val`` is the validation view's ``Dataset.as_batch``: its inputs are
+    gathered in the process that first reads them, the one that validates.
+    """
 
     res: dict
     arch: Architecture

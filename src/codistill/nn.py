@@ -181,28 +181,37 @@ class Parameters:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(init=False)
 class Batch:
     """One minibatch: float features for classification, int token ids for lm.
 
-    ``__init__`` checks the shapes itself, one Python call per batch drawn
-    rather than a generated ``__init__`` calling ``__post_init__``.
+    Given ``rows``, ``inputs`` is the array the batch's rows are taken from:
+    the first read of ``inputs`` gathers them, once, and keeps the copy, so
+    a process that never reads them never holds them. ``size`` and
+    ``labels`` never gather.
     """
 
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __init__(self, inputs: np.ndarray, labels: np.ndarray):
-        if inputs.ndim != 2 or len(labels) != inputs.shape[0]:
+    def __init__(self, inputs: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None):
+        n = inputs.shape[0] if rows is None else len(rows)
+        if inputs.ndim != 2 or len(labels) != n:
             raise ValueError("inputs must be (B, d) with one label per row")
-        if inputs.shape[0] < 1:
+        if n < 1:
             raise ValueError("batch must contain at least one example")
-        self.inputs = inputs
+        self._inputs, self._rows = inputs, rows
         self.labels = labels
 
     @property
+    def inputs(self) -> np.ndarray:
+        if self._rows is not None:
+            self._inputs, self._rows = self._inputs[self._rows], None
+        return self._inputs
+
+    @inputs.setter
+    def inputs(self, value: np.ndarray) -> None:
+        self._inputs, self._rows = value, None
+
+    @property
     def size(self) -> int:
-        return self.inputs.shape[0]
+        return self._inputs.shape[0] if self._rows is None else len(self._rows)
 
 
 def init_params(arch: Architecture, seed: int) -> Parameters:

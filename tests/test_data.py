@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codistill import experiments
+from codistill import data, experiments
 from codistill.data import (Dataset, batch_stream, gen_classification, ingest_text,
                             make_shards, split_train_val, take, unigram)
 from helpers import int64_stream, interleave
@@ -43,6 +43,21 @@ class TestGenClassification:
             gen_classification(0, 5, 3, 10, 0.1)
         with pytest.raises(ValueError):
             gen_classification(0, 10, 0, 2, 0.1)
+
+    def test_inputs_do_not_depend_on_the_chunk(self, monkeypatch):
+        """The centroid rows are added a chunk at a time, each element the
+        same float operation: chunks of one row, of a prime number of
+        elements, which splits rows, and of the default all build the bytes
+        of one whole-array pass."""
+        default = data._CHUNK_ELEMENTS
+
+        def inputs(chunk):
+            monkeypatch.setattr(data, "_CHUNK_ELEMENTS", chunk)
+            return gen_classification(6, 2000, 7, 5, 0.4).inputs.tobytes()
+
+        whole = inputs(2000 * 7)
+        for chunk in (7, 101, default):
+            assert inputs(chunk) == whole, f"chunk of {chunk} elements"
 
 
 class TestIngestText:
@@ -85,6 +100,17 @@ class TestIngestText:
         assert ds.inputs.dtype == np.uint8 and ds.labels.dtype == np.uint8
         assert np.array_equal(ds.inputs, [ids[i:i + 3] for i in range(len(text) - 3)])
         assert np.array_equal(ds.labels, ids[3:])
+
+    def test_ids_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch):
+        """Characters are mapped a chunk at a time: chunks of 5 characters,
+        which split the text everywhere, give the ids of one whole pass."""
+        path = tmp_path / "u.txt"
+        path.write_text("naïve café\tüber 東京 ➜ 𝔘𝔫𝔦 😀\n" * 7, encoding="utf-8")
+        whole = ingest_text(path, 3)
+        monkeypatch.setattr(data, "_CHUNK_ELEMENTS", 5)
+        chunked = ingest_text(path, 3)
+        assert np.array_equal(chunked.inputs, whole.inputs)
+        assert chunked.labels.tobytes() == whole.labels.tobytes()
 
     def test_ids_widen_past_256_characters(self, tmp_path):
         text = "".join(chr(0x4E00 + i) for i in range(300)) * 2
@@ -423,6 +449,24 @@ class TestMemory:
             tracemalloc.stop()
         assert len(shards) == 4 and all(s.n == env.train.n for s in shards)
         assert peak < 0.5 * 2**20, f"{peak / 2**20:.2f} MB for four shared shards"
+
+    def test_ingest_peak_per_character(self, tmp_path):
+        """``ingest_text`` maps a 4 M-character ASCII corpus to one-byte ids
+        with a traced peak under 3 bytes per character, the file's read
+        included: the whole text's UTF-32 code points and ``intp`` ranks at
+        once took 13."""
+        path = tmp_path / "corpus.txt"
+        rng = np.random.default_rng(0)
+        path.write_bytes(rng.integers(32, 127, size=4 * 2**20, dtype=np.uint8).tobytes())
+        tracemalloc.start()
+        try:
+            ds = ingest_text(path, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chars = ds.provenance["chars"]
+        assert chars == 4 * 2**20 and ds.labels.dtype == np.uint8
+        assert peak < 3 * chars, f"{peak / chars:.1f} bytes per character"
 
     def test_lm_index_bytes_per_example(self, tmp_path):
         """An lm run's data layer, as a 4-model disjoint run holds it: the

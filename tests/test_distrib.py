@@ -1386,6 +1386,36 @@ class TestLockstepEvaluation:
 
         monkeypatch.setattr(distrib, "evaluate", failing)
 
+    def test_validation_rows_are_gathered_where_validated(self, monkeypatch):
+        """A row view's validation batch gathers its inputs in the process
+        that validates: with 2 CPUs the forked evaluator, so the caller's
+        batch is never gathered; inline, on one CPU, this process, once. The
+        records are the same either way, and reading the batch's size or
+        labels gathers nothing."""
+        gathers = []
+
+        class Counted(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray):
+                    gathers.append(len(key))
+                return super().__getitem__(key)
+
+        ds = gen_classification(1, 600, ARCH.input_dim, ARCH.output_dim, 0.3)
+        train, val = split_train_val(ds, 0.1, 1)
+        counted = Dataset(ds.source_inputs.view(Counted), ds.source_labels, ds.kind,
+                          ds.n_classes)
+        records = {}
+        for n_cpus in (2, 1):
+            self.cpus(monkeypatch, n_cpus)
+            validation = split_train_val(counted, 0.1, 1)[1].as_batch()
+            assert validation.size == val.n and np.array_equal(validation.labels, val.labels)
+            assert gathers == []
+            _, recs = train_baseline(ARCH, sgd_group(3), train, 30, validation, 10)
+            assert gathers == ([] if n_cpus == 2 else [val.n])
+            records[n_cpus] = [dataclasses.replace(r, wall_seconds=0.0) for r in recs]
+        assert records[2] == records[1]
+        assert np.array_equal(validation.inputs, val.inputs) and gathers == [val.n]
+
     @pytest.mark.parametrize("kind", ["baseline", "codistill", "ensemble_baseline"])
     def test_evaluator_process_matches_inline(self, kind, tmp_path, monkeypatch):
         """With 2 CPUs every validation pass runs in one other process, forked

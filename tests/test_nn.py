@@ -392,3 +392,16 @@ class TestPlan:
         for n_grad in (-1, 5):
             with pytest.raises(ValueError, match="n_grad"):
                 Plan(arch, 4, 50, n_grad=n_grad)
+
+
+class TestBatch:
+    def test_rows_are_gathered_once_on_first_read(self):
+        source = np.arange(12.0).reshape(6, 2)
+        batch = Batch(source, np.array([1, 0]), np.array([4, 1]))
+        assert batch.size == 2
+        first = batch.inputs
+        assert np.array_equal(first, source[[4, 1]]) and batch.inputs is first
+        with pytest.raises(ValueError, match="one label per row"):
+            Batch(source, np.array([1, 0, 1]), np.array([4, 1]))
+        with pytest.raises(ValueError, match="at least one example"):
+            Batch(source, np.array([], dtype=int), np.array([], dtype=int))
