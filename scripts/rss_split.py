@@ -17,10 +17,15 @@ At each point it prints the resident set (``rss_mb``, from
 ``/proc/self/statm``) and the peak so far (``peak_mb``, ``getrusage``'s
 ``ru_maxrss``, which the benchmark reports as ``peak_rss_mb``), in MiB, and
 at the end the largest peak of the forked children (the lockstep evaluator,
-concurrent-mode groups). Wrappers around those two functions are all it
-adds; point ``PYTHONPATH`` at another tree's ``src`` to measure that tree.
-Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the benchmark
-does.
+concurrent-mode groups). Wrappers around those two functions and around
+``distrib._fork`` are all it adds; point ``PYTHONPATH`` at another tree's
+``src`` to measure that tree. Run it with one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
+
+It exits nonzero when a phase it must read is missing (``shards`` is
+required on the codistillation workloads), or when the run forked a
+process but no child's peak was read, so a renamed function cannot leave
+it printing nothing.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ sys.path.insert(0, str(BENCH))
 
 from workload import RUN_VIA, WORKLOADS, spec_for  # noqa: E402
 
-from codistill import data, experiments  # noqa: E402
+from codistill import data, distrib, experiments  # noqa: E402
 
 PAGE = os.sysconf("SC_PAGE_SIZE")
 PHASES: dict[str, dict[str, float]] = {}
+FORKS: list[str] = []
 
 
 def reading() -> dict[str, float]:
@@ -71,12 +77,28 @@ def main() -> None:
     PHASES["imports"] = reading()
     experiments.build_env = read_after("build_env", experiments.build_env)
     data.ShardPlan.shard = read_after("shards", data.ShardPlan.shard)
+    fork = distrib._fork
+
+    @functools.wraps(fork)
+    def counted_fork(name, *args):
+        FORKS.append(name)
+        return fork(name, *args)
+
+    distrib._fork = counted_fork
     with tempfile.TemporaryDirectory() as out_dir:
         RUN_VIA[spec["via"]](spec, args.seed, out_dir)
         PHASES["train"] = reading()
     children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     print(json.dumps({"workload": args.workload, "seed": args.seed, "phases": PHASES,
                       "children_peak_mb": round(children_kb / 1024, 2)}))
+    required = ["imports", "build_env", "train"]
+    if spec["cfg"]["kind"] == "codistill":
+        required.append("shards")
+    missing = [phase for phase in required if phase not in PHASES]
+    if missing:
+        sys.exit(f"rss_split: phase {', '.join(missing)} not read")
+    if FORKS and children_kb == 0:
+        sys.exit(f"rss_split: forked {len(FORKS)} processes but read no child's peak")
 
 
 if __name__ == "__main__":

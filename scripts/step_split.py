@@ -34,6 +34,13 @@ per part its calls, minimum and median in us, and total in ms. Point
 ``PYTHONPATH`` at another tree's ``src`` to time that tree; it must have
 every name above. Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1``),
 as the benchmark does.
+
+It exits nonzero, naming each one, when a part it must time read no call,
+so a renamed method cannot leave it printing zeros: ``step``, ``batch``,
+``pass``, ``loss``, ``gradient`` and ``update`` on every workload; the
+exchange parts and ``teacher`` on the codistillation workloads; and
+``eval_recv``/``eval_send`` when the process may use at least 2 CPUs, where
+the loop forks its evaluator.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import argparse
 import functools
 import json
 import multiprocessing.connection
+import os
 import statistics
 import sys
 import tempfile
@@ -75,6 +83,11 @@ EXCHANGE = {
     "load": (distrib._CheckpointStore, "load_latest"),
     "teacher_rows": (distrib._Stack, "set_teachers"),
 }
+
+
+# parts every run of a workload calls; the codistillation workloads' too
+STEP_PARTS = ("step", "batch", "pass", "loss", "gradient", "update")
+CODISTILL_PARTS = ("teacher", *EXCHANGE)
 
 
 def timed(name: str, fn, in_step: bool = True):
@@ -130,6 +143,12 @@ def main() -> None:
              for name, ts in sorted(TIMES.items()) if ts}
     print(json.dumps({"workload": args.workload, "seed": args.seed,
                       "wall_s": round(wall, 3), "parts": parts}))
+    required = STEP_PARTS + (CODISTILL_PARTS if spec["cfg"]["kind"] == "codistill" else ())
+    if len(os.sched_getaffinity(0)) >= 2:
+        required += ("eval_recv", "eval_send")
+    blind = [part for part in required if part not in parts]
+    if blind:
+        sys.exit(f"step_split: no call timed for {', '.join(blind)}")
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ slice, so every group's numbers are bit-identical to training it alone.
 There is one step implementation: the baseline, label smoothing, offline
 distillation and each concurrent-mode group process run it as a stack of
 one (with its k teacher rows). Stacking needs the groups to agree on
-``_LOCKSTEP_FIELDS`` (``n_workers``, ``batch_size``, ``optimizer``,
-``loss``).
+``_LOCKSTEP_FIELDS`` (``n_workers``, ``batch_size``, ``optimizer``); each
+group's own loss is the hard loss, to which only its teacher source adds.
 
 A step allocates none of its large arrays: the stack binds everything it
 touches once per loop (see ``_Stack``), and each part is the one body of
@@ -94,7 +94,6 @@ import signal
 import threading
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -235,8 +234,7 @@ class _CheckpointStore:
             ckpt = cached[1]
         else:
             ckpt = self._decode(data)
-            if version is not None:
-                self._decoded[model_id] = version, ckpt
+            self._decoded[model_id] = version, ckpt
         if self._ledger is not None:
             self._ledger.add(entity or f"model{model_id}", "checkpoint_load",
                              ckpt.payload_bytes())
@@ -306,27 +304,32 @@ class FileCheckpointStore(_CheckpointStore):
     just published is already decoded, so its own loads of it read no file.
     If a publish removed the file in between, the load resolves the link
     again, and after ``LOAD_TRIES`` tries a link that still dangles raises
-    ``SerializationError``. A regular file at ``ckpt_<model_id>.bin`` (from
-    an older layout) is read as it is and never cached. Every path is a
-    string, the link's built once per model.
+    ``SerializationError``. So does a regular file at
+    ``ckpt_<model_id>.bin``: no store writes one. The store owns the
+    directory's layout: ``published`` and ``clear`` are how a run asks
+    about and removes a model's files.
     """
 
     def __init__(self, directory, arch: Architecture, ledger: CommLedger | None = None):
         super().__init__(arch, ledger)
-        self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._root = os.fspath(self._dir)
-        self._links: dict[int, str] = {}  # model id -> the link's path
+        self._root = os.fspath(directory)
+        os.makedirs(self._root, exist_ok=True)
         self._published: dict[int, str] = {}  # model id -> the link's target
 
-    def _path(self, model_id: int) -> Path:
-        return self._dir / f"ckpt_{model_id}.bin"
-
     def _link(self, model_id: int) -> str:
-        link = self._links.get(model_id)
-        if link is None:
-            link = self._links[model_id] = os.fspath(self._path(model_id))
-        return link
+        return f"{self._root}/ckpt_{model_id}.bin"  # os.path.join costs a readlink
+
+    def published(self, model_id: int) -> bool:
+        """Whether the link of ``model_id`` names a file."""
+        return os.path.exists(self._link(model_id))
+
+    def clear(self, model_ids) -> None:
+        """Remove every file of the models ``model_ids``: each link, its
+        targets, and the temporary files and links a killed writer left."""
+        prefixes = tuple(p for i in model_ids for p in (f"ckpt_{i}.", f".ckpt_{i}."))
+        for name in os.listdir(self._root):
+            if name.startswith(prefixes):
+                os.unlink(os.path.join(self._root, name))
 
     def _write(self, model_id: int, step: int, data: bytes) -> str:
         link = self._link(model_id)
@@ -367,7 +370,7 @@ class FileCheckpointStore(_CheckpointStore):
                 pass
         return name
 
-    def _read(self, model_id: int, known) -> tuple[str | None, bytes | None] | None:
+    def _read(self, model_id: int, known) -> tuple[str, bytes | None] | None:
         link = self._link(model_id)
         for _ in range(LOAD_TRIES):
             try:
@@ -377,25 +380,24 @@ class FileCheckpointStore(_CheckpointStore):
             except OSError as err:
                 if err.errno != errno.EINVAL:
                     raise
-                return None, _read_bytes(link)  # a regular file: never cached
+                raise SerializationError(f"checkpoint of model {model_id}: {link} is not "
+                                         "a symbolic link") from None
             if target == known:
                 return target, None
             try:
-                return target, _read_bytes(os.path.join(self._root, target))
+                with open(os.path.join(self._root, target), "rb") as f:
+                    return target, f.read()
             except FileNotFoundError:
                 continue  # a publish removed it since the link was resolved
         raise SerializationError(f"checkpoint of model {model_id}: {link} links to missing "
                                  f"{target} after {LOAD_TRIES} tries")
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
-
-
 @dataclass(frozen=True)
 class GroupConfig:
-    """One synchronous worker group: W workers of per-worker batch B."""
+    """One synchronous worker group: W workers of per-worker batch B. Its
+    ``loss`` must be the plain hard loss, ``CombinedLossSpec()``: a
+    distillation term is the training loop's teacher source's to add."""
 
     n_workers: int
     batch_size: int
@@ -408,6 +410,9 @@ class GroupConfig:
         for name in ("n_workers", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.loss.distill != "none":
+            raise ValueError(f"loss must be the plain hard loss, not {self.loss.distill!r}: "
+                             "the teacher source sets the distillation term")
 
 
 @dataclass(frozen=True)
@@ -489,7 +494,6 @@ class GroupRunner:
         self.ledger = ledger if ledger is not None else CommLedger()
         self.entity = entity
         self.step_index = 0
-        self._param_bytes = param_count(arch) * 8
 
     def step_batches(self, x: np.ndarray, y: np.ndarray) -> None:
         """Gather this group's share of the next lockstep step from the source
@@ -512,8 +516,10 @@ class GroupRunner:
         return self.entity, self.step_index, train_loss, sync, ckpt
 
 
-# what the groups of one stack must share: one step runs them all
-_LOCKSTEP_FIELDS = ("n_workers", "batch_size", "optimizer", "loss")
+# what the groups of one stack must share, as one step runs them all; and
+# every group's own loss, a step's whole loss when it is given no spec
+_LOCKSTEP_FIELDS = ("n_workers", "batch_size", "optimizer")
+_HARD_LOSS = CombinedLossSpec()
 
 
 class _Stack:
@@ -586,7 +592,7 @@ class _Stack:
             charges.setdefault(r.ledger, []).extend(
                 (r.entity, cause) for cause in ("gradient_exchange", "parameter_broadcast"))
         self._charges = list(charges.items())
-        self._sync_bytes = first.n_workers * runners[0]._param_bytes
+        self._sync_bytes = first.n_workers * param_count(arch) * 8
         for r in runners:  # held here, not twice, until unstack
             r.params = None
 
@@ -614,7 +620,7 @@ class _Stack:
         """
         self._feed()
         if spec is None:
-            spec, teacher = self.group.loss, None
+            spec, teacher = _HARD_LOSS, None
             self._pass.forward(self._x)
         elif self._signal is None:
             self._teacher_inputs[...] = self._student_inputs
@@ -871,30 +877,27 @@ def _train_loop(runners, n_steps: int, validation: Batch, eval_every: int, recor
 
 class _StaticTeachers:
     """Teacher source of a frozen teacher: the same loss spec at every step,
-    toward the ``teacher`` it gives the stack at step 0 of each loop: the
-    frozen (k, P) rows of an ensemble, k = ``per_student``, or with
-    ``per_student`` 0 a constant (K,) signal."""
+    toward the teacher it gives the stack at step 0 of each loop. ``teacher``
+    is a (K,) target array, label smoothing's constant teacher, held as the
+    stack's signal; or the ``Parameters`` of a frozen ensemble, held as its
+    k = ``per_student`` teacher rows, whose mean prediction runs in the
+    student's forward (a stack of one). With the term off (``distill``
+    "none" or weight 0) it holds no teacher and gives None at every step."""
 
-    def __init__(self, spec: CombinedLossSpec, teacher: np.ndarray, per_student: int = 0):
-        self.spec, self.teacher, self.per_student = spec, teacher, per_student
+    def __init__(self, teacher, distill: str, distill_weight: float):
+        self.spec, self.teacher, self.per_student = None, None, 0
+        if distill == "none" or distill_weight == 0.0:
+            return
+        self.spec = CombinedLossSpec(distill, distill_weight)
+        if isinstance(teacher, np.ndarray):
+            self.teacher = teacher
+        else:
+            self.teacher, self.per_student = np.stack([p.values for p in teacher]), len(teacher)
 
     def __call__(self, s: int, stack: _Stack):
-        if s == 0:
+        if s == 0 and self.spec is not None:
             (stack.set_teachers if self.per_student else stack.set_signal)(self.teacher)
         return self.spec
-
-
-def _static_teachers(teacher, distill: str, distill_weight: float):
-    """Teacher source of a frozen teacher, or None when the distillation term
-    is off. ``teacher`` is a (K,) target array (label smoothing's constant
-    teacher), or the ``Parameters`` of a frozen ensemble, whose mean
-    prediction runs in the student's forward (a stack of one)."""
-    if distill == "none" or distill_weight == 0.0:
-        return None
-    spec = CombinedLossSpec(distill, distill_weight)
-    if isinstance(teacher, np.ndarray):
-        return _StaticTeachers(spec, teacher)
-    return _StaticTeachers(spec, np.stack([p.values for p in teacher]), len(teacher))
 
 
 def _teacher_mean(logits: np.ndarray, distill: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -968,7 +971,7 @@ class _PeerTeachers:
         deadline = time.monotonic() + START_TIMEOUT_S
         missing = [j for j in range(len(self.runners)) if j not in self.ids]
         while True:
-            missing = [j for j in missing if not self.store._path(j).exists()]
+            missing = [j for j in missing if not self.store.published(j)]
             if not missing:
                 return
             if self.stop(0.005):  # waits up to 5 ms for the parent's message
@@ -1034,9 +1037,6 @@ def _peer_runners(arch: Architecture, cfg: CodistillConfig, groups, shards, stor
         raise ValueError("need one group config and one shard per model")
     if len({g.seed for g in groups}) != cfg.n_models:
         raise ValueError("group seeds must be distinct")
-    for g in groups:
-        if g.loss.distill != "none":
-            raise ValueError("group loss must be plain hard CE; the codistill config owns the distillation term")
     ledger = ledger or store._ledger or CommLedger()
     if store._ledger not in (None, ledger):
         raise ValueError("the store charges another ledger than the run's")
@@ -1149,11 +1149,7 @@ def codistill_train_concurrent(arch: Architecture, cfg: CodistillConfig, groups,
                          f"{MAX_GROUP_PROCESSES}, not {cfg.n_models}")
     runners = _peer_runners(arch, cfg, groups, shards, store, ledger, run_id_prefix)
     n = cfg.n_models
-    for i in range(n):
-        # the link, its targets, and temp files and links a killed writer left
-        for pattern in (f"ckpt_{i}.*", f".ckpt_{i}.*"):
-            for path in store._dir.glob(pattern):
-                path.unlink()
+    store.clear(range(n))
     procs = []
     running = {}  # the parent's end of each pipe still open -> its model id
     records: list[list[MetricRecord]] = [[] for _ in range(n)]
@@ -1235,7 +1231,7 @@ def offline_distill(arch: Architecture, teacher_groups, student_group: GroupConf
     student = GroupRunner(arch, student_group, student_shard,
                           entity=f"{run_id_prefix}phase2.student")
     _train_loop([student], phase2_steps, validation, eval_every, records,
-                _static_teachers(teacher_params, distill, distill_weight))
+                _StaticTeachers(teacher_params, distill, distill_weight))
     return OfflineResult(student.params, records)
 
 

@@ -29,7 +29,7 @@ from .data import (SHARD_MODES, _read_corpus, _validation_size, check_classifica
                    unigram)
 from .distrib import (MAX_GROUP_PROCESSES, CodistillConfig, CommLedger, DivergenceError,
                       FileCheckpointStore, GroupConfig, GroupRunner, InMemoryCheckpointStore,
-                      _static_teachers, _train_loop, codistill_train,
+                      _StaticTeachers, _train_loop, codistill_train,
                       codistill_train_concurrent, comm_report, offline_distill, train_baseline)
 from .losses import DISTILL_KINDS, CombinedLossSpec
 from .metrics import (CSV_COLUMNS, MetricRecord, churn_experiment, ensemble_predict,
@@ -181,6 +181,8 @@ def resolve(cfg: dict, mode: str = "lockstep") -> dict:
             _codistill_cfg(res)
     except ValueError as err:
         raise ConfigError(f"{_FIELD_KEYS[str(err).split()[0]]}: {err}") from None
+    if res["kind"] == "churn" and len(res["seeds"]) > 1:
+        raise ConfigError("seeds: kind churn takes one seed; its retrains use seeds[0] onward")
     if res["kind"] in ("ensemble_baseline", "offline_distill") and res["codistill.n_models"] < 1:
         raise ConfigError("codistill.n_models: must be at least 1")
     if mode == "concurrent" and res["codistill.n_models"] > MAX_GROUP_PROCESSES:
@@ -278,7 +280,7 @@ def _smoothing_teachers(kind: str, train, weight: float):
     training labels' unigram distribution, for every example."""
     target = (unigram(train) if kind == "unigram"
               else np.full(train.n_classes, 1.0 / train.n_classes))
-    return _static_teachers(target, "soft_cross_entropy", weight)
+    return _StaticTeachers(target, "soft_cross_entropy", weight)
 
 
 def _group(res: dict, seed: int, model_index: int = 0) -> GroupConfig:

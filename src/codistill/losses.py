@@ -13,7 +13,8 @@ distillation loss against a teacher signal (soft-target cross entropy, mean
 squared logit error, or KL divergence). Label smoothing is that term with
 soft-target cross entropy toward a constant teacher, the uniform or the
 unigram distribution (Yuan et al., "Revisiting Knowledge Distillation via
-Label Smoothing Regularization", CVPR 2020).
+Label Smoothing Regularization", CVPR 2020). Validation's loss is
+``hard_ce_loss``: ``hard_ce``'s loss, bit for bit, without its gradient.
 
 Each loss has one body, as the network's pass has: it writes every array
 it computes into a ``LossPlan``, the buffers for one shape of logits, built
@@ -157,22 +158,17 @@ def hard_ce(labels: np.ndarray, logits: np.ndarray):
     return _hard_ce_from_parts(labels, *_softmax_parts(logits, plan), plan)
 
 
-def hard_ce_loss(labels: np.ndarray, logits: np.ndarray) -> float:
+def hard_ce_loss(labels: np.ndarray, logits: np.ndarray, out: np.ndarray | None = None) -> float:
     """The loss of ``hard_ce`` alone, bit for bit, without its gradient.
 
     With z = logits - rowmax, -log softmax(z)[y] is z[y] - log(sum(exp(z))),
-    the same float operations ``hard_ce`` does on the picked entries.
+    the same float operations ``hard_ce`` does on the picked entries. The
+    shifted logits are written into ``out`` if given, which may be
+    ``logits`` itself: a caller that owns its logits shifts them in place.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    return _hard_ce_loss(labels, logits, np.empty(logits.shape))
-
-
-def _hard_ce_loss(labels: np.ndarray, logits: np.ndarray, z: np.ndarray) -> float:
-    """``hard_ce_loss`` with the shifted logits written into ``z``, which
-    may be ``logits`` itself: a caller that owns its logits shifts them in
-    place."""
     labels = _check_labels(labels, logits)
-    z = np.subtract(logits, logits.max(axis=1, keepdims=True), out=z)
+    z = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     picked = z[np.arange(len(labels)), labels]
     picked -= np.log(np.exp(z, out=z).sum(axis=1))
     return float(-picked.mean())

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .losses import _LOG_FLOOR, _hard_ce_loss
+from .losses import _LOG_FLOOR, hard_ce_loss
 from .nn import Batch, Parameters, Plan, forward, softmax
 
 # MetricRecord's fields, in order, under their file names
@@ -80,7 +80,7 @@ def evaluate(params: Parameters, validation: Batch, plan: Plan | None = None):
         raise ValueError("empty validation set")
     logits = forward(params, validation, plan)
     accuracy = float((logits.argmax(axis=1) == validation.labels).mean())
-    return _hard_ce_loss(validation.labels, logits, logits), accuracy
+    return hard_ce_loss(validation.labels, logits, out=logits), accuracy
 
 
 def probs_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -71,8 +71,9 @@ class Architecture:
     ``task`` selects the head: ``classification`` consumes float vectors of
     width ``input_dim``; ``lm_fixed_context`` consumes ``context_window``
     token ids, embeds them and feeds the concatenation to the MLP, so it must
-    satisfy ``input_dim == context_window * embedding_dim`` and
-    ``output_dim == vocab_size``.
+    satisfy ``input_dim == context_window * embedding_dim``. Its embedding
+    table and token ids span ``vocab_size``, its outputs and labels
+    ``output_dim`` (for next-token prediction the same number).
     """
 
     input_dim: int
@@ -105,8 +106,6 @@ class Architecture:
                     "input_dim must equal context_window * embedding_dim for the lm task "
                     f"({self.input_dim} != {self.context_window} * {self.embedding_dim})"
                 )
-            if self.output_dim != self.vocab_size:
-                raise ValueError("output_dim must equal vocab_size for the lm task")
         elif self.task == TASK_CLASSIFICATION:
             if any(getattr(self, n) is not None for n in ("context_window", "vocab_size", "embedding_dim")):
                 raise ValueError("context_window, vocab_size and embedding_dim are lm-only fields")
@@ -204,10 +203,6 @@ class Batch:
         if self._rows is not None:
             self._inputs, self._rows = self._inputs[self._rows], None
         return self._inputs
-
-    @inputs.setter
-    def inputs(self, value: np.ndarray) -> None:
-        self._inputs, self._rows = value, None
 
     @property
     def size(self) -> int:

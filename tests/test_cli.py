@@ -5,6 +5,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,21 @@ class TestConfigParsing:
     def test_kind_required(self):
         with pytest.raises(ConfigError, match="kind"):
             resolve({})
+
+    def test_line_without_equals_named(self):
+        with pytest.raises(ConfigError, match="line 2: expected key=value, got 'steps 40'"):
+            parse_config_text("kind=baseline\nsteps 40\n")
+
+    def test_unknown_mode_named(self):
+        with pytest.raises(ConfigError, match="^mode: unknown mode 'async'"):
+            resolve(tiny_cfg(), mode="async")
+
+    def test_churn_takes_one_seed(self):
+        """Its retrains use seeds[0] ... seeds[0] + churn.repeats - 1, so a
+        second seed would be listed in summary.json but never trained."""
+        with pytest.raises(ConfigError, match="^seeds: kind churn takes one seed"):
+            resolve(tiny_cfg("churn", seeds=[0, 1]))
+        assert resolve(tiny_cfg("churn", seeds=[3]))["seeds"] == [3]
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# comment\n\nkind=baseline  # trailing\n")
@@ -226,6 +242,34 @@ class TestRun:
         assert summary["diverged"] is True
         assert summary["diverged_at_step"] >= 0
 
+
+    def test_divergence_in_a_later_seed_keeps_the_earlier_seeds(self, tmp_path, monkeypatch):
+        """Seeds run one after another: when seed 1 of three diverges at step
+        15, seed 0's run is complete, seed 1 keeps its records up to step 10,
+        seed 2 never starts, and the summary names step 15."""
+        from codistill import distrib
+        from codistill.distrib import DivergenceError
+        real = distrib.GroupRunner.step_batches
+
+        def poisoned(runner, x, y):
+            real(runner, x, y)
+            if runner.entity == "baseline.s1" and runner.step_index == 15:
+                x[0, 0] = np.nan
+
+        cfg = tiny_cfg(seeds=[0, 1, 2], eval_every=10)
+        run(tiny_cfg(seeds=[0], eval_every=10), tmp_path / "alone")
+        monkeypatch.setattr(distrib.GroupRunner, "step_batches", poisoned)
+        with pytest.raises(DivergenceError):
+            run(cfg, tmp_path / "run")
+        rows = csv_without_wall(tmp_path / "run" / "metrics.csv").splitlines()
+        seed0 = [r for r in rows if r.startswith("baseline.s0,")]
+        assert seed0 == csv_without_wall(tmp_path / "alone" / "metrics.csv").splitlines()[1:]
+        assert [r.split(",")[1] for r in seed0] == ["0", "10", "20", "30", "40"]
+        assert [r.split(",")[1] for r in rows if r.startswith("baseline.s1,")] == ["0", "10"]
+        assert not [r for r in rows if r.startswith("baseline.s2,")]
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["diverged"] is True and summary["diverged_at_step"] == 15
+        assert set(summary["runs"]) == {"baseline.s0", "baseline.s1"}
 
     @pytest.mark.parametrize("kind, overrides, expected", [
         # the baseline arm finishes before the disjoint arm diverges at step 10

@@ -154,6 +154,11 @@ class TestShards:
         for x, y in zip(a.assignment, b.assignment):
             assert np.array_equal(x, y)
 
+    def test_unknown_mode(self):
+        ds = gen_classification(1, 10, 2, 2, 0.1)
+        with pytest.raises(ValueError, match="unknown shard mode 'random'"):
+            make_shards(ds, "random", 2, 0)
+
     def test_too_many_shards(self):
         ds = gen_classification(1, 4, 2, 2, 0.1)
         with pytest.raises(ValueError):
@@ -303,6 +308,25 @@ class TestIntegerChecks:
                     rows=np.array([0.0, 2.0]))
         with pytest.raises(ValueError, match="rows"):
             take(gen_classification(1, 10, 2, 2, 0.1), np.array([1.0, 2.5]))
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: Dataset(np.zeros((0, 1)), np.zeros(0, int), "classification", 2),
+         ValueError, "non-empty"),
+        (lambda: Dataset(np.zeros((3, 1)), np.array([0, 1, 0]), "classification", 2,
+                         rows=np.zeros(0, int)), ValueError, "non-empty"),
+        (lambda: Dataset(np.zeros((4, 1)), np.array([0, 1, 0]), "classification", 2),
+         ValueError, "disagree on example count"),
+        (lambda: Dataset(np.zeros((3, 1)), np.array([0, 2, 0]), "classification", 2),
+         ValueError, "label out of range"),
+        (lambda: Dataset(np.zeros((3, 1)), np.array([0, -1, 0]), "classification", 2),
+         ValueError, "label out of range"),
+        (lambda: Dataset(np.zeros((3, 1)), np.array([0, 1, 0]), "classification", 2,
+                         rows=np.array([0, 3])), IndexError, "row index out of range"),
+    ], ids=["empty", "empty_view", "miscounted", "label_past_classes", "negative_label",
+            "row_past_source"])
+    def test_malformed_dataset_refused(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
 
     def test_integer_labels_keep_their_type(self):
         labels = np.array([0, 1, 1], dtype=np.int16)

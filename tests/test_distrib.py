@@ -24,7 +24,8 @@ from codistill.distrib import (Checkpoint, CodistillConfig, CommLedger, Divergen
                                codistill_train_concurrent, comm_report, mean_teacher_fn,
                                offline_distill, train_baseline, worker_streams)
 from codistill import optim
-from codistill.nn import Plan, backward, forward, predict_proba, serialize_params
+from codistill.nn import (Plan, backward, deserialize_checkpoint, forward, predict_proba,
+                         serialize_params)
 from codistill.losses import CombinedLossSpec, combined_loss
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
                           Parameters, SerializationError, TruncatedPayloadError, init_params,
@@ -42,9 +43,8 @@ def make_task(n=600, seed=1, difficulty=0.3):
     return train, val.as_batch()
 
 
-def sgd_group(seed, n_workers=1, batch=16, lr=0.2, loss=None):
-    return GroupConfig(n_workers, batch, OptimizerConfig("sgd", lr),
-                       loss or CombinedLossSpec(), seed)
+def sgd_group(seed, n_workers=1, batch=16, lr=0.2):
+    return GroupConfig(n_workers, batch, OptimizerConfig("sgd", lr), CombinedLossSpec(), seed)
 
 
 def run_in_thread(fn, timeout=60.0):
@@ -371,6 +371,21 @@ class TestCodistill:
             codistill_train(ARCH, CodistillConfig(2, 20, 20), [self.groups[0], second],
                             self.shards, 40, store, self.val)
         assert store.load_latest(0) is None
+
+    @pytest.mark.parametrize("distill", ["soft_cross_entropy", "kl_divergence", "logit_mse"])
+    def test_group_loss_is_the_hard_loss(self, distill):
+        """A distillation term is its teacher source's, never a group's own:
+        a group carrying one is refused where it is built."""
+        with pytest.raises(ValueError, match=f"^loss must be the plain hard loss, not '{distill}'"):
+            GroupConfig(1, 16, OptimizerConfig("sgd", 0.2), CombinedLossSpec(distill), 1)
+
+    @pytest.mark.parametrize("n_groups, n_shards", [(1, 2), (2, 1), (3, 3)])
+    def test_one_group_and_shard_per_model(self, n_groups, n_shards):
+        groups = [sgd_group(100 + i) for i in range(n_groups)]
+        shards = (self.shards * 2)[:n_shards]
+        with pytest.raises(ValueError, match="need one group config and one shard per model"):
+            codistill_train(ARCH, CodistillConfig(2, 20, 20), groups, shards, 10,
+                            InMemoryCheckpointStore(ARCH), self.val)
 
     def test_deterministic(self):
         cfg = CodistillConfig(2, 20, 10)
@@ -701,7 +716,7 @@ def token_dataset(arch, n, seed):
     """A seeded lm dataset of ``n`` random windows and next tokens."""
     rng = np.random.default_rng(seed)
     return Dataset(rng.integers(0, arch.vocab_size, size=(n, arch.context_window)),
-                   rng.integers(0, arch.vocab_size, size=n), "lm", arch.vocab_size)
+                   rng.integers(0, arch.output_dim, size=n), "lm", arch.output_dim)
 
 
 def next_batch(runner):
@@ -764,6 +779,40 @@ class TestStackBuffers:
                 assert np.array_equal(stack._x[i], np.concatenate([p.inputs for p in parts]))
                 assert np.array_equal(stack._labels[i],
                                       np.concatenate([p.labels for p in parts]))
+
+    def test_lm_head_narrower_than_its_vocabulary(self):
+        """The embedding and the token range are the vocabulary's, the output
+        layer and the labels the head's: 2 outputs over 9 tokens train, each
+        model equal to its row of a stack, and its checkpoint round-trips."""
+        arch = Architecture(3 * 4, (10,), 2, task="lm_fixed_context", context_window=3,
+                            vocab_size=9, embedding_dim=4)
+        seeds = [3, 4]
+        stack = distrib._Stack(self.runners(arch, "adagrad", seeds))
+        alone = [distrib._Stack(self.runners(arch, "adagrad", [s])) for s in seeds]
+        for _ in range(4):
+            losses = stack.step()
+            for row, one in enumerate(alone):
+                assert one.step() == [losses[row]]
+                assert np.array_equal(one.values[0], stack.values[row])
+        trained = stack.params(1)
+        assert not np.array_equal(trained.values, init_params(arch, 4).values)
+        back, step, model_id, _ = deserialize_checkpoint(
+            serialize_params(trained, step=4, model_id=1), arch)
+        assert (step, model_id) == (4, 1) and np.array_equal(back.values, trained.values)
+
+    def test_token_ids_are_range_checked_at_every_step(self):
+        """A source token at the vocabulary's size fails the step's forward,
+        before any group is updated."""
+        ds = token_dataset(LM_ARCH, 64, 3)
+        inputs = np.array(ds.source_inputs)
+        inputs[:, 1] = LM_ARCH.vocab_size
+        bad = Dataset(inputs, ds.source_labels, "lm", LM_ARCH.output_dim)
+        group = GroupConfig(1, 8, OptimizerConfig("sgd", 0.05), CombinedLossSpec(), 3)
+        stack = distrib._Stack([GroupRunner(LM_ARCH, group, bad)])
+        before = stack.values.copy()
+        with pytest.raises(ValueError, match="token id out of range"):
+            stack.step()
+        assert np.array_equal(stack.values, before)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
     @pytest.mark.parametrize("arch", [ARCH, LM_ARCH], ids=["classification", "lm"])
@@ -986,6 +1035,10 @@ class TestCallBudget:
 
 
 class TestMeanTeacher:
+    def test_needs_a_teacher(self):
+        with pytest.raises(ValueError, match="need at least one teacher"):
+            mean_teacher_fn([], "soft_cross_entropy")
+
     def test_probability_form_is_member_mean(self):
         train, _ = make_task()
         models = [init_params(ARCH, s) for s in (1, 2, 3)]
@@ -1099,9 +1152,11 @@ class TestStoreCounters:
 
 
 def plant(store, tmp_path, data):
-    """Put raw bytes where model 0's checkpoint lives, bypassing publish."""
+    """Put raw bytes where model 0's checkpoint lives, bypassing publish:
+    for the file store, a target file and the link to it."""
     if isinstance(store, FileCheckpointStore):
-        (tmp_path / "ckpt_0.bin").write_bytes(data)
+        (tmp_path / "ckpt_0.1.planted.bin").write_bytes(data)
+        os.symlink("ckpt_0.1.planted.bin", tmp_path / "ckpt_0.bin")
     else:
         store._blobs[0] = data
 
@@ -1123,6 +1178,15 @@ class TestStoreFaults:
         plant(store, tmp_path, damage(self.BLOB))
         with pytest.raises(error, match=match):
             store.load_latest(0)
+        assert ledger.total("checkpoint_load") == 0
+
+    def test_regular_file_at_the_link_raises_a_named_error(self, tmp_path):
+        """No store writes a regular file where a model's link lives; a load
+        that finds one names it, whatever its bytes, and charges nothing."""
+        (tmp_path / "ckpt_0.bin").write_bytes(self.BLOB)
+        ledger = CommLedger()
+        with pytest.raises(SerializationError, match="model 0.*ckpt_0.bin is not a symbolic link"):
+            FileCheckpointStore(tmp_path, ARCH, ledger).load_latest(0)
         assert ledger.total("checkpoint_load") == 0
 
     def test_leftover_temp_files_are_ignored(self, tmp_path):
@@ -1289,6 +1353,14 @@ class TestOfflineDistill:
                                  distill_weight=0.0, eval_every=30)
         expect, _ = train_baseline(ARCH, student, self.train, 60, self.val, eval_every=30)
         assert np.array_equal(result.student_params.values, expect.values)
+
+    @pytest.mark.parametrize("distill, weight", [("none", 1.0), ("soft_cross_entropy", 0.0)])
+    def test_static_teacher_with_the_term_off_holds_nothing(self, distill, weight):
+        """With the term off a static teacher source keeps no teacher rows and
+        gives the hard loss (None) at every step, never touching the stack."""
+        teachers = distrib._StaticTeachers([init_params(ARCH, 1)], distill, weight)
+        assert (teachers.spec, teachers.teacher, teachers.per_student) == (None, None, 0)
+        assert [teachers(s, None) for s in range(3)] == [None] * 3
 
     def test_records_cover_both_phases(self):
         result = offline_distill(ARCH, [sgd_group(41), sgd_group(42)], sgd_group(55),

@@ -65,6 +65,17 @@ class TestHardCELoss:
         labels = rng.integers(0, 10, size=500)
         assert hard_ce_loss(labels, logits) == hard_ce(labels, logits)[0]
 
+    def test_shifts_into_out(self):
+        """Given ``out``, which may be the logits, the shifted logits land
+        there and the loss is the same."""
+        rng = np.random.default_rng(8)
+        logits = rng.standard_normal((9, 4)) * 30
+        labels = rng.integers(0, 4, size=9)
+        want = hard_ce_loss(labels, logits)
+        mine = logits.copy()
+        assert hard_ce_loss(labels, mine, out=mine) == want
+        assert not np.array_equal(mine, logits)
+
     def test_same_label_checks(self):
         with pytest.raises(ValueError, match="range"):
             hard_ce_loss(np.array([4]), np.zeros((1, 4)))
@@ -319,6 +330,17 @@ class TestCombinedLoss:
         spec = CombinedLossSpec(distill="soft_cross_entropy")
         with pytest.raises(ValueError, match="label out of range"):
             combined_loss(spec, np.array([5]), np.zeros((1, 2)), np.array([[3.0, -2.0]]))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown distillation loss 'cosine'"):
+            CombinedLossSpec(distill="cosine")
+
+    @pytest.mark.parametrize("distill", ["soft_cross_entropy", "kl_divergence", "logit_mse"])
+    def test_teacher_shape_must_match(self, distill):
+        spec = CombinedLossSpec(distill=distill)
+        teacher = np.full((3, 4), 0.25)
+        with pytest.raises(ValueError, match=r"teacher shape \(3, 4\) does not match logits \(2, 4\)"):
+            combined_loss(spec, np.array([0, 1]), np.zeros((2, 4)), teacher)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -98,11 +98,17 @@ class TestEvaluate:
         assert len(set(got)) == 4
 
     def test_empty_validation(self):
-        empty = Batch(np.zeros((1, 5)), np.array([0]))
-        empty.inputs = np.zeros((0, 5))
-        empty.labels = np.zeros(0, dtype=int)
-        with pytest.raises(ValueError, match="empty"):
-            evaluate(rand_params(0), empty)
+        """``Batch`` refuses an empty batch; ``evaluate`` still checks
+        whatever it is given, here a stand-in with no rows."""
+        class Empty:
+            size = 0
+            inputs = np.zeros((0, 5))
+            labels = np.zeros(0, dtype=int)
+
+        with pytest.raises(ValueError, match="at least one example"):
+            Batch(np.zeros((0, 5)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="empty validation set"):
+            evaluate(rand_params(0), Empty())
 
 
 class TestStepsToTarget:
@@ -145,6 +151,10 @@ class TestEnsemble:
         other = init_params(Architecture(5, (9,), 3), 0)
         with pytest.raises(ValueError, match="mismatch"):
             ensemble_predict([rand_params(0), other], rand_val(0))
+
+    def test_empty_ensemble(self):
+        with pytest.raises(ValueError, match="empty ensemble"):
+            ensemble_predict([], rand_val(1))
 
 
 class TestPredictionChurn:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from codistill import nn
 from codistill.losses import hard_ce
 from codistill.nn import (Architecture, Batch, CorruptHeaderError, FingerprintMismatchError,
                           Parameters, Pass, Plan, TruncatedPayloadError, _embedding_grad, _layout,
@@ -110,6 +111,19 @@ class TestForward:
         forward(small_params, small_batch)
         assert np.array_equal(small_batch.inputs, before_inputs)
         assert np.array_equal(small_params.values, before_values)
+
+    def test_lm_token_ids_range_checked(self, lm_arch, lm_batch):
+        p = init_params(lm_arch, 1)
+        for bad in (lm_arch.vocab_size, -1):
+            tokens = lm_batch.inputs.copy()
+            tokens[2, 1] = bad
+            with pytest.raises(ValueError, match="token id out of range"):
+                forward(p, Batch(tokens, lm_batch.labels))
+
+    def test_lm_context_width_checked(self, lm_arch, lm_batch):
+        wide = np.zeros((lm_batch.size, lm_arch.context_window + 1), np.int64)
+        with pytest.raises(ValueError, match="expected 3 context tokens, got 4"):
+            forward(init_params(lm_arch, 1), Batch(wide, lm_batch.labels))
 
     def test_lm_forward_shape(self, lm_arch, lm_batch):
         p = init_params(lm_arch, 1)
@@ -342,6 +356,19 @@ class TestSerialization:
         data = serialize_params(init_params(small_arch, 1))
         with pytest.raises(TruncatedPayloadError):
             deserialize_checkpoint(data[:-4], small_arch)
+
+    @pytest.mark.parametrize("field, value, match", [
+        (1, 2, "unsupported format version 2"),
+        (5, 2, "unknown payload dtype flag 2"),
+        (6, 999, "parameter count 999 disagrees with architecture"),
+    ], ids=["version", "dtype_flag", "count"])
+    def test_header_fields_checked(self, small_arch, field, value, match):
+        """magic, version, fingerprint, step, model id, dtype flag, count"""
+        data = serialize_params(init_params(small_arch, 1))
+        fields = list(nn._HEADER.unpack_from(data))
+        fields[field] = value
+        with pytest.raises(CorruptHeaderError, match=match):
+            deserialize_checkpoint(nn._HEADER.pack(*fields) + data[nn._HEADER.size:], small_arch)
 
     def test_short_header(self, small_arch):
         with pytest.raises(CorruptHeaderError):

@@ -94,6 +94,12 @@ class TestCommon:
         with pytest.raises(NonFiniteGradientError):
             step(cfg, init_state(cfg, 2), np.zeros(2), np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+    def test_gradient_shape_must_match(self, kind):
+        cfg = OptimizerConfig(kind, 0.1)
+        with pytest.raises(ValueError, match=r"gradient shape \(3,\) does not match parameters"):
+            step(cfg, init_state(cfg, 2), np.zeros(2), np.zeros(3))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig("momentum", 0.1)
