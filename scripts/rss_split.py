@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 scripts/rss_split.py --workload codistill2 --seed 0
 
 Trains one benchmark workload (its config from ``bench/workload.py``, driven
-as the benchmark drives it) and reads the training process's memory at four
+as the benchmark drives it) and reads the training process's memory at five
 points:
 
 - ``imports``: once numpy, the package and the workload module are imported;
@@ -11,21 +11,26 @@ points:
   generated or read, split, and the validation batch built;
 - ``shards``: when the last ``ShardPlan.shard`` call returns (absent where one
   model trains on the whole training set);
+- ``teacher_phase``: when the first ``distrib._Stack.step`` given a loss spec
+  returns, i.e. the first step toward a teacher, which sets a lockstep
+  codistillation run's peak (absent where no teacher step runs in this
+  process);
 - ``train``: when the run returns, its training loop done and outputs written.
 
 At each point it prints the resident set (``rss_mb``, from
 ``/proc/self/statm``) and the peak so far (``peak_mb``, ``getrusage``'s
 ``ru_maxrss``, which the benchmark reports as ``peak_rss_mb``), in MiB, and
 at the end the largest peak of the forked children (the lockstep evaluator,
-concurrent-mode groups). Wrappers around those two functions and around
+concurrent-mode groups). Wrappers around those three functions and around
 ``distrib._fork`` are all it adds; point ``PYTHONPATH`` at another tree's
 ``src`` to measure that tree. Run it with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
 
 It exits nonzero when a phase it must read is missing (``shards`` is
-required on the codistillation workloads), or when the run forked a
-process but no child's peak was read, so a renamed function cannot leave
-it printing nothing.
+required on the codistillation workloads, and ``teacher_phase`` on those
+that train in lockstep, in this process), or when the run forked a process
+but no child's peak was read, so a renamed function cannot leave it
+printing nothing.
 """
 
 from __future__ import annotations
@@ -68,6 +73,17 @@ def read_after(name: str, fn):
     return wrapper
 
 
+def read_after_first_teacher_step(step):
+    @functools.wraps(step)
+    def wrapper(self, spec=None):
+        out = step(self, spec)
+        if spec is not None and "teacher_phase" not in PHASES:
+            PHASES["teacher_phase"] = reading()
+        return out
+
+    return wrapper
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", default="codistill2", choices=sorted(WORKLOADS))
@@ -77,6 +93,7 @@ def main() -> None:
     PHASES["imports"] = reading()
     experiments.build_env = read_after("build_env", experiments.build_env)
     data.ShardPlan.shard = read_after("shards", data.ShardPlan.shard)
+    distrib._Stack.step = read_after_first_teacher_step(distrib._Stack.step)
     fork = distrib._fork
 
     @functools.wraps(fork)
@@ -94,6 +111,8 @@ def main() -> None:
     required = ["imports", "build_env", "train"]
     if spec["cfg"]["kind"] == "codistill":
         required.append("shards")
+        if spec["mode"] == "lockstep":
+            required.append("teacher_phase")
     missing = [phase for phase in required if phase not in PHASES]
     if missing:
         sys.exit(f"rss_split: phase {', '.join(missing)} not read")

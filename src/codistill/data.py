@@ -8,22 +8,26 @@ dataset, the shard plan, and every batch a stream ever yields.
 Each example is held once. ``gen_classification`` builds its inputs in place
 and ``ingest_text`` keeps its windows as a strided view of the token ids; both
 return read-only arrays. A train/validation split and a shard are row views:
-they hold their source's arrays, read-only, and an index of the rows they
-contain, and splitting or sharding a view composes the indices (a shared
-shard, which holds every example, shares its view's index). A batch stream
-yields source-row indices; the training step gathers the rows once, into its
-own input and label buffers. ``take`` alone copies examples, to materialize
-a subset on purpose. ``Dataset.as_batch`` of a view copies its labels; its
-inputs are gathered on their first read, once per process, so the validation
-rows are held only where they are validated: in the evaluator or group
-process after its fork, or in the training process itself on one CPU.
+they hold their source's arrays, read-only, and an index of the source rows
+they contain. Each row index is held once: splitting a view composes the
+indices, and a shard plan composes each disjoint shard's source rows once,
+which its shards share (a shared shard, which holds every example, shares
+its view's index). A batch stream holds only an epoch order of its view's
+positions and yields source-row indices; the training step gathers the rows
+once, into its own input and label buffers. ``take`` alone copies examples,
+to materialize a subset on purpose. ``Dataset.as_batch`` of a view copies
+its labels; its inputs are gathered on their first read, once per process,
+so the validation rows are held only where they are validated: in the
+evaluator or group process after its fork, or in the training process
+itself on one CPU.
 Generation and ingest work ``_CHUNK_ELEMENTS`` elements at a time (one row
 of wider inputs), so their temporaries stay small.
 
 Every integer array the data layer builds (token ids, class labels, row
 indices, shard assignments and epoch orders) is held in the narrowest
 unsigned type for its range, ``_index_type(bound)``: token ids and labels are
-below the label-space size, row indices below the source's length. A seeded
+below the label-space size, row indices below the source's length, and an
+epoch order's positions below its view's length. A seeded
 order is such an array shuffled in place: the order and generator state of
 ``rng.permutation``, with no int64 permutation made.
 """
@@ -111,31 +115,32 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return out
 
 
-def _view(dataset: Dataset, indices=None) -> Dataset:
+def _view(dataset: Dataset, indices) -> Dataset:
     """The examples at ``indices`` as a row view of ``dataset``'s source:
     only the row index is new memory, in ``_index_type`` of the source's
     length, and it is read-only like the source. ``indices`` count from
-    the end when negative, as NumPy's do. Without ``indices``, all of
-    ``dataset``'s examples in order: the view shares its row index,
-    read-only, and so costs no memory."""
-    if indices is None:
-        rows = None if dataset.rows is None else _read_only(dataset.rows)
+    the end when negative, as NumPy's do."""
+    idx, n = np.asarray(indices), dataset.n
+    if idx.size == 0:
+        raise ValueError("dataset must be non-empty")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"rows must be integer row indices, not {idx.dtype}")
+    lo, hi = idx.min(), idx.max()
+    if not -n <= lo <= hi < n:
+        raise IndexError("row index out of range")
+    if lo < 0:
+        idx = np.where(idx < 0, idx + n, idx)
+    if dataset.rows is None:
+        rows = idx.astype(_index_type(len(dataset.source_labels)))
     else:
-        idx, n = np.asarray(indices), dataset.n
-        if idx.size == 0:
-            raise ValueError("dataset must be non-empty")
-        if idx.dtype.kind not in "iu":
-            raise ValueError(f"rows must be integer row indices, not {idx.dtype}")
-        lo, hi = idx.min(), idx.max()
-        if not -n <= lo <= hi < n:
-            raise IndexError("row index out of range")
-        if lo < 0:
-            idx = np.where(idx < 0, idx + n, idx)
-        if dataset.rows is None:
-            rows = idx.astype(_index_type(len(dataset.source_labels)))
-        else:
-            rows = dataset.rows[idx]
-        rows.flags.writeable = False
+        rows = dataset.rows[idx]
+    rows.flags.writeable = False
+    return _rows_view(dataset, rows)
+
+
+def _rows_view(dataset: Dataset, rows: np.ndarray | None) -> Dataset:
+    """``dataset``'s source, read-only, as a view holding the read-only
+    source rows ``rows`` (None: the whole source)."""
     return Dataset(_read_only(dataset.source_inputs), _read_only(dataset.source_labels),
                    dataset.kind, dataset.n_classes, dataset.vocab, dict(dataset.provenance),
                    rows)
@@ -269,53 +274,70 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
     return _view(dataset, perm[n_val:]), _view(dataset, perm[:n_val])
 
 
-@dataclass
+@dataclass(eq=False)
 class ShardPlan:
-    """Assignment of example indices to worker groups. A ``shared`` plan's
-    shards each hold every example, in order."""
+    """Each worker group's source rows of one dataset, ``dataset``.
 
-    assignment: tuple[np.ndarray, ...]
-    shared: bool = False
+    ``assignment[i]`` is shard i's source rows, read-only: composed once by
+    ``make_shards``, and shared by every view ``shard`` returns. A shared
+    plan's shards each hold every example, in order, through ``dataset``'s
+    own row index (None for a whole source), so the plan holds no index of
+    its own.
+    """
+
+    dataset: Dataset
+    assignment: tuple[np.ndarray | None, ...]
 
     def shard(self, dataset: Dataset, i: int) -> Dataset:
-        """Shard ``i`` as a row view of ``dataset``'s source; a shared shard
-        shares ``dataset``'s own row index, so it costs no memory."""
-        return _view(dataset, None if self.shared else self.assignment[i])
+        """Shard ``i`` as a row view of ``dataset``'s source holding the
+        plan's own ``assignment[i]``, so it costs no memory. ``dataset`` must
+        be the very dataset the plan was made from."""
+        if dataset is not self.dataset:
+            raise ValueError("dataset is not the one this shard plan was made from")
+        return _rows_view(dataset, self.assignment[i])
 
 
 def make_shards(dataset: Dataset, mode: str, n_shards: int, seed: int) -> ShardPlan:
-    """Disjoint: seeded permutation split round-robin (sizes differ by <= 1),
-    as strided views of it. Shared: every shard is the full index set. Either
-    way one read-only index in ``_index_type(dataset.n)``."""
+    """Disjoint: a seeded permutation of the dataset's positions split
+    round-robin (sizes differ by <= 1), each shard's part composed with the
+    dataset's rows into source rows, once; over a whole source those are
+    strided views of the permutation. Shared: every shard is the dataset's
+    own rows. Either way each source row is held at most once, read-only,
+    in ``_index_type`` of the source's length."""
     if mode not in SHARD_MODES:
         raise ValueError(f"unknown shard mode {mode!r}")
     if n_shards < 1 or n_shards > dataset.n:
         raise ValueError("need 1 <= n_shards <= n_examples")
-    index_type = _index_type(dataset.n)
+    rows = None if dataset.rows is None else _read_only(dataset.rows)
     if mode == "shared":
-        everything = np.arange(dataset.n, dtype=index_type)
-        everything.flags.writeable = False
-        return ShardPlan((everything,) * n_shards, shared=True)
-    perm = np.arange(dataset.n, dtype=index_type)
+        return ShardPlan(dataset, (rows,) * n_shards)
+    perm = np.arange(dataset.n, dtype=_index_type(dataset.n))
     np.random.default_rng(np.random.SeedSequence([int(seed), 2])).shuffle(perm)
-    perm.flags.writeable = False
-    return ShardPlan(tuple(perm[i::n_shards] for i in range(n_shards)))
+    shards = tuple(perm[i::n_shards] if rows is None else rows[perm[i::n_shards]]
+                   for i in range(n_shards))
+    for shard in shards:
+        shard.flags.writeable = False
+    return ShardPlan(dataset, shards)
 
 
 def batch_stream(dataset: Dataset, batch_size: int, seed) -> Iterator[np.ndarray]:
     """Infinite deterministic stream of each batch's ``batch_size`` source-row
-    indices, as ``intp``: each epoch the dataset's rows (or ``arange(n)``,
-    narrow) shuffled in place, ragged tail dropped."""
+    indices, as ``intp``, ragged tail dropped. Each epoch shuffles the
+    positions ``arange(n)`` in place, in ``_index_type(n)``, and a batch is
+    the dataset's rows at its slice of them. A shuffle moves positions, not
+    values, so the batches and the generator state are those of shuffling a
+    copy of the rows, without holding one."""
     n = dataset.n
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch_size must lie in [1, {n}]")
     rows = dataset.rows
     rng = np.random.default_rng(seed)
     while True:
-        order = np.arange(n, dtype=_index_type(n)) if rows is None else rows.copy()
+        order = np.arange(n, dtype=_index_type(n))
         rng.shuffle(order)
         for start in range(0, n - batch_size + 1, batch_size):
-            yield order[start:start + batch_size].astype(np.intp)
+            pos = order[start:start + batch_size]
+            yield (pos if rows is None else rows.take(pos)).astype(np.intp)
 
 
 def unigram(dataset: Dataset) -> np.ndarray:

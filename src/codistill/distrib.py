@@ -547,7 +547,8 @@ class _Stack:
     form, with an (N, P) scratch array and the gradient for its
     temporaries), so ``set_teachers`` writes the teacher rows once; an
     ``nn.Plan`` for the M-row pass, into whose input buffer each group's
-    ``step_batches`` gathers its rows, with the gradient over the N students;
+    ``step_batches`` gathers its rows, with the gradient over the N students,
+    whose backward runs in the teacher rows' spent activations (``nn.Plan``);
     one ``nn.Pass`` per pass length, holding every per-layer view; the
     (N, R) label buffer and a ``losses.LossPlan``. So a ``Parameters`` from
     ``params`` is a view that the next step overwrites: a publish or an

@@ -547,7 +547,11 @@ def run(cfg: dict, out_dir, mode: str = "lockstep") -> dict:
     the exception's class in summary.json, and the exception is re-raised
     for the caller to turn into a nonzero exit.
     """
-    res = resolve(cfg, mode)
+    return _run(resolve(cfg, mode), out_dir, mode)
+
+
+def _run(res: dict, out_dir, mode: str) -> dict:
+    """``run`` of a config ``resolve`` has already resolved for ``mode``."""
     env = build_env(res)
     summary = {"kind": res["kind"], "seeds": res["seeds"], "mode": mode,
                "provenance": env.provenance, "param_count": param_count(env.arch)}
@@ -594,7 +598,7 @@ def sweep(cfg: dict, axis: str, values, out_dir, mode: str = "lockstep") -> list
     summaries = []
     for sub_cfg, res in zip(sub_cfgs, resolved):
         value = sub_cfg[axis]
-        summary = run(sub_cfg, out / f"{axis}={value}", mode)
+        summary = _run(res, out / f"{axis}={value}", mode)
         summaries.append(summary)
         runs = summary["runs"]
         finals = [s["final_val_loss"] for s in runs.values()]

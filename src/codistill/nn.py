@@ -284,10 +284,20 @@ class Plan:
     (all, by default; none for a forward-only plan, ``n_grad=0``) each hidden
     layer's relu mask and backpropagated delta and the (G, P) gradient; for
     the lm head also a flat (M * V, E) embedding table, the token-index
-    buffers, the gathered inputs and the G models' input gradient and
-    bincount index. Each pass overwrites what the last one left, so its
-    results hold until the plan's next pass. A ``Pass`` binds the buffers of
-    the plan's first n models to one parameter stack.
+    buffers, the gathered inputs and the G models' bincount index and input
+    gradient. Each pass overwrites what the last one left, so its results
+    hold until the plan's next pass. A ``Pass`` binds the buffers of the
+    plan's first n models to one parameter stack.
+
+    The M - G forward-only rows (a stack's teacher rows) are spent once the
+    forward's logits are read, so the backward's buffers live in them where
+    they fit (with M >= 2G, as in every stack with teacher rows): each
+    hidden layer's deltas in rows [G, 2G) of that layer's output, and the
+    lm's bincount index (an ``intp`` view), then its input gradient, in the
+    gathered embeddings after the first G * R * C rows. What does not fit
+    is allocated. So a backward overwrites the forward-only rows' hidden
+    outputs and gathered embeddings, never a gradient row's activations:
+    a second backward after one forward gives the same gradient.
     """
 
     def __init__(self, arch: Architecture, n_models: int, n_rows: int, *,
@@ -303,7 +313,8 @@ class Plan:
                        else np.empty((M, R, arch.input_dim)))
         self.outputs = [np.empty((M, R, w)) for w in hidden + (arch.output_dim,)]
         self.masks = [np.empty((G, R, w), bool) for w in hidden]
-        self.deltas = [np.empty((G, R, w)) for w in hidden]
+        self.deltas = [_carve(out[G:].reshape(-1), (G, R, w), np.float64)[0]
+                       for out, w in zip(self.outputs, hidden)]
         self.grad = np.empty((G, param_count(arch)))
         self.offsets = self.table = self.index = self.embedded = self.dinput = self.flat = None
         if lm:
@@ -312,8 +323,19 @@ class Plan:
             self.table = np.empty((M * V, E))
             self.index = np.empty((M, R, C), np.intp)
             self.embedded = np.empty((M * R * C, E))
-            self.dinput = np.empty((G, R, arch.input_dim))
-            self.flat = np.empty((G * R * C, E), np.intp)
+            spare = self.embedded[G * R * C:].reshape(-1)
+            self.flat, spare = _carve(spare, (G * R * C, E), np.intp)
+            self.dinput, _ = _carve(spare, (G, R, arch.input_dim), np.float64)
+
+
+def _carve(spare: np.ndarray, shape: tuple[int, ...], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A ``shape`` buffer of ``dtype`` at the start of ``spare``, a flat
+    float64 buffer of forward-only rows, and what is left of ``spare``; a new
+    buffer, and ``spare`` whole, if it does not fit there."""
+    size = math.prod(shape)
+    if spare.size < size or np.dtype(dtype).itemsize != spare.itemsize:
+        return np.empty(shape, dtype), spare
+    return spare[:size].view(dtype).reshape(shape), spare[size:]
 
 
 def _head(buffer: np.ndarray, rows: int) -> np.ndarray:
@@ -335,7 +357,9 @@ class Pass:
     the pure forms bind one per call. ``acts`` are the layer inputs a forward
     leaves in the plan, which ``backward`` reads: the gathered embeddings or
     the plan's input buffer, then each hidden layer's relu output. Backward
-    needs n <= the plan's ``n_grad``.
+    needs n <= the plan's ``n_grad``; it overwrites the hidden outputs and
+    gathered embeddings of the plan's forward-only rows (``Plan``), so
+    whatever reads their forward results reads them before it.
     """
 
     __slots__ = ("arch", "layers", "weights_t", "outputs", "lm", "masks", "deltas", "grad",

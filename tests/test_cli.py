@@ -413,6 +413,28 @@ class TestLanguageModelTask:
         assert "config error: group.batch:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_corpus_reads_per_run_and_sweep(self, tmp_path, monkeypatch):
+        """An lm run reads its corpus twice, once to resolve the config and
+        once to ingest it; a 3-value sweep resolves each value once, so six."""
+        corpus = str(self.corpus_path(tmp_path))
+        reads = []
+        read_text = Path.read_text
+
+        def counted(path, *args, **kwargs):
+            if str(path) == corpus:
+                reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        cfg = parse_config_text(f"kind=baseline\nseeds=0\nsteps=4\neval_every=2\n"
+                                f"data.kind=lm\ndata.corpus={corpus}\ndata.window=4\n"
+                                f"model.hidden=8\nmodel.embedding_dim=2\n")
+        run(cfg, tmp_path / "run")
+        assert len(reads) == 2
+        reads.clear()
+        sweep(cfg, "group.batch", [4, 8, 16], tmp_path / "sweep")
+        assert len(reads) == 6
+
     @pytest.mark.parametrize("text", [None, "", "abc"], ids=["missing", "empty", "short"])
     def test_lm_bad_corpus_exit_two_writes_nothing(self, tmp_path, capsys, text):
         """A missing, empty or too-short corpus (window 8) is a config error."""

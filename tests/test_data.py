@@ -142,10 +142,17 @@ class TestShards:
         assert set(a) & set(b) == set()
 
     def test_shared_mode(self):
+        """A shared plan's shards hold their dataset's own rows: a whole
+        source's (None, every row in order) or a view's."""
         ds = gen_classification(1, 10, 2, 2, 0.1)
         plan = make_shards(ds, "shared", 2, 0)
+        for i, idx in enumerate(plan.assignment):
+            assert idx is None and np.array_equal(plan.shard(ds, i).labels, ds.labels)
+        train, _ = split_train_val(ds, 0.2, 0)
+        plan = make_shards(train, "shared", 2, 0)
         for idx in plan.assignment:
-            assert np.array_equal(np.sort(idx), np.arange(10))
+            assert np.shares_memory(idx, train.rows)
+            assert np.array_equal(np.sort(idx), np.sort(train.rows))
 
     def test_deterministic(self):
         ds = gen_classification(1, 50, 2, 2, 0.1)
@@ -214,6 +221,34 @@ class TestBatchStream:
             big = next(merged)
             assert big.shape == (4,)
             assert np.array_equal(big, np.concatenate([next(r) for r in ref]))
+
+    @staticmethod
+    def copy_shuffling_stream(dataset, batch_size, rng):
+        """The reference for a view's ``batch_stream``: each epoch a copy of
+        the view's rows shuffled in place."""
+        while True:
+            order = dataset.rows.copy()
+            rng.shuffle(order)
+            for start in range(0, dataset.n - batch_size + 1, batch_size):
+                yield order[start:start + batch_size].astype(np.intp)
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([9, 256, 257, 65_536, 65_537]),
+           epochs=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_positions_draw_the_copy_shuffled_rows(self, seed, size, epochs):
+        """A view's stream shuffles uint8, uint16 or uint32 positions, by its
+        length, not a copy of its rows: every batch and the generator's state
+        after whole epochs are those of shuffling the rows."""
+        rows = np.random.default_rng(size).permutation(size + 3)[:size].astype(np.uint32)
+        view = Dataset(np.zeros((size + 3, 1)), np.zeros(size + 3, np.uint8),
+                       "classification", 1, rows=rows)
+        batch = max(1, size // 4)
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = batch_stream(view, batch, mine), self.copy_shuffling_stream(view, batch, ref)
+        for _ in range(epochs * (size // batch)):
+            idx = next(got)
+            assert idx.dtype == np.intp and np.array_equal(idx, next(want))
+        assert mine.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 65_535, 65_536, 65_537])
     def test_narrow_shuffle_draws_the_permutation(self, n):
@@ -359,10 +394,10 @@ class TestRowViews:
         _same_examples(val, take(ds, val.rows))
         for mode in ("disjoint", "shared"):
             plan = make_shards(train, mode, 3, 5)
-            for i, idx in enumerate(plan.assignment):
+            for i, idx in enumerate(plan.assignment):  # source rows, composed once
                 shard = plan.shard(train, i)
-                _same_examples(shard, take(train, idx))
-                assert np.array_equal(shard.rows, train.rows[idx])  # composed, not nested
+                _same_examples(shard, take(ds, idx))
+                assert np.shares_memory(shard.rows, idx) and np.isin(idx, train.rows).all()
                 _same_examples(shard, take(ds, shard.rows))
 
     def test_lm_windows_are_the_corpus(self, tmp_path):
@@ -403,6 +438,26 @@ class TestRowViews:
                 idx, ref = next(a), next(b)
                 assert np.array_equal(view.source_inputs[idx], ref.inputs)
                 assert np.array_equal(view.source_labels[idx], ref.labels)
+
+    @pytest.mark.parametrize("mode", ["disjoint", "shared"])
+    def test_shards_share_their_plans_rows(self, mode):
+        """Each shard holds its plan's source rows, not a copy of them."""
+        train, _ = split_train_val(gen_classification(1, 200, 4, 3, 0.2), 0.1, 0)
+        plan = make_shards(train, mode, 3, 0)
+        for i, idx in enumerate(plan.assignment):
+            assert np.shares_memory(plan.shard(train, i).rows, idx)
+        assert all(np.shares_memory(idx, train.rows) for idx in plan.assignment) == (
+            mode == "shared")
+
+    def test_shard_of_another_dataset_is_refused(self):
+        ds = gen_classification(1, 200, 4, 3, 0.2)
+        train, val = split_train_val(ds, 0.1, 0)
+        again, _ = split_train_val(ds, 0.1, 0)
+        for mode in ("disjoint", "shared"):
+            plan = make_shards(train, mode, 2, 0)
+            for other in (val, again, ds):
+                with pytest.raises(ValueError, match="shard plan"):
+                    plan.shard(other, 0)
 
     def test_shared_shards_share_the_training_set(self):
         train, _ = split_train_val(gen_classification(1, 200, 4, 3, 0.2), 0.1, 0)
@@ -495,7 +550,9 @@ class TestMemory:
     def test_lm_index_bytes_per_example(self, tmp_path):
         """An lm run's data layer, as a 4-model disjoint run holds it: the
         token ids, the split, 4 shards and 2 drawn streams per shard keep at
-        most 24 bytes per example (8-byte ids and indices kept about 46)."""
+        most 14 bytes per example (8-byte ids and indices kept about 46; a
+        shard's rows beside the plan's permutation and each stream's copy of
+        them, about 20)."""
         rng = np.random.default_rng(0)
         path = tmp_path / "corpus.txt"
         path.write_text("".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz ,.\n"), 100_000)),
@@ -514,4 +571,4 @@ class TestMemory:
             tracemalloc.stop()
         assert ds.n > 2**16 and train.rows.dtype == np.uint32 and len(drawn) == 8
         assert np.shares_memory(ds.source_labels, ds.source_inputs)  # labels not copied
-        assert held <= 24 * ds.n, f"{held / ds.n:.1f} bytes per example"
+        assert held <= 14 * ds.n, f"{held / ds.n:.1f} bytes per example"

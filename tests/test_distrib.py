@@ -895,6 +895,32 @@ class TestStackBuffers:
                         assert np.array_equal(getattr(one.opt_state, name)[0], mine[i])
                         assert np.array_equal(getattr(states[i], name)[0], mine[i])
 
+    def test_four_model_lm_stack_equals_stacks_of_one(self):
+        """The lm workload's stack shape: 4 students with 3 teacher rows each,
+        so its backward buffers all live in the teacher rows. Through burn-in,
+        teacher steps and a reload of new teacher rows, each student equals a
+        stack of one bit for bit."""
+        k, seeds = 3, [3, 4, 5, 6]
+        spec = CombinedLossSpec("soft_cross_entropy", 1.0)
+        stack = distrib._Stack(self.runners(LM_ARCH, "adagrad", seeds, n_workers=2), k)
+        alone = [distrib._Stack(self.runners(LM_ARCH, "adagrad", [s], n_workers=2), k)
+                 for s in seeds]
+        spent = stack._whole_pass.acts[0][len(seeds):]  # the teacher rows' embeddings
+        assert np.shares_memory(stack._pass.flat, spent)
+        assert np.shares_memory(stack._pass.dinput, spent)
+        for s in range(7):
+            if s in (2, 5):  # first teacher rows, then a reload
+                rows = np.stack([init_params(LM_ARCH, 10 * s + j).values
+                                 for j in range(k * len(seeds))])
+                stack.set_teachers(rows)
+                for i, one in enumerate(alone):
+                    one.set_teachers(rows[k * i:k * (i + 1)])
+            losses = stack.step(None if s < 2 else spec)
+            for i, one in enumerate(alone):
+                assert one.step(None if s < 2 else spec) == [losses[i]]
+                assert np.array_equal(one.values[0], stack.values[i])
+                assert np.array_equal(one.opt_state.acc[0], stack.opt_state.acc[i])
+
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_handed_out_parameters_stay_valid(self, n_cpus, monkeypatch):
         """A published checkpoint, an ``after_eval`` member (checked where

@@ -212,26 +212,33 @@ def _trace_case(arch, seed, batch_size):
     return params, Batch(inputs, rng.integers(0, arch.output_dim, size=batch_size))
 
 
-def _stack_of_one(params, batch):
-    """One model's pass as a training step runs it: a plan of one whose input
-    buffer is fed the batch, then the forward. Returns (pass, inputs, logits)."""
-    plan = Plan(params.arch, 1, batch.size)
-    plan.inputs[0] = batch.inputs
-    net = Pass(plan, params.values[None])
-    return net, plan.inputs, net.forward(plan.inputs)
+def _stack_of_one(params, batch, forward_only=0):
+    """One model's pass as a training step runs it: a plan whose input buffer
+    is fed the batch, then the forward. With ``forward_only`` k, the plan
+    also holds k forward-only rows of other parameters, fed the same batch,
+    that the forward runs too, as a stack's teacher rows: the model's
+    backward buffers then live in them. Returns the model's pass, inputs and
+    logits."""
+    plan = Plan(params.arch, 1 + forward_only, batch.size, n_grad=1)
+    plan.inputs[...] = batch.inputs
+    values = np.stack([params.values] + [params.values * 0.5 + k for k in range(forward_only)])
+    logits = Pass(plan, values).forward(plan.inputs)[:1]
+    return Pass(plan, values, 1), plan.inputs[:1], logits
 
 
 class TestPass:
     """One forward pass serves both the loss and the gradient; both must be
     bit-identical to a fresh forward and a backward that recomputes it."""
 
+    @pytest.mark.parametrize("forward_only", [0, 2])
     @pytest.mark.parametrize("arch_name", ["small_arch", "lm_arch"])
     @given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
-    def test_grad_equals_recompute_then_backward(self, arch_name, seed, batch_size, request):
+    def test_grad_equals_recompute_then_backward(self, arch_name, forward_only, seed,
+                                                 batch_size, request):
         arch = request.getfixturevalue(arch_name)
         params, batch = _trace_case(arch, seed, batch_size)
-        net, x, logits = _stack_of_one(params, batch)
+        net, x, logits = _stack_of_one(params, batch, forward_only)
         _, dlogits = hard_ce(batch.labels, logits[0])
         want_logits, want_grad = recompute_backward(params, batch, dlogits)
         assert np.array_equal(logits[0], want_logits)
@@ -402,6 +409,31 @@ class TestPlan:
             for m, (params, batch) in enumerate(cases):
                 assert np.array_equal(logits[m], forward(params, batch))
                 assert np.array_equal(grad[m], backward(params, batch, dlogits[m]))
+
+    @pytest.mark.parametrize("arch", [DESK_ARCH, DESK_LM], ids=["classification", "lm"])
+    @pytest.mark.parametrize("n_models,n_grad", [(2, 1), (3, 1), (5, 2), (16, 4), (3, 2)])
+    def test_backward_buffers_live_in_forward_only_rows(self, arch, n_models, n_grad):
+        """With M >= 2G forward-only rows, each hidden layer's deltas are rows
+        [G, 2G) of that layer's output; the lm's bincount index, then its
+        input gradient where it fits (M >= 3G), follow in the forward-only
+        rows' gathered embeddings. None shares a gradient row's activations.
+        A plan with fewer forward-only rows allocates them."""
+        M, G, R = n_models, n_grad, 8
+        plan = Plan(arch, M, R, n_grad=G)
+        spare = M >= 2 * G
+        for out, delta in zip(plan.outputs, plan.deltas):
+            assert delta.shape == (G, R, out.shape[-1])
+            assert np.shares_memory(delta, out[G:2 * G]) == spare
+            assert not np.shares_memory(delta, out[:G])
+        if arch.task == "lm_fixed_context":
+            lm_rows = G * R * arch.context_window
+            grad_rows, teacher_rows = plan.embedded[:lm_rows], plan.embedded[lm_rows:]
+            assert plan.flat.dtype == np.intp and plan.flat.shape == (lm_rows, arch.embedding_dim)
+            assert np.shares_memory(plan.flat, teacher_rows) == spare
+            assert np.shares_memory(plan.dinput, teacher_rows) == (M >= 3 * G)
+            for buffer in (plan.flat, plan.dinput):
+                assert not np.shares_memory(buffer, grad_rows)
+            assert not np.shares_memory(plan.flat, plan.dinput)
 
     def test_shape_must_match(self, small_params, small_batch):
         plan = Plan(small_params.arch, 1, small_batch.size + 1)
